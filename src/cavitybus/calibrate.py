@@ -27,8 +27,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .config import ExperimentConfig
-from .errors import BracketError, NumericalError
-from .spin import CrystalOrientation, FieldSetting, transition_minus
+from .errors import BracketError, NumericalError, ValidationError
+from .spin import CrystalOrientation, FieldSetting, transition_batch, transition_minus
 
 __all__ = [
     "CalibrationResult",
@@ -40,6 +40,12 @@ __all__ = [
 log = logging.getLogger("cavitybus.calibrate")
 
 _MAGNITUDE_RANGE = (0.2, 30.0)
+# Halvings of _MAGNITUDE_RANGE in the vectorized scan: 29.8 / 2**40 is
+# below the 1e-10 mT xtol of the scalar magnitude solve.
+_BISECTIONS = 40
+# Accepted scan step (deg).  The scan holds every node in memory at
+# once, so the lower end caps it at 180 000 nodes.
+_SCAN_STEP_RANGE = (1e-3, 90.0)
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,51 @@ def _solve_magnitude(config, azimuth_i, angle_i, target):
     return brentq(f, lo, hi, xtol=1e-10)
 
 
+def _transition_nodes(config, which, azimuths, magnitudes, angle):
+    """Lower transition of ensemble `which` at each (crystal azimuth,
+    magnitude) node for one field angle, in one batched solve: turning
+    the crystal by a is the same as turning the field by -a."""
+    orientation = CrystalOrientation(0.0, config.orientation(which).axis_class)
+    return transition_batch(config.nv(which), orientation, magnitudes, angle - azimuths)
+
+
+def _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target):
+    """Vectorized form of the per-azimuth scan: the ensemble-I magnitude
+    at every node by fixed-count bisection, then the ensemble-II
+    residual there.  NaN marks the nodes where `_solve_magnitude` finds
+    no crossing."""
+
+    def f(mags):
+        return _transition_nodes(config, "i", azimuths, mags, angle_i) - target
+
+    lo = np.full(azimuths.shape, _MAGNITUDE_RANGE[0])
+    hi = np.full(azimuths.shape, _MAGNITUDE_RANGE[1])
+    f_lo = f(lo)
+    bracketed = f_lo * f(hi) <= 0
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        same = np.sign(f_mid) == np.sign(f_lo)
+        lo = np.where(same, mid, lo)
+        f_lo = np.where(same, f_mid, f_lo)
+        hi = np.where(same, hi, mid)
+    mags = 0.5 * (lo + hi)
+    residuals = (
+        _transition_nodes(config, "ii", azimuths + relative, mags, angle_ii) - target
+    )
+    return np.where(bracketed, residuals, np.nan)
+
+
 def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> CalibrationResult:
     """Brute-force scan of the crystal-I azimuth with the magnitude
     solved per azimuth from the ensemble-I resonance; azimuth roots are
     where ensemble II then also meets the target at its own angle."""
+    lo, hi = _SCAN_STEP_RANGE
+    if not lo <= scan_step <= hi:  # also false for NaN
+        raise ValidationError(
+            f"scan step must be finite and between {lo:g} and {hi:g} deg "
+            f"inclusive, got {scan_step:g}"
+        )
     target = config.get("cavity.center_mhz")
     angle_i = config.get("calibration.resonance_angle_i_deg")
     angle_ii = config.get("calibration.resonance_angle_ii_deg")
@@ -107,14 +154,26 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
             - target
         )
 
+    def brackets(residuals):
+        # NaN nodes compare False, so they bracket nothing.
+        return residuals[:-1] * residuals[1:] <= 0
+
     azimuths = np.arange(0.0, 180.0, scan_step)
-    residuals = [residual(a) for a in azimuths]
+    residuals = _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target)
+    # The batched and scalar residuals differ by solver noise, so on a
+    # node that sits on a root they can disagree in sign.  Such a node
+    # always ends a flagged interval; re-evaluate those ends with the
+    # scalar residual that brentq refines, so each bracket holds for it.
+    flagged = brackets(residuals)
+    ends = np.zeros(azimuths.shape, dtype=bool)
+    ends[:-1] |= flagged
+    ends[1:] |= flagged
+    for k in np.flatnonzero(ends):
+        r = residual(azimuths[k])
+        residuals[k] = np.nan if r is None else r
 
     candidates = []
-    for k in range(len(azimuths) - 1):
-        r0, r1 = residuals[k], residuals[k + 1]
-        if r0 is None or r1 is None or r0 * r1 > 0:
-            continue
+    for k in np.flatnonzero(brackets(residuals)):
         az_root = brentq(
             lambda a: residual(a), azimuths[k], azimuths[k + 1], xtol=1e-8
         )

@@ -28,14 +28,20 @@ __all__ = [
     "DEFAULT_CONFIG_TEXT",
     "parse_range",
     "format_float",
+    "FLOAT_SPEC",
 ]
 
 log = logging.getLogger("cavitybus.config")
 
 
+# Every float the package writes uses this spec; gridio builds its
+# batched row formats from it, so one change here moves both.
+FLOAT_SPEC = ".9g"
+
+
 def format_float(value: float) -> str:
     """Nine significant digits, plain decimal point, no grouping."""
-    return f"{value:.9g}"
+    return format(value, FLOAT_SPEC)
 
 
 # value kinds: float kinds carry a unit family for suffix conversion

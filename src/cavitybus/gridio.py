@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import format_float
+from .config import FLOAT_SPEC
 from .dispersive import PumpProbeSignal
 from .errors import GridFormatError
 from .fitting import FitResult
@@ -76,6 +76,17 @@ def _provenance_lines(config_hash: str | None, extra: dict | None) -> list:
     return lines
 
 
+def _format_rows(table: np.ndarray, lead: np.ndarray | None = None) -> list:
+    """One CSV line per row of the 2-D float array `table`, led by
+    `lead[k]` when given.  Each line is a single %-format of the row's
+    Python floats, byte-equal to joining `format_float` of every cell;
+    rows are converted one at a time to keep the working set small."""
+    fmt = ",".join(["%" + FLOAT_SPEC] * (table.shape[1] + (lead is not None)))
+    if lead is None:
+        return [fmt % tuple(row.tolist()) for row in table]
+    return [fmt % (value, *row.tolist()) for value, row in zip(lead.tolist(), table)]
+
+
 def grid_to_text(
     grid: SpectrumGrid, config_hash: str | None = None, extra: dict | None = None
 ) -> str:
@@ -83,12 +94,8 @@ def grid_to_text(
     lines = _provenance_lines(config_hash, extra)
     lines.append(f"# sweep_kind={grid.sweep_kind}, rows={rows}, cols={cols}")
     if cols:
-        lines.append(",".join(format_float(v) for v in grid.probe_frequencies))
-    mags = grid.magnitudes
-    for k in range(rows):
-        cells = [format_float(grid.sweep_values[k])]
-        cells.extend(format_float(v) for v in mags[k])
-        lines.append(",".join(cells))
+        lines.extend(_format_rows(grid.probe_frequencies[np.newaxis]))
+    lines.extend(_format_rows(grid.magnitudes, lead=grid.sweep_values))
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +179,7 @@ def _parse_row(line, expected, source, label):
             f"{source}: ragged {label}: expected {expected} fields, got {len(cells)}"
         )
     try:
-        return np.array([float(c) for c in cells])
+        return np.array(cells, dtype=float)
     except ValueError as exc:
         raise GridFormatError(f"{source}: non-numeric value in {label}") from exc
 
@@ -186,8 +193,7 @@ def write_signal(
     """Two-column CSV of a pump-probe cavity-shift trace."""
     lines = _provenance_lines(config_hash, extra)
     lines.append("# columns=pump_mhz,shift_mhz")
-    for pump, shift in zip(signal.pump_frequencies, signal.shift):
-        lines.append(f"{format_float(pump)},{format_float(shift)}")
+    lines.extend(_format_rows(np.column_stack([signal.pump_frequencies, signal.shift])))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -205,8 +211,7 @@ def write_table(
         raise ValueError("all columns must have equal length")
     lines = _provenance_lines(config_hash, extra)
     lines.append("# columns=" + ",".join(names))
-    for k in range(length):
-        lines.append(",".join(format_float(a[k]) for a in arrays))
+    lines.extend(_format_rows(np.column_stack(arrays)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

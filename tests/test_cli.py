@@ -293,6 +293,23 @@ def test_calibrate_reproduces_shipped_defaults(default_cfg, tmp_path, capsys):
     )
 
 
+def test_calibrate_smallest_scan_step_reproduces_shipped_defaults(default_cfg, tmp_path, capsys):
+    # At the smallest accepted step the shipped azimuth 173.9 deg is a
+    # scan node, so the root sits exactly on the scan grid.
+    out = tmp_path / "calibrated.cfg"
+    code = main(
+        ["calibrate", "--config", str(default_cfg), "--scan-step", "0.001", "--out", str(out)]
+    )
+    assert code == 0
+    assert "degeneracy: angle=51" in capsys.readouterr().out
+    from cavitybus.config import load_config
+
+    calibrated = load_config(out)
+    assert calibrated.get("ensemble_i.azimuth_deg") == 173.9
+    assert calibrated.get("ensemble_ii.azimuth_deg") == pytest.approx(198.1, abs=1e-9)
+    assert calibrated.get("field.magnitude_mt") == pytest.approx(7.69336558, abs=1e-6)
+
+
 def test_calibrate_unreachable_target_exits_3(tmp_path, capsys):
     # cavity placed above the zero-field transition: no field magnitude
     # can bring the lower transition up to it
@@ -307,6 +324,17 @@ def test_calibrate_unreachable_target_exits_3(tmp_path, capsys):
     code = main(["calibrate", "--config", str(cfg), "--out", str(out)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-9", "90.5"])
+def test_calibrate_bad_scan_step_exits_2(default_cfg, tmp_path, capsys, step):
+    out = tmp_path / "calibrated.cfg"
+    code = main(
+        ["calibrate", "--config", str(default_cfg), "--scan-step", step, "--out", str(out)]
+    )
+    assert code == 2
+    assert "scan step must be finite and between 0.001 and 90 deg" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cavitybus import __version__
+from cavitybus.config import format_float
 from cavitybus.dispersive import PumpProbeSignal
 from cavitybus.errors import GridFormatError
 from cavitybus.fitting import FitResult
@@ -145,3 +147,82 @@ def test_write_is_deterministic(tmp_path):
     write_grid(a, grid, "x")
     write_grid(b, grid, "x")
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# batched writers against a per-value reference
+
+AWKWARD = [
+    -0.0, 5e-324, 1e-300, 123456789.125, 2.0**53 + 1, math.nan, math.inf, -math.inf,
+]
+
+
+def reference_text(header, rows):
+    """Per-value `format_float` join: the writers' byte-level contract."""
+    lines = [f"# cavitybus {__version__}", "# config_hash=none", header]
+    lines.extend(",".join(format_float(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def random_doubles(n):
+    # Arbitrary finite bit patterns: subnormals, huge and tiny exponents.
+    bits = np.random.default_rng(7).integers(0, 2**63 - 1, size=n, dtype=np.int64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def parsed_cells(text):
+    """Per-cell float() parse of a grid file's body lines."""
+    body = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return [np.array([float(c) for c in ln.split(",")]) for ln in body]
+
+
+def awkward_grids():
+    values = np.array(AWKWARD)
+    square = np.array([np.roll(values, k) for k in range(len(values))])
+    return {
+        "full": SpectrumGrid(values, values, square, "angle"),
+        "no-columns": SpectrumGrid(np.array([]), values, np.zeros((values.size, 0)), "none"),
+        "one-row": SpectrumGrid(values, values[:1], values[np.newaxis], "magnitude"),
+    }
+
+
+@pytest.mark.parametrize("name", ["full", "no-columns", "one-row"])
+def test_grid_text_matches_per_value_reference(tmp_path, name):
+    grid = awkward_grids()[name]
+    rows, cols = grid.amplitudes.shape
+    body = [grid.probe_frequencies] if cols else []
+    body += [[s, *m] for s, m in zip(grid.sweep_values, grid.magnitudes)]
+    expected = reference_text(
+        f"# sweep_kind={grid.sweep_kind}, rows={rows}, cols={cols}", body
+    )
+    assert grid_to_text(grid) == expected
+
+    path = tmp_path / "grid.csv"
+    write_grid(path, grid)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    back, _ = read_grid(path)
+    cells = parsed_cells(expected)
+    if cols:
+        assert back.probe_frequencies.tobytes() == cells.pop(0).tobytes()
+    table = np.array(cells).reshape(rows, cols + 1)
+    assert back.sweep_values.tobytes() == table[:, 0].tobytes()
+    assert back.amplitudes.real.copy().tobytes() == table[:, 1:].tobytes()
+    assert not back.amplitudes.imag.any()
+
+
+def test_table_and_signal_match_per_value_reference(tmp_path):
+    first = np.concatenate([AWKWARD, random_doubles(200)])
+    second = -first[::-1]
+    columns = {"a": first, "b": second, "c": first * 0.5}
+
+    path = tmp_path / "table.csv"
+    write_table(path, columns)
+    expected = reference_text("# columns=a,b,c", zip(*columns.values()))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    path = tmp_path / "signal.csv"
+    write_signal(path, PumpProbeSignal(first, second))
+    expected = reference_text("# columns=pump_mhz,shift_mhz", zip(first, second))
+    assert path.read_bytes() == expected.encode("utf-8")
