@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import find_peaks
 
 from .calibrate import calibrate_geometry
 from .config import ExperimentConfig, default_config
@@ -176,6 +175,8 @@ def _lamb_shifted_degeneracy(config, magnitude):
 
 
 def _count_pump_peaks(config, angle, signs, threshold=0.10):
+    from scipy.signal import find_peaks  # deferred: slow import, see transmission
+
     cavity = config.cavity()
     cavity = type(cavity)(
         cavity.center, cavity.total_hwhm, cavity.external_hwhm, signs

@@ -27,6 +27,7 @@ __all__ = [
     "default_config",
     "DEFAULT_CONFIG_TEXT",
     "parse_range",
+    "MAX_RANGE_POINTS",
     "format_float",
     "FLOAT_SPEC",
 ]
@@ -133,8 +134,13 @@ for _canonical in SCHEMA:
             break
 
 
+# Largest number of values a start:stop:step range may expand to; checked
+# before anything is allocated.
+MAX_RANGE_POINTS = 10**6
+
+
 def parse_range(text: str, *, key: str = "range") -> tuple:
-    """Parse ``start:stop:step`` into three floats (validated)."""
+    """Parse ``start:stop:step`` into three finite floats (validated)."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{key}: expected start:stop:step, got {text!r}")
@@ -142,8 +148,12 @@ def parse_range(text: str, *, key: str = "range") -> tuple:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{key}: non-numeric range {text!r}") from exc
+    if not np.all(np.isfinite((start, stop, step))):
+        raise ConfigError(f"{key}: start, stop and step must be finite in {text!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"{key}: need stop >= start and step > 0 in {text!r}")
+    if (stop - start) / step > MAX_RANGE_POINTS - 1:
+        raise ConfigError(f"{key}: {text!r} has more than {MAX_RANGE_POINTS} points")
     return start, stop, step
 
 

@@ -92,8 +92,10 @@ def _softplus_inv(p):
 
 
 def _sigmoid(q):
+    # exp of -|q| only, so large negative q cannot overflow
     q = np.asarray(q, dtype=float)
-    return 1.0 / (1.0 + np.exp(-q))
+    e = np.exp(-np.abs(q))
+    return np.where(q >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class _Transform:
@@ -144,11 +146,11 @@ def levenberg_marquardt(
     def evaluate(q_vec):
         p = transform.to_physical(q_vec)
         r, jp = residual_jac(p)
-        r = np.asarray(r, dtype=float)
-        jq = np.asarray(jp, dtype=float) * transform.chain(q_vec)[None, :]
-        return p, r, jq
+        return p, np.asarray(r, dtype=float), np.asarray(jp, dtype=float)
 
-    p, r, j = evaluate(q)
+    # jp is the physical-space Jacobian of the accepted point; it is
+    # kept for the standard errors once the loop converges.
+    p, r, jp = evaluate(q)
     cost = float(r @ r)
     history = [math.sqrt(cost)]
     lam = 1e-3
@@ -156,11 +158,13 @@ def levenberg_marquardt(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
+        j = jp * transform.chain(q)[None, :]
         grad = j.T @ r
         if np.max(np.abs(grad)) < grad_tol * (1.0 + math.sqrt(cost)):
             converged = True
             break
         a = j.T @ j
+        del j  # free the scaled copy before the trial evaluations
         diag = np.diag(a).copy()
         floor = 1e-12 * max(float(np.max(diag)), 1.0)
         diag = np.maximum(diag, floor)
@@ -173,13 +177,13 @@ def levenberg_marquardt(
                 lam *= 10.0
                 continue
             q_new = q + delta
-            p_new, r_new, j_new = evaluate(q_new)
+            p_new, r_new, jp_new = evaluate(q_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost and np.isfinite(cost_new):
                 step_rel = float(
                     np.max(np.abs(delta) / np.maximum(np.abs(q), 1.0))
                 )
-                q, p, r, j, cost = q_new, p_new, r_new, j_new, cost_new
+                q, p, r, jp, cost = q_new, p_new, r_new, jp_new, cost_new
                 history.append(math.sqrt(cost))
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
@@ -192,7 +196,7 @@ def levenberg_marquardt(
 
     errors = None
     if converged:
-        errors = _standard_errors(residual_jac, p, cost)
+        errors = _standard_errors(jp, cost)
     params = {name: float(val) for name, val in zip(names, p)}
     err_map = None
     if errors is not None:
@@ -207,9 +211,8 @@ def levenberg_marquardt(
     )
 
 
-def _standard_errors(residual_jac, p, cost):
-    r, jp = residual_jac(p)
-    m, n = np.asarray(jp).shape
+def _standard_errors(jp, cost):
+    m, n = jp.shape
     if m <= n:
         return None
     s2 = cost / (m - n)
@@ -558,6 +561,10 @@ def transmission_model(
     theta = (g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset).
 
     kappa_ext is tied to kappa (bare-peak-normalized convention).
+
+    With D the denominator and u = 1/D, |S21| = kappa*|u|, so every
+    Jacobian column is the log-derivative d|S|/dtheta = -|S| Re(u dD/dtheta)
+    (plus |S|/kappa for kappa) and nothing divides by |S|.
     """
     probe = np.asarray(probe, dtype=float)
     sweep_values = np.asarray(sweep_values, dtype=float)
@@ -573,37 +580,25 @@ def transmission_model(
         ):
             nu_s = tuning.frequencies(sweep_values, offset)[:, None]
             dnu_s = tuning.derivative(sweep_values, offset)[:, None]
-            pole = 1j * (nu_s - nu) + gamma
-            terms.append((g, pole, dnu_s))
-            den = den + g**2 / pole
-        s = kappa / den
-        absval = np.abs(s)
+            q = 1.0 / (1j * (nu_s - nu) + gamma)
+            terms.append((g, q, dnu_s))
+            den = den + g**2 * q
+        u = 1.0 / den
+        absval = kappa * np.abs(u)
 
-        inv_den2 = 1.0 / den**2
-        partials = []
-        # g_i, g_ii
-        for g, pole, _ in terms:
-            partials.append(-kappa * inv_den2 * (2.0 * g / pole))
-        # kappa (appears in numerator and in den)
-        partials.insert(2, (den - kappa) * inv_den2)
-        # gamma_i, gamma_ii
-        for g, pole, _ in terms:
-            partials.append(-kappa * inv_den2 * (-(g**2) / pole**2))
-        # nu_c
-        partials.append(-kappa * inv_den2 * 1j)
-        # offset via both spin transitions
+        jac = np.empty((absval.size, 7))
+        cols = jac.reshape(absval.shape + (7,))
+        cols[..., 2] = absval * (1.0 / kappa - u.real)
+        cols[..., 5] = absval * u.imag
         d_off = 0.0
-        for g, pole, dnu_s in terms:
-            d_off = d_off + (-(g**2) / pole**2) * (1j * dnu_s)
-        partials.append(-kappa * inv_den2 * d_off)
-
-        flat = absval.ravel()
-        jac = np.empty((flat.size, 7))
-        safe = np.maximum(absval, 1e-300)
-        for col, ds in enumerate(partials):
-            ds_full = np.broadcast_to(ds, s.shape)
-            jac[:, col] = (np.real(np.conj(s) * ds_full) / safe).ravel()
-        return flat, jac
+        for k, (g, q, dnu_s) in enumerate(terms):
+            a = u * q
+            b = a * q
+            cols[..., k] = (-2.0 * g) * absval * a.real
+            cols[..., 3 + k] = g**2 * absval * b.real
+            d_off = d_off - (g**2 * dnu_s) * b.imag
+        cols[..., 6] = absval * d_off
+        return absval.ravel(), jac
 
     return model
 

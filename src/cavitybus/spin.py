@@ -23,10 +23,14 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import constants as _const
 from scipy.optimize import brentq
 
 from .errors import BracketError
+
+# Exact SI values (2019 redefinition), equal to scipy.constants.h and .k;
+# importing scipy.constants for two numbers costs about 0.2 s per call.
+_PLANCK = 6.62607015e-34  # J s
+_BOLTZMANN = 1.380649e-23  # J/K
 
 __all__ = [
     "AxisClass",
@@ -330,5 +334,5 @@ def thermal_polarization(params: NVParameters, temperature: float) -> float:
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     # h*D/(kB*T) with D in MHz and T in mK
-    x = _const.h * params.d_splitting * 1e6 / (_const.k * temperature * 1e-3)
+    x = _PLANCK * params.d_splitting * 1e6 / (_BOLTZMANN * temperature * 1e-3)
     return 1.0 / (1.0 + 2.0 * math.exp(-x))

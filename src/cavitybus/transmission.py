@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .coupled import CavitySpec
 from .errors import UnsplitError
@@ -158,6 +157,10 @@ def peak_positions(
     quadratic interpolation and sorted by frequency.  With max_peaks
     set, only the most prominent ones are kept (ties resolve toward
     lower frequency)."""
+    # imported here: scipy.signal pulls in scipy.stats, which would
+    # more than double the import time of every CLI call
+    from scipy.signal import find_peaks
+
     x = np.asarray(probe_frequencies, dtype=float)
     y = np.abs(np.asarray(magnitudes))
     top = float(np.max(y))
@@ -178,6 +181,8 @@ def peak_splitting(
     Raises UnsplitError when fewer than two peaks clear the prominence
     threshold; ties in prominence resolve toward lower frequency.
     """
+    from scipy.signal import find_peaks
+
     x = np.asarray(probe_frequencies, dtype=float)
     y = np.abs(np.asarray(magnitudes))
     top = float(np.max(y))

@@ -337,6 +337,39 @@ def test_calibrate_bad_scan_step_exits_2(default_cfg, tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "angles, message",
+    [
+        ("0:90:nan", "must be finite"),
+        ("0:inf:1", "must be finite"),
+        ("nan:90:1", "must be finite"),
+        ("0:1e9:1e-9", "more than 1000000 points"),
+    ],
+)
+def test_transitions_bad_range_exits_2(default_cfg, tmp_path, capsys, angles, message):
+    out = tmp_path / "transitions.csv"
+    code = main(
+        ["transitions", "--config", str(default_cfg), "--angles", angles, "--out", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probe", ["2720:2780:nan", "2720:2780:1e-9"])
+def test_config_file_bad_range_exits_2(default_cfg, tmp_path, capsys, probe):
+    shipped = "sweep.probe_mhz = 2720:2780:0.05"
+    text = default_cfg.read_text()
+    assert shipped in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(shipped, f"sweep.probe_mhz = {probe}"), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    code = main(["sweep-angle", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "sweep.probe_mhz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -4,6 +4,7 @@ import pytest
 
 from cavitybus.config import (
     DEFAULT_CONFIG_TEXT,
+    MAX_RANGE_POINTS,
     default_config,
     load_config,
     parse_config_text,
@@ -153,6 +154,22 @@ def test_parse_range():
         parse_range("90:0:1")
     with pytest.raises(ConfigError):
         parse_range("a:b:c")
+
+
+@pytest.mark.parametrize(
+    "text", ["0:90:nan", "nan:90:1", "0:nan:1", "0:inf:1", "-inf:0:1", "0:90:inf"]
+)
+def test_parse_range_rejects_non_finite_parts(text):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_range(text)
+
+
+def test_parse_range_caps_the_point_count():
+    assert MAX_RANGE_POINTS == 10**6
+    assert range_values(f"0:{MAX_RANGE_POINTS - 1}:1").size == MAX_RANGE_POINTS
+    for text in (f"0:{MAX_RANGE_POINTS}:1", "0:1e9:1e-9", "0:1:5e-324"):
+        with pytest.raises(ConfigError, match="more than 1000000 points"):
+            parse_range(text)
 
 
 def test_range_values_inclusive_endpoints():

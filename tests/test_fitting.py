@@ -5,7 +5,10 @@ import pytest
 
 from cavitybus.errors import DegenerateDataError
 from cavitybus.fitting import (
+    _FULL_NAMES,
     SpinTuning,
+    _sigmoid,
+    _standard_errors,
     avoided_crossing_model,
     extract_branches,
     fit_avoided_crossing,
@@ -358,7 +361,144 @@ def test_restricted_grid_pins_collective_coupling(config, cavity, ens_i, ens_ii,
 
 
 # ---------------------------------------------------------------------------
+# transmission Jacobian against the per-column reference
+
+
+def reference_transmission_model(probe, sweep_values, tuning_i, tuning_ii, theta):
+    """|S21| and its Jacobian column by column, d|S| = Re(conj(S) dS)/|S|,
+    with every complex partial dS/dtheta written out separately."""
+    g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset = theta
+    nu = np.asarray(probe, dtype=float)[None, :]
+    den = 1j * (nu_c - nu) + kappa
+    terms = []
+    for g, gamma, tuning in ((g_i, gamma_i, tuning_i), (g_ii, gamma_ii, tuning_ii)):
+        nu_s = tuning.frequencies(sweep_values, offset)[:, None]
+        dnu_s = tuning.derivative(sweep_values, offset)[:, None]
+        pole = 1j * (nu_s - nu) + gamma
+        terms.append((g, pole, dnu_s))
+        den = den + g**2 / pole
+    s = kappa / den
+    absval = np.abs(s)
+    inv_den2 = 1.0 / den**2
+    partials = [-kappa * inv_den2 * (2.0 * g / pole) for g, pole, _ in terms]
+    partials.append((den - kappa) * inv_den2)
+    partials += [-kappa * inv_den2 * (-(g**2) / pole**2) for g, pole, _ in terms]
+    partials.append(-kappa * inv_den2 * 1j)
+    d_off = sum((-(g**2) / pole**2) * (1j * dnu_s) for g, pole, dnu_s in terms)
+    partials.append(-kappa * inv_den2 * d_off)
+    jac = np.empty((absval.size, 7))
+    for col, ds in enumerate(partials):
+        ds_full = np.broadcast_to(ds, s.shape)
+        jac[:, col] = (np.real(np.conj(s) * ds_full) / np.maximum(absval, 1e-300)).ravel()
+    return absval.ravel(), jac
+
+
+@pytest.fixture(scope="module")
+def cold_grid(config, cavity, ens_i, ens_ii):
+    # starts at 0 deg, where row 0 is not the bare cavity
+    magnitude = config.get("field.magnitude_mt")
+    angles = np.arange(0.0, 90.0 + 1e-9, 2.0)
+    probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.25)
+    return sweep(cavity, [ens_i, ens_ii], [FieldSetting(magnitude, a) for a in angles],
+                 probe, "angle")
+
+
+def perturbed_start():
+    init = TRUTH * np.array([1.2, 0.8, 1.2, 0.8, 1.2, 1.0, 1.0])
+    init[6] = 0.3
+    return init
+
+
+@pytest.mark.parametrize("point", ["truth", "perturbed", "cold-guess", "tiny-g_ii"])
+def test_transmission_jacobian_matches_reference(point, full_grid, cold_grid, tunings):
+    grid = cold_grid if point == "cold-guess" else full_grid
+    theta = {
+        "truth": TRUTH,
+        "perturbed": perturbed_start(),
+        "cold-guess": initial_guess_full(cold_grid),
+        "tiny-g_ii": np.array([7.5, 1e-9, 0.32, 4.58, 4.24, CENTER, 0.2]),
+    }[point]
+    args = (grid.probe_frequencies, grid.sweep_values, *tunings)
+    values, jac = transmission_model(*args)(theta)
+    ref_values, ref_jac = reference_transmission_model(*args, theta)
+    assert isinstance(values, np.ndarray) and isinstance(jac, np.ndarray)
+    assert jac.shape == ref_jac.shape == (values.size, 7)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-13, atol=0.0)
+    col_scale = np.max(np.abs(ref_jac), axis=0)
+    assert np.all(col_scale > 0)
+    assert np.max(np.abs(jac - ref_jac) / col_scale) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # solver internals
+
+
+def _full_fit_problem(full_grid, tunings, seed):
+    grid = with_noise(full_grid, seed)
+    model = transmission_model(grid.probe_frequencies, grid.sweep_values, *tunings)
+    data = grid.magnitudes.ravel()
+    return model, data
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, tunings, seed):
+    model, data = _full_fit_problem(full_grid, tunings, seed)
+    calls = []
+
+    def residual_jac(theta):
+        values, jac = model(theta)
+        r = values - data
+        calls.append((np.array(theta), float(r @ r)))
+        return r, jac
+
+    positive = (True, True, True, True, True, False, False)
+    result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+    assert result.converged
+    # Replay: the first call is the start and every later call one trial
+    # step, accepted exactly when it does not raise the cost.  An extra
+    # evaluation after convergence would show up as one more "accepted"
+    # step than the history records.
+    best = calls[0][1]
+    accepted = []
+    for theta, cost in calls[1:]:
+        if cost <= best:
+            best = cost
+            accepted.append(theta)
+    assert len(calls) - 1 > len(accepted)  # the path includes rejected steps
+    assert len(accepted) == len(result.history) - 1
+    final = np.array([result.parameters[name] for name in _FULL_NAMES])
+    assert np.array_equal(accepted[-1], final)
+    assert np.array_equal(calls[-1][0], final)
+
+
+def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):
+    model, data = _full_fit_problem(full_grid, tunings, 3)
+
+    def residual_jac(theta):
+        values, jac = model(theta)
+        return values - data, jac
+
+    positive = (True, True, True, True, True, False, False)
+    result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+    assert result.converged
+    final = np.array([result.parameters[name] for name in _FULL_NAMES])
+    r, jp = residual_jac(final)
+    expected = _standard_errors(jp, float(r @ r))
+    assert [result.standard_errors[name] for name in _FULL_NAMES] == list(expected)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_is_stable_for_large_arguments():
+    q = np.array([-1000.0, -745.0, -30.0, 0.0, 30.0, 1000.0])
+    values = _sigmoid(q)
+    assert values[0] == 0.0
+    assert 0.0 < values[1] < 1e-320
+    assert values[2] == pytest.approx(math.exp(-30.0), rel=1e-15)
+    nonneg = q >= 0
+    # bit-identical to the plain formula where that cannot overflow
+    assert np.array_equal(values[nonneg], 1.0 / (1.0 + np.exp(-q[nonneg])))
+    assert values[-1] == 1.0
+
 
 def test_levenberg_marquardt_unconverged_flag():
     xs = np.linspace(0.0, 1.0, 16)

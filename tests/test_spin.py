@@ -271,6 +271,14 @@ def test_thermal_polarization_operating_point():
     assert thermal_polarization(NV, 60.0) == pytest.approx(0.832, abs=1e-3)
 
 
+@pytest.mark.parametrize("temperature", [0.01, 1.0, 60.0, 300.0, 1e9])
+def test_thermal_polarization_matches_scipy_constants_bitwise(temperature):
+    from scipy.constants import h, k
+
+    x = h * NV.d_splitting * 1e6 / (k * temperature * 1e-3)
+    assert thermal_polarization(NV, temperature) == 1.0 / (1.0 + 2.0 * math.exp(-x))
+
+
 def test_thermal_polarization_rejects_nonpositive_temperature():
     with pytest.raises(ValueError):
         thermal_polarization(NV, 0.0)
