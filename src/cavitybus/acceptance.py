@@ -434,34 +434,24 @@ def criterion_determinism(config) -> CriterionResult:
     angles = np.arange(20.0, 26.0 + 1e-9, 0.5)
     probe = np.arange(cavity.center - 5.0, cavity.center + 5.0 + 1e-9, 0.05)
     fields = [FieldSetting(magnitude, a) for a in angles]
+    ensembles = (ens_i, ens_ii)
 
-    import os
-
-    saved = os.environ.get("CAVITYBUS_THREADS")
-    try:
-        os.environ["CAVITYBUS_THREADS"] = "1"
-        grid_serial = sweep(cavity, [ens_i, ens_ii], fields, probe, "angle")
-        text_a = grid_to_text(grid_serial, config.hash)
-        text_b = grid_to_text(
-            sweep(cavity, [ens_i, ens_ii], fields, probe, "angle"), config.hash
-        )
-        os.environ["CAVITYBUS_THREADS"] = "4"
-        grid_parallel = sweep(cavity, [ens_i, ens_ii], fields, probe, "angle")
-        text_c = grid_to_text(grid_parallel, config.hash)
-    finally:
-        if saved is None:
-            os.environ.pop("CAVITYBUS_THREADS", None)
-        else:
-            os.environ["CAVITYBUS_THREADS"] = saved
+    grid = sweep(cavity, ensembles, fields, probe, "angle")
+    text_a = grid_to_text(grid, config.hash)
+    text_b = grid_to_text(sweep(cavity, ensembles, fields, probe, "angle"), config.hash)
+    # per-row reference: one s21 call per field, one scalar solve per point
+    rows = np.vstack(
+        [s21(probe, cavity, [(ens, ens.transition(f)) for ens in ensembles]) for f in fields]
+    )
 
     repeat_ok = text_a == text_b
-    parallel_ok = text_a == text_c
+    rowwise_ok = grid.amplitudes.tobytes() == rows.tobytes()
     return CriterionResult(
         10,
         "determinism",
-        repeat_ok and parallel_ok,
-        f"repeated sweep byte-identical={repeat_ok}; serial vs 4-thread "
-        f"byte-identical={parallel_ok} ({len(text_a)} bytes)",
+        repeat_ok and rowwise_ok,
+        f"repeated sweep byte-identical={repeat_ok}; broadcast sweep vs per-row "
+        f"s21 byte-identical={rowwise_ok} ({len(text_a)} bytes)",
     )
 
 

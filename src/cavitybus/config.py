@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "default_config",
-    "DEFAULT_CONFIG_TEXT",
     "parse_range",
     "MAX_RANGE_POINTS",
     "format_float",
@@ -81,13 +81,13 @@ def _ensemble_keys(prefix: str, coupling: float, hwhm: float, azimuth: float) ->
     }
 
 
-# Calibrated geometry: the azimuths and field magnitudes below are the
-# output of the `calibrate` subcommand run on this same file (resonance
-# angles 79 and 23 deg, relative azimuth 24.2 deg, both pinned to the
-# cavity frequency at one field magnitude; dispersive magnitude chosen
-# so the smaller spin-cavity detuning at the 23 deg resonance angle is
-# 14 MHz).  Values carry 9 significant digits so config dumps round-trip
-# bit-exactly.
+# Calibrated geometry: the azimuths and field magnitudes below, which
+# the shipped default.cfg repeats, are the output of the `calibrate`
+# subcommand run on that file (resonance angles 79 and 23 deg, relative
+# azimuth 24.2 deg, both pinned to the cavity frequency at one field
+# magnitude; dispersive magnitude chosen so the smaller spin-cavity
+# detuning at the 23 deg resonance angle is 14 MHz).  Values carry 9
+# significant digits so config dumps round-trip bit-exactly.
 _CALIBRATED_AZIMUTH_I = 173.9
 _CALIBRATED_AZIMUTH_II = 198.1
 _CALIBRATED_MAGNITUDE_MT = 7.69336558
@@ -363,58 +363,8 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text, source=str(path))
 
 
-DEFAULT_CONFIG_TEXT = f"""\
-# cavitybus default experiment configuration
-#
-# Two NV ensembles on separate diamond crystals coupled to one
-# transmission-line resonator mode.  Frequencies in MHz, fields in mT,
-# angles in degrees.  Azimuths and field magnitudes were derived with
-# the `calibrate` subcommand (see README).
-
-ensemble_i.d_splitting_mhz = 2870.0
-ensemble_i.e_strain_mhz = 13.0
-ensemble_i.gyromagnetic_mhz_per_mt = 28.03
-ensemble_i.azimuth_deg = {_CALIBRATED_AZIMUTH_I}
-ensemble_i.axis_class = 0
-ensemble_i.coupling_mhz = 7.5
-ensemble_i.spin_hwhm_mhz = 4.58
-
-ensemble_ii.d_splitting_mhz = 2870.0
-ensemble_ii.e_strain_mhz = 13.0
-ensemble_ii.gyromagnetic_mhz_per_mt = 28.03
-ensemble_ii.azimuth_deg = {_CALIBRATED_AZIMUTH_II}
-ensemble_ii.axis_class = 0
-ensemble_ii.coupling_mhz = 5.6
-ensemble_ii.spin_hwhm_mhz = 4.24
-
-# kappa (HWHM) = center/(2 Q) with Q = 4300
-cavity.center_mhz = 2749.1
-cavity.total_hwhm_mhz = 0.320
-cavity.external_hwhm_mhz = 0.320
-cavity.antinode_sign_i = +1
-cavity.antinode_sign_ii = -1
-
-field.magnitude_mt = {_CALIBRATED_MAGNITUDE_MT}
-field.dispersive_magnitude_mt = {_CALIBRATED_DISPERSIVE_MT}
-
-calibration.resonance_angle_i_deg = 79.0
-calibration.resonance_angle_ii_deg = 23.0
-calibration.relative_azimuth_deg = 24.2
-calibration.dispersive_margin_mhz = 14.0
-
-dispersive.floor_mhz = 12.0
-dispersive.enforce_floor = true
-
-fit.peak_prominence = 0.05
-fit.max_iterations = 200
-
-sweep.angles_deg = 0:90:0.1
-sweep.magnitudes_mt = 0:12:0.02
-sweep.probe_mhz = 2720:2780:0.05
-"""
-
-
 def default_config() -> ExperimentConfig:
-    """The built-in default configuration (same content the shipped
-    default.cfg carries)."""
-    return parse_config_text(DEFAULT_CONFIG_TEXT, source="<default>")
+    """The built-in default configuration: the default.cfg shipped in
+    the package."""
+    text = resources.files(__package__).joinpath("default.cfg").read_text(encoding="utf-8")
+    return parse_config_text(text, source="<default>")

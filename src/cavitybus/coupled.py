@@ -25,7 +25,6 @@ __all__ = [
     "build_model",
     "dressed_states",
     "photon_weight",
-    "polarization_scaled_coupling",
 ]
 
 
@@ -96,17 +95,6 @@ def collective_coupling(single_couplings) -> float:
     if g.size == 0:
         raise ValueError("need at least one coupling rate")
     return float(np.sqrt(np.sum(g**2)))
-
-
-def polarization_scaled_coupling(coupling: float, polarization: float) -> float:
-    """Effective coupling g*sqrt(p) for a partially polarized ensemble.
-
-    Not applied by default: quoted couplings already refer to the
-    operating temperature, where p is close to 1.
-    """
-    if not 0.0 <= polarization <= 1.0:
-        raise ValueError("polarization must lie in [0, 1]")
-    return coupling * math.sqrt(polarization)
 
 
 def single_excitation_model(

@@ -119,6 +119,13 @@ def ensemble_ensemble_coupling(
     return 0.5 * g_i * g_ii * (1.0 / delta_i + 1.0 / delta_ii)
 
 
+def _spin_block(w_i, w_ii, chi_i, chi_ii, u, antinode_signs) -> np.ndarray:
+    """The spin block [[w_I - chi_I, -s_1 s_2 U], [-s_1 s_2 U, w_II - chi_II]]."""
+    s_i, s_ii = antinode_signs
+    u_block = -s_i * s_ii * u
+    return np.array([[w_i - chi_i, u_block], [u_block, w_ii - chi_ii]])
+
+
 def dispersive_model_from_frequencies(
     cavity: CavitySpec,
     couplings: tuple,
@@ -134,9 +141,7 @@ def dispersive_model_from_frequencies(
     chi_i = dispersive_shift(g_i, d_i, floor, enforce)
     chi_ii = dispersive_shift(g_ii, d_ii, floor, enforce)
     u = ensemble_ensemble_coupling(g_i, g_ii, d_i, d_ii, floor, enforce)
-    s_i, s_ii = cavity.antinode_signs
-    u_block = -s_i * s_ii * u
-    block = np.array([[w_i - chi_i, u_block], [u_block, w_ii - chi_ii]])
+    block = _spin_block(w_i, w_ii, chi_i, chi_ii, u, cavity.antinode_signs)
     return DispersiveModel(
         chi_i=chi_i,
         chi_ii=chi_ii,
@@ -208,13 +213,8 @@ def dispersive_spin_modes(
     if omega_i is not None or omega_ii is not None:
         w_i = (model.center - model.detuning_i) if omega_i is None else omega_i
         w_ii = (model.center - model.detuning_ii) if omega_ii is None else omega_ii
-        s_i, s_ii = model.antinode_signs
-        u_block = -s_i * s_ii * model.u_coupling
-        block = np.array(
-            [
-                [w_i - model.chi_i, u_block],
-                [u_block, w_ii - model.chi_ii],
-            ]
+        block = _spin_block(
+            w_i, w_ii, model.chi_i, model.chi_ii, model.u_coupling, model.antinode_signs
         )
     vals, vecs = np.linalg.eigh(block)
     modes = [(float(vals[k]), vecs[:, k]) for k in range(2)]

@@ -20,13 +20,8 @@ import numpy as np
 
 from .coupled import EnsembleSpec
 from .errors import DegenerateDataError
-from .spin import (
-    CrystalOrientation,
-    NVParameters,
-    transition_batch,
-    transition_minus_derivative,
-)
-from .transmission import DEFAULT_PROMINENCE, SpectrumGrid, peak_positions
+from .spin import CrystalOrientation, NVParameters, _solve, transition_batch
+from .transmission import DEFAULT_PROMINENCE, SpectrumGrid, peak_positions, s21_denominator
 
 __all__ = [
     "FitResult",
@@ -190,6 +185,8 @@ def levenberg_marquardt(
                 if step_rel < step_tol:
                     converged = True
                 break
+            # free the rejected trial's Jacobian before the next trial
+            del p_new, r_new, jp_new
             lam *= 10.0
         if not accepted or converged:
             break
@@ -407,10 +404,13 @@ class SpinTuning:
         return transition_batch(self.nv, self.orientation, mags, angles)
 
     def derivative(self, sweep_values, offset: float = 0.0) -> np.ndarray:
+        return self.frequencies_and_derivative(sweep_values, offset)[1]
+
+    def frequencies_and_derivative(self, sweep_values, offset: float = 0.0) -> tuple:
+        """frequencies() and derivative() from one spin solve."""
         mags, angles = self._coords(sweep_values, offset)
-        return transition_minus_derivative(
-            self.nv, self.orientation, mags, angles, wrt=self.sweep_kind
-        )
+        levels, slope = _solve(self.nv, self.orientation, mags, angles, self.sweep_kind)
+        return levels[..., 1], slope
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +449,9 @@ def avoided_crossing_model(sweep_values, branch_signs, tuning: SpinTuning):
 
     def model(theta):
         g, nu_c, offset = theta
-        nu_s = tuning.frequencies(sweep_values, offset)
-        dnu_s = tuning.derivative(sweep_values, offset)
-        mean = 0.5 * (nu_c + nu_s)
-        half = 0.5 * (nu_c - nu_s)
-        root = np.sqrt(half**2 + g**2)
-        f = mean + signs * root
+        nu_s, dnu_s = tuning.frequencies_and_derivative(sweep_values, offset)
+        lower, upper, half, root = _branch_frequencies(nu_s, nu_c, g)
+        f = np.where(signs > 0, upper, lower)
         jac = np.empty((sweep_values.size, 3))
         jac[:, 0] = signs * g / root
         jac[:, 1] = 0.5 + signs * half / (2.0 * root)
@@ -571,18 +568,14 @@ def transmission_model(
 
     def model(theta):
         g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset = theta
-        nu = probe[None, :]
-        den = 1j * (nu_c - nu) + kappa
-        terms = []
-        for g, gamma, tuning in (
-            (g_i, gamma_i, tuning_i),
-            (g_ii, gamma_ii, tuning_ii),
-        ):
-            nu_s = tuning.frequencies(sweep_values, offset)[:, None]
-            dnu_s = tuning.derivative(sweep_values, offset)[:, None]
-            q = 1.0 / (1j * (nu_s - nu) + gamma)
-            terms.append((g, q, dnu_s))
-            den = den + g**2 * q
+        nu_i, dnu_i = tuning_i.frequencies_and_derivative(sweep_values, offset)
+        nu_ii, dnu_ii = tuning_ii.frequencies_and_derivative(sweep_values, offset)
+        den, qs = s21_denominator(
+            probe[None, :],
+            nu_c,
+            kappa,
+            [(g_i, nu_i[:, None], gamma_i), (g_ii, nu_ii[:, None], gamma_ii)],
+        )
         u = 1.0 / den
         absval = kappa * np.abs(u)
 
@@ -591,12 +584,12 @@ def transmission_model(
         cols[..., 2] = absval * (1.0 / kappa - u.real)
         cols[..., 5] = absval * u.imag
         d_off = 0.0
-        for k, (g, q, dnu_s) in enumerate(terms):
+        for k, (g, q, dnu_s) in enumerate(zip((g_i, g_ii), qs, (dnu_i, dnu_ii))):
             a = u * q
             b = a * q
             cols[..., k] = (-2.0 * g) * absval * a.real
             cols[..., 3 + k] = g**2 * absval * b.real
-            d_off = d_off - (g**2 * dnu_s) * b.imag
+            d_off = d_off - (g**2 * dnu_s[:, None]) * b.imag
         cols[..., 6] = absval * d_off
         return absval.ravel(), jac
 

@@ -14,6 +14,12 @@ with the full transverse field component placed along the NV-frame
 x-axis.  The spectrum then depends only on (|b_par|, |b_perp|); the
 residual dependence on the transverse azimuth (interference with E) is
 below the spin linewidth for the strain values handled here.
+
+Transitions are counted from the m_s=0-dominated level, which must be
+the lowest level.  Past the ground-state level anticrossing (gamma*B of
+order D) it is not, and every transition function raises
+ValidationError; for an in-plane field and any NV axis this starts at
+147.5 mT at the worst angle with the default parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from enum import IntEnum
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BracketError
+from .errors import BracketError, ValidationError
 
 # Exact SI values (2019 redefinition), equal to scipy.constants.h and .k;
 # importing scipy.constants for two numbers costs about 0.2 s per call.
@@ -144,28 +150,53 @@ def nv_axis_vectors(orientation: CrystalOrientation) -> np.ndarray:
     return _BASE_AXES @ rot.T
 
 
-def _field_vector(field: FieldSetting) -> np.ndarray:
-    a = math.radians(field.angle)
-    return field.magnitude * np.array([math.cos(a), math.sin(a), 0.0])
+def _decompose(axis: np.ndarray, magnitudes, angles, wrt: str | None = None) -> tuple:
+    """Components of in-plane fields (magnitudes in mT, angles in deg)
+    parallel and transverse to the unit `axis`: (b_par, b_perp, d_par,
+    d_perp).  With `wrt` ("angle" or "magnitude") d_par and d_perp are
+    the components' derivatives per deg or per mT, otherwise None."""
+    ang = np.radians(angles)
+    proj = np.cos(ang) * axis[0] + np.sin(ang) * axis[1]
+    b_par = magnitudes * proj
+    b_perp = np.sqrt(np.maximum(magnitudes**2 - b_par**2, 0.0))
+    if wrt is None:
+        return b_par, b_perp, None, None
+    if wrt == "angle":
+        d_par = magnitudes * (-np.sin(ang) * axis[0] + np.cos(ang) * axis[1]) * (math.pi / 180.0)
+        d_perp_num = -b_par * d_par
+    elif wrt == "magnitude":
+        d_par = proj
+        d_perp_num = magnitudes - b_par * d_par
+    else:
+        raise ValueError("wrt must be 'angle' or 'magnitude'")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_perp = np.where(b_perp > 1e-12, d_perp_num / b_perp, 0.0)
+    return b_par, b_perp, d_par, d_perp
 
 
 def field_in_nv_frame(axis: np.ndarray, field: FieldSetting) -> tuple:
     """Decompose the applied field into components parallel and
     transverse to the given unit axis.  Returns (b_parallel, b_transverse)
     in mT; b_parallel carries the sign of the projection."""
-    b = _field_vector(field)
-    b_par = float(b @ axis)
-    b_perp = float(np.linalg.norm(b - b_par * np.asarray(axis)))
-    return b_par, b_perp
+    b_par, b_perp, _, _ = _decompose(np.asarray(axis, dtype=float), field.magnitude, field.angle)
+    return float(b_par), float(b_perp)
 
 
-def spin_hamiltonian(params: NVParameters, b_parallel: float, b_transverse: float) -> np.ndarray:
-    """Spin-1 Hamiltonian (MHz) in the NV frame, basis {+1, 0, -1}."""
-    g = params.gyromagnetic
+def _zeeman(params: NVParameters, b_parallel, b_transverse) -> np.ndarray:
+    """gamma*(b_par*Sz + b_perp*Sx), one matrix per field point.  H is
+    linear in the components, so at component derivatives this is dH."""
+    b_par = np.asarray(b_parallel, dtype=float)[..., None, None]
+    b_perp = np.asarray(b_transverse, dtype=float)[..., None, None]
+    return params.gyromagnetic * (b_par * _SZ + b_perp * _SX)
+
+
+def spin_hamiltonian(params: NVParameters, b_parallel, b_transverse) -> np.ndarray:
+    """Spin-1 Hamiltonian (MHz) in the NV frame, basis {+1, 0, -1};
+    array components give a stack of matrices."""
     return (
         params.d_splitting * _SZ2
         + params.e_strain * _SXX_MINUS_SYY
-        + g * (b_parallel * _SZ + b_transverse * _SX)
+        + _zeeman(params, b_parallel, b_transverse)
     )
 
 
@@ -173,24 +204,62 @@ def _selected_axis(orientation: CrystalOrientation) -> np.ndarray:
     return nv_axis_vectors(orientation)[int(orientation.axis_class)]
 
 
+def _solve(
+    params: NVParameters,
+    orientation: CrystalOrientation,
+    magnitudes,
+    angles,
+    wrt: str | None = None,
+):
+    """The spin solver behind every transition function.
+
+    Over the broadcast grid of field magnitudes (mT) and angles (deg),
+    returns the level energies above the m_s=0 level, shape (..., 3)
+    with columns (0, minus, plus) in MHz.  With `wrt` ("angle" or
+    "magnitude") it returns (levels, slope) instead, where slope is the
+    derivative of the lower transition per deg or per mT, taken by
+    Hellmann-Feynman from the same eigenvectors.
+
+    Raises ValidationError naming the first field at which the lowest
+    level is not the m_s=0-dominated one (largest |<0|v>|^2).
+    """
+    mags, angs = np.broadcast_arrays(
+        np.asarray(magnitudes, dtype=float), np.asarray(angles, dtype=float)
+    )
+    shape = mags.shape
+    mags, angs = mags.ravel(), angs.ravel()
+    b_par, b_perp, d_par, d_perp = _decompose(_selected_axis(orientation), mags, angs, wrt)
+    vals, vecs = np.linalg.eigh(spin_hamiltonian(params, b_par, b_perp))
+    # m_s=0 is basis index 1
+    misplaced = np.argmax(np.abs(vecs[:, 1, :]), axis=1) != 0
+    if np.any(misplaced):
+        k = int(np.argmax(misplaced))
+        raise ValidationError(
+            f"field {mags[k]:g} mT at {angs[k]:g} deg is outside the spin "
+            f"model's range: the m_s=0 level is not the lowest there"
+        )
+    levels = (vals - vals[:, :1]).reshape(shape + (3,))
+    if wrt is None:
+        return levels
+    # Hellmann-Feynman: d(lambda_k)/dp = <v_k| dH/dp |v_k>
+    dh = _zeeman(params, d_par, d_perp)
+    v0 = vecs[:, :, 0]
+    v1 = vecs[:, :, 1]
+    d0 = np.einsum("ni,nij,nj->n", v0, dh, v0)
+    d1 = np.einsum("ni,nij,nj->n", v1, dh, v1)
+    return levels, (d1 - d0).reshape(shape)
+
+
 def transition_frequencies(
     params: NVParameters, orientation: CrystalOrientation, field: FieldSetting
 ) -> SpinLevels:
-    """Eigen-decompose the spin Hamiltonian for the ensemble's axis and
-    label the two transitions by energy ordering (lower = m_s=-1-like)."""
-    axis = _selected_axis(orientation)
-    b_par, b_perp = field_in_nv_frame(axis, field)
-    h = spin_hamiltonian(params, b_par, b_perp)
-    vals, vecs = np.linalg.eigh(h)
-    # m_s=0 is basis index 1; the reference level is the eigenvector
-    # with the largest |<0|v>|^2.
-    ref = int(np.argmax(np.abs(vecs[1, :])))
-    rel = np.sort(vals - vals[ref])
-    others = sorted(np.delete(vals, ref) - vals[ref])
+    """Levels and transitions at one field, counted from the m_s=0
+    level (lower transition = m_s=-1-like)."""
+    levels = _solve(params, orientation, field.magnitude, field.angle)
     return SpinLevels(
-        eigenfrequencies=tuple(float(x) for x in rel),
-        transition_minus=float(others[0]),
-        transition_plus=float(others[1]),
+        eigenfrequencies=tuple(float(x) for x in levels),
+        transition_minus=float(levels[1]),
+        transition_plus=float(levels[2]),
     )
 
 
@@ -201,18 +270,6 @@ def transition_minus(
     return transition_frequencies(params, orientation, field).transition_minus
 
 
-def _batch_fields(
-    orientation: CrystalOrientation, magnitudes: np.ndarray, angles: np.ndarray
-) -> tuple:
-    axis = _selected_axis(orientation)
-    ang = np.radians(np.asarray(angles, dtype=float))
-    mags = np.asarray(magnitudes, dtype=float)
-    inplane = mags * (np.cos(ang) * axis[0] + np.sin(ang) * axis[1])
-    b_par = inplane
-    b_perp = np.sqrt(np.maximum(mags**2 - b_par**2, 0.0))
-    return b_par, b_perp
-
-
 def transition_batch(
     params: NVParameters,
     orientation: CrystalOrientation,
@@ -220,30 +277,12 @@ def transition_batch(
     angles,
     which: str = "minus",
 ) -> np.ndarray:
-    """Vectorized transition frequencies over broadcastable arrays of
-    field magnitude (mT) and angle (deg).
-
-    Valid in the operating range gamma*B << D where the m_s=0-dominated
-    level is the lowest; this is the fast path used by sweeps and fits.
-    """
-    mags, angs = np.broadcast_arrays(
-        np.asarray(magnitudes, dtype=float), np.asarray(angles, dtype=float)
-    )
-    b_par, b_perp = _batch_fields(orientation, mags.ravel(), angs.ravel())
-    n = b_par.size
-    h = np.empty((n, 3, 3))
-    h[:] = params.d_splitting * _SZ2 + params.e_strain * _SXX_MINUS_SYY
-    h += params.gyromagnetic * (
-        b_par[:, None, None] * _SZ + b_perp[:, None, None] * _SX
-    )
-    vals = np.linalg.eigvalsh(h)
-    if which == "minus":
-        out = vals[:, 1] - vals[:, 0]
-    elif which == "plus":
-        out = vals[:, 2] - vals[:, 0]
-    else:
+    """Transition frequencies over broadcastable arrays of field
+    magnitude (mT) and angle (deg); `which` is "minus" or "plus"."""
+    columns = {"minus": 1, "plus": 2}
+    if which not in columns:
         raise ValueError("which must be 'minus' or 'plus'")
-    return out.reshape(mags.shape)
+    return _solve(params, orientation, magnitudes, angles)[..., columns[which]]
 
 
 def transition_minus_derivative(
@@ -256,43 +295,7 @@ def transition_minus_derivative(
     """Derivative of the lower transition with respect to field angle
     (MHz/deg) or magnitude (MHz/mT), propagated through the eigensolve
     via the Hellmann-Feynman theorem."""
-    mags, angs = np.broadcast_arrays(
-        np.asarray(magnitudes, dtype=float), np.asarray(angles, dtype=float)
-    )
-    axis = _selected_axis(orientation)
-    ang = np.radians(angs.ravel())
-    m = mags.ravel()
-    proj = np.cos(ang) * axis[0] + np.sin(ang) * axis[1]
-    b_par = m * proj
-    b_perp = np.sqrt(np.maximum(m**2 - b_par**2, 0.0))
-
-    if wrt == "angle":
-        dpar = m * (-np.sin(ang) * axis[0] + np.cos(ang) * axis[1]) * (math.pi / 180.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dperp = np.where(b_perp > 1e-12, -b_par * dpar / b_perp, 0.0)
-    elif wrt == "magnitude":
-        dpar = proj
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dperp = np.where(b_perp > 1e-12, (m - b_par * dpar) / b_perp, 0.0)
-    else:
-        raise ValueError("wrt must be 'angle' or 'magnitude'")
-
-    n = b_par.size
-    h = np.empty((n, 3, 3))
-    h[:] = params.d_splitting * _SZ2 + params.e_strain * _SXX_MINUS_SYY
-    h += params.gyromagnetic * (
-        b_par[:, None, None] * _SZ + b_perp[:, None, None] * _SX
-    )
-    vals, vecs = np.linalg.eigh(h)
-    dh = params.gyromagnetic * (
-        dpar[:, None, None] * _SZ + dperp[:, None, None] * _SX
-    )
-    # Hellmann-Feynman: d(lambda_i)/dp = <v_i| dH/dp |v_i>
-    v0 = vecs[:, :, 0]
-    v1 = vecs[:, :, 1]
-    d0 = np.einsum("ni,nij,nj->n", v0, dh, v0)
-    d1 = np.einsum("ni,nij,nj->n", v1, dh, v1)
-    return (d1 - d0).reshape(mags.shape)
+    return _solve(params, orientation, magnitudes, angles, wrt)[1]
 
 
 def find_resonance_angle(

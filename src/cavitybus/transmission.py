@@ -13,36 +13,28 @@ below 1 everywhere.  Antinode signs drop out (couplings enter squared).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupled import CavitySpec
 from .errors import UnsplitError
+from .spin import transition_batch
 
 __all__ = [
     "SpectrumGrid",
     "s21",
+    "s21_denominator",
     "sweep",
     "peak_splitting",
-    "worker_count",
 ]
-
-THREADS_ENV = "CAVITYBUS_THREADS"
 
 DEFAULT_PROMINENCE = 0.05
 
-
-def worker_count() -> int:
-    """Worker cap for row-parallel sweeps, from CAVITYBUS_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+# Rows per broadcast S21 evaluation in sweep().  Each ensemble term
+# holds one block-sized complex array, so blocks keep the peak memory
+# of large sweeps near that of the output grid.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -75,25 +67,34 @@ class SpectrumGrid:
         return np.abs(self.amplitudes)
 
 
+def s21_denominator(probe, center, kappa, lines) -> tuple:
+    """The S21 denominator D = i(nu_c - nu) + kappa + sum_k g_k^2 q_k
+    with q_k = 1/(i(nu_k - nu) + gamma_k), over the broadcast shape of
+    the probe and line frequencies.  `lines` holds (g_k, nu_k, gamma_k)
+    triples; returns (D, [q_k])."""
+    den = 1j * (center - probe) + kappa
+    qs = []
+    for g, nu_k, gamma in lines:
+        q = 1.0 / (1j * (nu_k - probe) + gamma)
+        den = den + g**2 * q
+        qs.append(q)
+    return den, qs
+
+
 def s21(probe, cavity: CavitySpec, ensembles) -> complex | np.ndarray:
     """Transmission amplitude at the probe frequency (scalar or array).
 
     `ensembles` is an iterable of (EnsembleSpec, transition_mhz) pairs;
-    pass an empty list for the bare cavity.
+    pass an empty list for the bare cavity.  Probe and transition
+    arrays broadcast against each other.
     """
     nu = np.asarray(probe, dtype=float)
-    den = 1j * (cavity.center - nu) + cavity.total_hwhm
-    for ens, transition in ensembles:
-        den = den + ens.coupling**2 / (1j * (transition - nu) + ens.spin_hwhm)
+    lines = [(ens.coupling, transition, ens.spin_hwhm) for ens, transition in ensembles]
+    den = s21_denominator(nu, cavity.center, cavity.total_hwhm, lines)[0]
     out = cavity.external_hwhm / den
     if np.isscalar(probe) or np.ndim(probe) == 0:
         return complex(out)
     return out
-
-
-def _sweep_row(cavity, ensembles, field_setting, probe):
-    pairs = [(ens, ens.transition(field_setting)) for ens in ensembles]
-    return s21(probe, cavity, pairs)
 
 
 def sweep(
@@ -103,34 +104,32 @@ def sweep(
     probe_frequencies,
     sweep_kind: str = "none",
 ) -> SpectrumGrid:
-    """Evaluate S21 rows along a path of field settings.
-
-    Rows are independent and may be computed by several workers (capped
-    by CAVITYBUS_THREADS); output ordering always follows field_path.
-    """
+    """Evaluate S21 rows along a path of field settings: one batched
+    transition solve per ensemble, then S21 broadcast over the (field,
+    probe) grid."""
     field_path = list(field_path)
-    ensembles = list(ensembles)
     probe = np.asarray(probe_frequencies, dtype=float)
     if probe.size == 0 or not field_path:
         raise ValueError("need non-empty probe frequencies and field path")
 
+    magnitudes = np.array([f.magnitude for f in field_path])
+    angles = np.array([f.angle for f in field_path])
     if sweep_kind == "angle":
-        values = np.array([f.angle for f in field_path])
+        values = angles
     elif sweep_kind == "magnitude":
-        values = np.array([f.magnitude for f in field_path])
+        values = magnitudes
     else:
         values = np.arange(len(field_path), dtype=float)
 
-    workers = worker_count()
-    if workers > 1 and len(field_path) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda f: _sweep_row(cavity, ensembles, f, probe), field_path)
-            )
-    else:
-        rows = [_sweep_row(cavity, ensembles, f, probe) for f in field_path]
-
-    return SpectrumGrid(probe, values, np.vstack(rows), sweep_kind)
+    transitions = [
+        (ens, transition_batch(ens.nv, ens.orientation, magnitudes, angles)[:, None])
+        for ens in ensembles
+    ]
+    amplitudes = np.empty((len(field_path), probe.size), dtype=complex)
+    for start in range(0, len(field_path), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        amplitudes[rows] = s21(probe, cavity, [(ens, t[rows]) for ens, t in transitions])
+    return SpectrumGrid(probe, values, amplitudes, sweep_kind)
 
 
 def _refine_quadratic(x: np.ndarray, y: np.ndarray, idx: int) -> float:
@@ -181,17 +180,7 @@ def peak_splitting(
     Raises UnsplitError when fewer than two peaks clear the prominence
     threshold; ties in prominence resolve toward lower frequency.
     """
-    from scipy.signal import find_peaks
-
-    x = np.asarray(probe_frequencies, dtype=float)
-    y = np.abs(np.asarray(magnitudes))
-    top = float(np.max(y))
-    idx, props = find_peaks(y, prominence=prominence * top if top > 0 else None)
-    if idx.size < 2:
+    peaks = peak_positions(probe_frequencies, magnitudes, prominence, max_peaks=2)
+    if peaks.size < 2:
         raise UnsplitError("fewer than two peaks above the prominence threshold")
-    # Two most prominent, stable toward lower frequency on ties.
-    order = np.lexsort((idx, -props["prominences"]))
-    keep = np.sort(idx[order[:2]])
-    lo = _refine_quadratic(x, y, int(keep[0]))
-    hi = _refine_quadratic(x, y, int(keep[1]))
-    return float(hi - lo)
+    return float(peaks[1] - peaks[0])

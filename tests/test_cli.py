@@ -1,19 +1,22 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavitybus
 from cavitybus import __version__
 from cavitybus.cli import main
-from cavitybus.config import DEFAULT_CONFIG_TEXT
 from cavitybus.gridio import read_grid
+
+# the default config shipped as package data
+DEFAULT_CFG = Path(cavitybus.__file__).with_name("default.cfg")
+DEFAULT_TEXT = DEFAULT_CFG.read_text(encoding="utf-8")
 
 
 @pytest.fixture()
-def default_cfg(tmp_path):
-    path = tmp_path / "default.cfg"
-    path.write_text(DEFAULT_CONFIG_TEXT, encoding="utf-8")
-    return path
+def default_cfg():
+    return DEFAULT_CFG
 
 
 def read_table_rows(path):
@@ -91,7 +94,7 @@ def test_transitions_magnitude_sweep(default_cfg, tmp_path):
     assert np.all(np.diff(rows[:, 1]) < 0)
 
 
-def test_sweep_angle_grid_and_determinism(default_cfg, tmp_path, monkeypatch):
+def test_sweep_angle_grid_and_determinism(default_cfg, tmp_path):
     args = [
         "sweep-angle",
         "--config",
@@ -103,13 +106,9 @@ def test_sweep_angle_grid_and_determinism(default_cfg, tmp_path, monkeypatch):
     ]
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
-    out_c = tmp_path / "c.csv"
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
-    monkeypatch.setenv("CAVITYBUS_THREADS", "3")
-    assert main(args + ["--out", str(out_c)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    assert out_a.read_bytes() == out_c.read_bytes()
     grid, meta = read_grid(out_a)
     assert grid.sweep_kind == "angle"
     assert grid.sweep_values.size == 13
@@ -139,6 +138,22 @@ def test_sweep_field_grid(default_cfg, tmp_path):
     assert meta.extra["fixed_angle_deg"] == "79"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transitions", "--b-mag", "150", "--angles", "40:40:1"],
+        ["spectrum", "--angle", "40", "--b-mag", "150"],
+    ],
+)
+def test_field_outside_the_spin_model_range_exits_2(default_cfg, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code = main(argv + ["--config", str(default_cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "150 mT at 40 deg" in err and "m_s=0 level is not the lowest" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fits
 
@@ -146,7 +161,7 @@ def test_fit_avoided_crossing_roundtrip(tmp_path):
     # quiet second ensemble so the grid holds a single clean crossing
     cfg = tmp_path / "single.cfg"
     cfg.write_text(
-        DEFAULT_CONFIG_TEXT.replace(
+        DEFAULT_TEXT.replace(
             "ensemble_ii.coupling_mhz = 5.6", "ensemble_ii.coupling_mhz = 0.001"
         ),
         encoding="utf-8",
@@ -315,7 +330,7 @@ def test_calibrate_unreachable_target_exits_3(tmp_path, capsys):
     # can bring the lower transition up to it
     cfg = tmp_path / "broken.cfg"
     cfg.write_text(
-        DEFAULT_CONFIG_TEXT.replace(
+        DEFAULT_TEXT.replace(
             "cavity.center_mhz = 2749.1", "cavity.center_mhz = 2980.0"
         ),
         encoding="utf-8",

@@ -1,10 +1,12 @@
 import logging
+from pathlib import Path
 
 import pytest
 
+import cavitybus
 from cavitybus.config import (
-    DEFAULT_CONFIG_TEXT,
     MAX_RANGE_POINTS,
+    SCHEMA,
     default_config,
     load_config,
     parse_config_text,
@@ -12,6 +14,10 @@ from cavitybus.config import (
     range_values,
 )
 from cavitybus.errors import ConfigError
+
+# the default config shipped as package data
+DEFAULT_CFG = Path(cavitybus.__file__).with_name("default.cfg")
+DEFAULT_TEXT = DEFAULT_CFG.read_text(encoding="utf-8")
 
 
 def test_default_config_values(config):
@@ -34,15 +40,25 @@ def test_dump_roundtrip(config):
     assert again.hash == config.hash
 
 
-def test_load_from_file(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text(DEFAULT_CONFIG_TEXT, encoding="utf-8")
-    config = load_config(path)
+def test_load_from_file():
+    config = load_config(DEFAULT_CFG)
     assert config.get("cavity.center_mhz") == 2749.1
+    assert config.values == default_config().values
+
+
+def test_schema_defaults_match_the_shipped_file(config):
+    # A key left out of a config file falls back to its schema default,
+    # so the schema must carry the shipped (calibrated) values.
+    required = [key for key, spec in SCHEMA.items() if spec.required]
+    minimal = parse_config_text("".join(f"{key} = {config.get(key)!r}\n" for key in required))
+    differing = {key for key in SCHEMA if minimal.get(key) != config.get(key)}
+    # external_hwhm defaults to None, which means "equal to total_hwhm"
+    assert differing == {"cavity.external_hwhm_mhz"}
+    assert minimal.cavity() == config.cavity()
 
 
 def test_missing_required_key_names_it():
-    text = DEFAULT_CONFIG_TEXT.replace("ensemble_ii.coupling_mhz = 5.6\n", "")
+    text = DEFAULT_TEXT.replace("ensemble_ii.coupling_mhz = 5.6\n", "")
     with pytest.raises(ConfigError, match="ensemble_ii.coupling_mhz"):
         parse_config_text(text)
 
@@ -54,13 +70,13 @@ def test_unknown_key_reports_line_number():
 
 
 def test_bad_unit_suffix_reports_line_number():
-    text = DEFAULT_CONFIG_TEXT + "ensemble_i.coupling_mt = 7.5\n"
+    text = DEFAULT_TEXT + "ensemble_i.coupling_mt = 7.5\n"
     with pytest.raises(ConfigError, match="bad unit suffix"):
         parse_config_text(text)
 
 
 def test_ghz_suffix_converts_exactly():
-    text = DEFAULT_CONFIG_TEXT.replace(
+    text = DEFAULT_TEXT.replace(
         "cavity.center_mhz = 2749.1", "cavity.center_ghz = 2.5"
     )
     config = parse_config_text(text)
@@ -68,7 +84,7 @@ def test_ghz_suffix_converts_exactly():
 
 
 def test_duplicate_key_rejected():
-    text = DEFAULT_CONFIG_TEXT + "cavity.center_mhz = 2749.1\n"
+    text = DEFAULT_TEXT + "cavity.center_mhz = 2749.1\n"
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text(text)
 
@@ -79,7 +95,7 @@ def test_malformed_line_rejected():
 
 
 def test_bad_bool_rejected():
-    text = DEFAULT_CONFIG_TEXT.replace(
+    text = DEFAULT_TEXT.replace(
         "dispersive.enforce_floor = true", "dispersive.enforce_floor = yes"
     )
     with pytest.raises(ConfigError, match="true/false"):
@@ -87,7 +103,7 @@ def test_bad_bool_rejected():
 
 
 def test_bad_sign_rejected():
-    text = DEFAULT_CONFIG_TEXT.replace(
+    text = DEFAULT_TEXT.replace(
         "cavity.antinode_sign_ii = -1", "cavity.antinode_sign_ii = 2"
     )
     with pytest.raises(ConfigError, match=r"\+1 or -1"):
@@ -95,7 +111,7 @@ def test_bad_sign_rejected():
 
 
 def test_value_bounds_checked():
-    text = DEFAULT_CONFIG_TEXT.replace(
+    text = DEFAULT_TEXT.replace(
         "ensemble_i.axis_class = 0", "ensemble_i.axis_class = 7"
     )
     with pytest.raises(ConfigError, match="above maximum"):
@@ -129,7 +145,7 @@ def test_with_updates_changes_hash(config):
 
 
 def test_external_hwhm_defaults_to_total():
-    text = DEFAULT_CONFIG_TEXT.replace("cavity.external_hwhm_mhz = 0.320\n", "")
+    text = DEFAULT_TEXT.replace("cavity.external_hwhm_mhz = 0.320\n", "")
     cavity = parse_config_text(text).cavity()
     assert cavity.external_hwhm == cavity.total_hwhm
 

@@ -10,7 +10,6 @@ from cavitybus.coupled import (
     collective_coupling,
     dressed_states,
     photon_weight,
-    polarization_scaled_coupling,
     single_excitation_model,
 )
 from cavitybus.spin import FieldSetting
@@ -57,13 +56,6 @@ def test_collective_coupling_concatenation():
 def test_collective_coupling_empty():
     with pytest.raises(ValueError):
         collective_coupling([])
-
-
-def test_polarization_scaled_coupling():
-    assert polarization_scaled_coupling(7.5, 1.0) == 7.5
-    assert polarization_scaled_coupling(7.5, 0.81) == pytest.approx(7.5 * 0.9)
-    with pytest.raises(ValueError):
-        polarization_scaled_coupling(7.5, 1.2)
 
 
 # ---------------------------------------------------------------------------

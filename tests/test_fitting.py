@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -469,6 +470,27 @@ def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, t
     final = np.array([result.parameters[name] for name in _FULL_NAMES])
     assert np.array_equal(accepted[-1], final)
     assert np.array_equal(calls[-1][0], final)
+
+
+def test_lm_frees_rejected_jacobians_before_the_next_trial(full_grid, tunings):
+    # Seed 5 includes rejected steps.  At every model call at most one
+    # earlier Jacobian (the accepted point's) may still be alive, so peak
+    # memory stays at two Jacobians on large grids.
+    model, data = _full_fit_problem(full_grid, tunings, 5)
+    jacobians = []
+    alive = []
+
+    def residual_jac(theta):
+        alive.append(sum(ref() is not None for ref in jacobians))
+        values, jac = model(theta)
+        jacobians.append(weakref.ref(jac))
+        return values - data, jac
+
+    positive = (True, True, True, True, True, False, False)
+    result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+    assert result.converged
+    assert len(alive) - 1 > len(result.history) - 1  # rejected steps happened
+    assert max(alive) == 1
 
 
 def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):

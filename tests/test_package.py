@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +35,33 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_default_config_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "default.cfg" in package_data["cavitybus"]
+    assert (Path(cavitybus.__file__).parent / "default.cfg").is_file()
+
+
+def test_exported_names_resolve():
+    for name in cavitybus.__all__:
+        assert hasattr(cavitybus, name), name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # The benchmark tracer patches these names with getattr and no
+    # default, so a renamed or deleted function breaks traced runs.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for span_name in list(tracer.KINDS) + ["cli.main"]:
+        if span_name == "fitting.model":  # a closure, traced through MODEL_FACTORIES
+            continue
+        module_name, _, attr = span_name.partition(".")
+        module = importlib.import_module(f"cavitybus.{module_name}")
+        assert callable(getattr(module, attr, None)), span_name
+    fitting = importlib.import_module("cavitybus.fitting")
+    for factory in tracer.MODEL_FACTORIES:
+        assert callable(getattr(fitting, factory, None)), factory

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavitybus.errors import BracketError
+from cavitybus.errors import BracketError, ValidationError
 from cavitybus.spin import (
     AxisClass,
     CrystalOrientation,
@@ -189,11 +189,84 @@ def test_transitions_continuous_in_field(config):
     assert np.max(np.abs(np.diff(values))) < 0.25
 
 
-def test_batch_matches_scalar_path():
-    angles = np.linspace(0.0, 120.0, 25)
+def reference_transitions(nv, orientation, magnitude, angle):
+    """Independent scalar reference: the field vector split by norm
+    against the NV axis, a Hamiltonian written out here, and the m_s=0
+    level picked by eigenvector content (largest |<0|v>|) rather than
+    by energy order.  Returns (minus, plus) in MHz."""
+    axis = nv_axis_vectors(orientation)[int(orientation.axis_class)]
+    a = math.radians(angle)
+    b = magnitude * np.array([math.cos(a), math.sin(a), 0.0])
+    b_par = float(b @ axis)
+    b_perp = float(np.linalg.norm(b - b_par * axis))
+    d, e, g = nv.d_splitting, nv.e_strain, nv.gyromagnetic
+    x = g * b_perp / math.sqrt(2.0)
+    h = np.array(
+        [
+            [d + g * b_par, x, e],
+            [x, 0.0, x],
+            [e, x, d - g * b_par],
+        ]
+    )
+    vals, vecs = np.linalg.eigh(h)
+    ref = int(np.argmax(np.abs(vecs[1, :])))
+    minus, plus = sorted(np.delete(vals, ref) - vals[ref])
+    return minus, plus
+
+
+@pytest.mark.parametrize(
+    "orientation",
+    [ORI, CrystalOrientation(173.9, AxisClass.K111), CrystalOrientation(33.0, AxisClass.KM11M1)],
+)
+def test_solver_matches_independent_scalar_reference(orientation):
+    angles = np.arange(0.0, 180.0 + 1e-9, 1.5)
+    mags = np.arange(0.0, 30.0 + 1e-9, 2.5)
+    mm, aa = np.meshgrid(mags, angles, indexing="ij")
+    expected = np.array(
+        [reference_transitions(NV, orientation, m, a) for m, a in zip(mm.ravel(), aa.ravel())]
+    ).reshape(mm.shape + (2,))
+    for k, which in enumerate(("minus", "plus")):
+        got = transition_batch(NV, orientation, mm, aa, which)
+        np.testing.assert_allclose(got, expected[..., k], rtol=1e-12, atol=0.0)
+
+
+def test_scalar_and_batched_calls_agree_bitwise():
+    angles = np.arange(0.0, 180.0, 7.3)
     batch = transition_batch(NV, ORI, 6.5, angles)
-    scalar = [transition_minus(NV, ORI, FieldSetting(6.5, a)) for a in angles]
-    np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+    for a, value in zip(angles, batch):
+        levels = transition_frequencies(NV, ORI, FieldSetting(6.5, a))
+        assert levels.transition_minus == value
+        assert transition_minus(NV, ORI, FieldSetting(6.5, a)) == value
+
+
+def test_operating_field_is_inside_the_validity_range(config):
+    # the m_s=0 level stays lowest at the calibrated 7.7 mT at every angle
+    angles = np.arange(0.0, 360.0, 0.5)
+    for which in ("i", "ii"):
+        nv, ori = config.nv(which), config.orientation(which)
+        minus = transition_batch(nv, ori, 7.7, angles)
+        plus = transition_batch(nv, ori, 7.7, angles, "plus")
+        assert np.all(minus > 0) and np.all(plus >= minus)
+        slope = transition_minus_derivative(nv, ori, 7.7, angles)
+        assert np.all(np.isfinite(slope))
+
+
+def test_fields_past_the_level_anticrossing_are_rejected(config):
+    # At 150 mT and 40 deg the m_s=0-dominated level of ensemble I is no
+    # longer the lowest; counting transitions from the lowest level would
+    # give +3318.66 MHz where the m_s=0 level gives -3318.66 MHz.
+    nv, ori = config.nv("i"), config.orientation("i")
+    field = FieldSetting(150.0, 40.0)
+    calls = [
+        lambda: transition_frequencies(nv, ori, field),
+        lambda: transition_minus(nv, ori, field),
+        lambda: transition_batch(nv, ori, [7.7, 150.0], 40.0),
+        lambda: transition_batch(nv, ori, 150.0, 40.0, "plus"),
+        lambda: transition_minus_derivative(nv, ori, 150.0, [30.0, 40.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="150 mT at 40 deg"):
+            call()
 
 
 def test_hellmann_feynman_derivative_matches_finite_difference():

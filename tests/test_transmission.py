@@ -157,16 +157,30 @@ def test_sweep_continuity_under_step_halving(cavity, ens_i, ens_ii, resonant_mag
     assert fine < 0.6 * coarse
 
 
-def test_sweep_thread_count_does_not_change_values(
-    monkeypatch, cavity, ens_i, ens_ii, resonant_magnitude
+@pytest.mark.parametrize("kind", ["angle", "magnitude"])
+def test_broadcast_sweep_is_bit_identical_to_per_row_s21(
+    kind, cavity, ens_i, ens_ii, resonant_magnitude
 ):
+    # reference: one s21 call per row, one scalar spin solve per point
+    probe = probe_grid(half=15.0, step=0.05)
+    if kind == "angle":
+        fields = [FieldSetting(resonant_magnitude, a) for a in np.arange(0.0, 90.0, 0.7)]
+    else:
+        fields = [FieldSetting(m, 79.0) for m in np.arange(0.0, 12.0, 0.13)]
+    grid = sweep(cavity, [ens_i, ens_ii], fields, probe, kind)
+    rows = np.vstack(
+        [s21(probe, cavity, [(e, e.transition(f)) for e in (ens_i, ens_ii)]) for f in fields]
+    )
+    assert grid.amplitudes.tobytes() == rows.tobytes()
+
+
+def test_bare_cavity_sweep_repeats_the_bare_row(cavity):
     probe = probe_grid(half=5.0, step=0.05)
-    fields = [FieldSetting(resonant_magnitude, a) for a in np.arange(20.0, 26.0, 0.5)]
-    monkeypatch.setenv("CAVITYBUS_THREADS", "1")
-    serial = sweep(cavity, [ens_i, ens_ii], fields, probe, "angle")
-    monkeypatch.setenv("CAVITYBUS_THREADS", "4")
-    threaded = sweep(cavity, [ens_i, ens_ii], fields, probe, "angle")
-    assert np.array_equal(serial.amplitudes, threaded.amplitudes)
+    fields = [FieldSetting(7.0, a) for a in (10.0, 40.0)]
+    grid = sweep(cavity, [], fields, probe, "angle")
+    assert grid.amplitudes.shape == (2, probe.size)
+    for row in grid.amplitudes:
+        assert row.tobytes() == s21(probe, cavity, []).tobytes()
 
 
 def test_grid_shape_validation():
