@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .calibrate import calibrate_geometry
+from .calibrate import _find_root, calibrate_geometry
 from .config import ExperimentConfig, default_config
 from .coupled import collective_coupling, photon_weight, single_excitation_model
 from .dispersive import (
@@ -171,7 +170,7 @@ def _lamb_shifted_degeneracy(config, magnitude):
         )
         return model.spin_block[0, 0] - model.spin_block[1, 1]
 
-    return float(brentq(mismatch, 35.0, 65.0, xtol=1e-10))
+    return float(_find_root(mismatch, 35.0, 65.0, xtol=1e-10))
 
 
 def _count_pump_peaks(config, angle, signs, threshold=0.10):
@@ -411,10 +410,10 @@ def criterion_fit_roundtrips(config) -> CriterionResult:
     g_p95 = float(np.percentile(g_errors, 95))
     full_p95 = {k: float(np.percentile(v, 95)) for k, v in full_errors.items()}
     jac = shipped_model_jacobian_deviations(config)
-    jac_worst = max(jac.values())
-    passed = (
-        g_p95 <= 0.02 and all(v <= 0.03 for v in full_p95.values()) and jac_worst < 1e-6
-    )
+    # The deviation itself is central-difference rounding noise; only
+    # its side of the bound is reported.
+    jac_ok = max(jac.values()) < 1e-6
+    passed = g_p95 <= 0.02 and all(v <= 0.03 for v in full_p95.values()) and jac_ok
     return CriterionResult(
         9,
         "fit-roundtrips",
@@ -422,7 +421,7 @@ def criterion_fit_roundtrips(config) -> CriterionResult:
         f"avoided-crossing g err p95={100 * g_p95:.3f}% (<=2%); full fit "
         f"p95 g_i={100 * full_p95['g_i']:.3f}%, g_ii={100 * full_p95['g_ii']:.3f}%, "
         f"kappa={100 * full_p95['kappa']:.3f}% (<=3%); worst jacobian "
-        f"deviation={jac_worst:.3e} (<1e-6)",
+        f"deviation {'<' if jac_ok else 'not <'} 1e-06",
     )
 
 

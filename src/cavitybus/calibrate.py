@@ -24,11 +24,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import ExperimentConfig
 from .errors import BracketError, NumericalError, ValidationError
-from .spin import CrystalOrientation, FieldSetting, transition_batch, transition_minus
+from .spin import CrystalOrientation, transition_batch
 
 __all__ = [
     "CalibrationResult",
@@ -40,12 +39,12 @@ __all__ = [
 log = logging.getLogger("cavitybus.calibrate")
 
 _MAGNITUDE_RANGE = (0.2, 30.0)
-# Halvings of _MAGNITUDE_RANGE in the vectorized scan: 29.8 / 2**40 is
-# below the 1e-10 mT xtol of the scalar magnitude solve.
-_BISECTIONS = 40
 # Accepted scan step (deg).  The scan holds every node in memory at
 # once, so the lower end caps it at 180 000 nodes.
 _SCAN_STEP_RANGE = (1e-3, 90.0)
+# Step cap of `_find_root`.  Bisection alone takes the widest bracket
+# used here (29.8 mT) to its 1e-10 xtol in 38 halvings.
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -71,26 +70,53 @@ class CalibrationResult:
         }
 
 
-def _transition(config: ExperimentConfig, which: str, azimuth: float, field: FieldSetting):
-    orientation = CrystalOrientation(
-        azimuth, config.orientation(which).axis_class
-    )
-    return transition_minus(config.nv(which), orientation, field)
+def _find_root(f, lo, hi, xtol):
+    """Roots of `f` in [lo, hi] by Chandrupatla's method (Adv. Eng.
+    Software 28, 145, 1997), elementwise over the broadcast ends.
 
-
-def _solve_magnitude(config, azimuth_i, angle_i, target):
-    """Magnitude at which ensemble I hits `target` at its resonance
-    angle, or None when no crossing exists in the scan range."""
-
-    def f(mag):
-        return (
-            _transition(config, "i", azimuth_i, FieldSetting(mag, angle_i)) - target
-        )
-
-    lo, hi = _MAGNITUDE_RANGE
-    if f(lo) * f(hi) > 0:
-        return None
-    return brentq(f, lo, hi, xtol=1e-10)
+    `f` maps an array of abscissae to residuals of the same shape;
+    scalars go through as 0-d arrays.  Each element stops once its
+    bracket is narrower than xtol + 4*eps*|x| or its residual is exactly
+    zero, and is frozen from then on, so its root is the same whatever
+    else is in the batch.  Raises BracketError where f(lo) and f(hi)
+    share a sign or either is NaN.
+    """
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
+    unbracketed = ~(fa * fb <= 0)
+    if unbracketed.any():
+        k = np.flatnonzero(unbracketed)[0]
+        raise BracketError(f"no sign change between {a.flat[k]:g} and {b.flat[k]:g}")
+    c, fc = a, fa
+    t = np.full(a.shape, 0.5)
+    active = np.ones(a.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            a_best = np.abs(fa) < np.abs(fb)
+            x_best = np.where(a_best, a, b)
+            t_lim = (2.0 * np.finfo(float).eps * np.abs(x_best) + 0.5 * xtol) / np.abs(b - a)
+            active &= (np.where(a_best, fa, fb) != 0) & (t_lim <= 0.5)
+            if not active.any():
+                return x_best
+            x = np.where(active, a + np.clip(t, t_lim, 1.0 - t_lim) * (b - a), a)
+            fx = f(x)
+            # x replaces a; the old a stays in the bracket as b if the
+            # root lies between them, else it becomes the third point c.
+            same = np.sign(fx) == np.sign(fa)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            flip = active & ~same
+            b, fb = np.where(flip, a, b), np.where(flip, fa, fb)
+            a, fa = np.where(active, x, a), np.where(active, fx, fa)
+            # Inverse quadratic interpolation through (a, b, c) where it
+            # stays inside the bracket, bisection elsewhere.
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            t = np.where(
+                (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
+                0.5,
+            )
+    raise NumericalError(f"no root converged in {_MAX_STEPS} steps")
 
 
 def _transition_nodes(config, which, azimuths, magnitudes, angle):
@@ -101,31 +127,34 @@ def _transition_nodes(config, which, azimuths, magnitudes, angle):
     return transition_batch(config.nv(which), orientation, magnitudes, angle - azimuths)
 
 
-def _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target):
-    """Vectorized form of the per-azimuth scan: the ensemble-I magnitude
-    at every node by fixed-count bisection, then the ensemble-II
-    residual there.  NaN marks the nodes where `_solve_magnitude` finds
-    no crossing."""
-
-    def f(mags):
-        return _transition_nodes(config, "i", azimuths, mags, angle_i) - target
-
-    lo = np.full(azimuths.shape, _MAGNITUDE_RANGE[0])
-    hi = np.full(azimuths.shape, _MAGNITUDE_RANGE[1])
-    f_lo = f(lo)
-    bracketed = f_lo * f(hi) <= 0
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        same = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-    mags = 0.5 * (lo + hi)
-    residuals = (
-        _transition_nodes(config, "ii", azimuths + relative, mags, angle_ii) - target
+def _magnitudes(config, which, azimuths, angle, target):
+    """Field magnitude at which ensemble `which` meets `target` at field
+    `angle`, per crystal azimuth; NaN where no crossing exists in the
+    scan range."""
+    lo, hi = _MAGNITUDE_RANGE
+    ends = _transition_nodes(config, which, azimuths, np.array([[lo], [hi]]), angle) - target
+    found = ends[0] * ends[1] <= 0
+    mags = np.full(azimuths.shape, np.nan)
+    mags[found] = _find_root(
+        lambda m: _transition_nodes(config, which, azimuths[found], m, angle) - target,
+        np.full(np.count_nonzero(found), lo),
+        hi,
+        xtol=1e-10,
     )
-    return np.where(bracketed, residuals, np.nan)
+    return mags
+
+
+def _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target):
+    """Ensemble-II residual at the magnitude that puts ensemble I on
+    `target`, per crystal-I azimuth; NaN where no such magnitude
+    exists."""
+    mags = _magnitudes(config, "i", azimuths, angle_i, target)
+    found = ~np.isnan(mags)
+    residuals = np.full(azimuths.shape, np.nan)
+    residuals[found] = (
+        _transition_nodes(config, "ii", azimuths[found] + relative, mags[found], angle_ii) - target
+    )
+    return residuals
 
 
 def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> CalibrationResult:
@@ -143,41 +172,20 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
     angle_ii = config.get("calibration.resonance_angle_ii_deg")
     relative = config.get("calibration.relative_azimuth_deg")
 
-    def residual(azimuth):
-        mag = _solve_magnitude(config, azimuth, angle_i, target)
-        if mag is None:
-            return None
-        return (
-            _transition(
-                config, "ii", azimuth + relative, FieldSetting(mag, angle_ii)
-            )
-            - target
-        )
-
-    def brackets(residuals):
-        # NaN nodes compare False, so they bracket nothing.
-        return residuals[:-1] * residuals[1:] <= 0
+    def residuals(azimuths):
+        return _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target)
 
     azimuths = np.arange(0.0, 180.0, scan_step)
-    residuals = _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target)
-    # The batched and scalar residuals differ by solver noise, so on a
-    # node that sits on a root they can disagree in sign.  Such a node
-    # always ends a flagged interval; re-evaluate those ends with the
-    # scalar residual that brentq refines, so each bracket holds for it.
-    flagged = brackets(residuals)
-    ends = np.zeros(azimuths.shape, dtype=bool)
-    ends[:-1] |= flagged
-    ends[1:] |= flagged
-    for k in np.flatnonzero(ends):
-        r = residual(azimuths[k])
-        residuals[k] = np.nan if r is None else r
+    scan = residuals(azimuths)
+    # NaN nodes compare False, so they bracket nothing.  The refinement
+    # computes a node's residual with the same bits as the scan, so
+    # every flagged interval is a bracket for it too.
+    k = np.flatnonzero(scan[:-1] * scan[1:] <= 0)
+    roots = _find_root(residuals, azimuths[k], azimuths[k + 1], xtol=1e-8)
+    mags = _magnitudes(config, "i", roots, angle_i, target)
 
     candidates = []
-    for k in np.flatnonzero(brackets(residuals)):
-        az_root = brentq(
-            lambda a: residual(a), azimuths[k], azimuths[k + 1], xtol=1e-8
-        )
-        mag = _solve_magnitude(config, az_root, angle_i, target)
+    for az_root, mag in zip(roots, mags):
         deg_angle, deg_freq = locate_degeneracy(
             config, az_root, relative, mag, (angle_i, angle_ii)
         )
@@ -232,17 +240,16 @@ def locate_degeneracy(
     lo, hi = lo + 0.5, hi - 0.5
 
     def difference(angle):
-        field = FieldSetting(magnitude, angle)
-        return _transition(config, "i", azimuth_i, field) - _transition(
-            config, "ii", azimuth_i + relative, field
-        )
+        lower_i = _transition_nodes(config, "i", azimuth_i, magnitude, angle)
+        return lower_i - _transition_nodes(config, "ii", azimuth_i + relative, magnitude, angle)
 
-    if difference(lo) * difference(hi) > 0:
+    try:
+        angle = _find_root(difference, lo, hi, xtol=1e-8)
+    except BracketError:
         raise BracketError(
             f"no ensemble-ensemble degeneracy between {lo:g} and {hi:g} deg"
-        )
-    angle = brentq(difference, lo, hi, xtol=1e-8)
-    freq = _transition(config, "i", azimuth_i, FieldSetting(magnitude, angle))
+        ) from None
+    freq = _transition_nodes(config, "i", azimuth_i, magnitude, angle)
     return float(angle), float(freq)
 
 
@@ -255,16 +262,9 @@ def dispersive_magnitude(
     target = config.get("cavity.center_mhz")
     margin = config.get("calibration.dispersive_margin_mhz")
     angle_ii = config.get("calibration.resonance_angle_ii_deg")
-
-    def f(mag):
-        return (
-            _transition(
-                config, "ii", azimuth_i + relative, FieldSetting(mag, angle_ii)
-            )
-            - (target - margin)
-        )
-
-    lo, hi = _MAGNITUDE_RANGE
-    if f(lo) * f(hi) > 0:
+    (mag,) = _magnitudes(
+        config, "ii", np.array([azimuth_i + relative]), angle_ii, target - margin
+    )
+    if np.isnan(mag):
         raise BracketError("no dispersive magnitude found in the scan range")
-    return float(brentq(f, lo, hi, xtol=1e-10))
+    return float(mag)

@@ -8,6 +8,7 @@ validation error, 3 numerical failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -27,7 +28,7 @@ from .dispersive import build_dispersive_model, dispersive_spin_modes, drive_wei
 from .errors import NumericalError, ValidationError
 from .fitting import SpinTuning, fit_avoided_crossing, fit_full_transmission, fit_lorentzian
 from .gridio import atomic_write_text, read_grid, write_fit_json, write_grid, write_signal, write_table
-from .spin import FieldSetting, transition_batch
+from .spin import FieldSetting, _solve
 from .transmission import sweep
 from . import acceptance
 
@@ -142,10 +143,9 @@ def _cmd_transitions(args, config) -> int:
 
     columns = {kind: values}
     for which in ("i", "ii"):
-        nv = config.nv(which)
-        orientation = config.orientation(which)
-        columns[f"{which}_minus_mhz"] = transition_batch(nv, orientation, mags, angles, "minus")
-        columns[f"{which}_plus_mhz"] = transition_batch(nv, orientation, mags, angles, "plus")
+        levels = _solve(config.nv(which), config.orientation(which), mags, angles)
+        columns[f"{which}_minus_mhz"] = levels[:, 1]
+        columns[f"{which}_plus_mhz"] = levels[:, 2]
     write_table(args.out, columns, config.hash, extra)
     log.info("wrote %s (%d rows)", args.out, values.size)
     return EXIT_OK
@@ -284,15 +284,7 @@ def _cmd_fit(args, config) -> int:
         tun_ii = SpinTuning.from_ensemble(config.ensemble("ii"), grid.sweep_kind, fixed)
         result = fit_full_transmission(grid, tun_i, tun_ii, max_iter=max_iter)
 
-    result = type(result)(
-        parameters=result.parameters,
-        standard_errors=result.standard_errors,
-        residual_norm=result.residual_norm,
-        iterations=result.iterations,
-        converged=result.converged,
-        history=result.history,
-        provenance={"input": str(args.infile), "mode": args.mode},
-    )
+    result = dataclasses.replace(result, provenance={"input": str(args.infile), "mode": args.mode})
     write_fit_json(args.out, result, config.hash)
     if not result.converged:
         log.warning("fit did not converge after %d iterations", result.iterations)

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketError, ValidationError
+from .errors import ValidationError
 
 # Exact SI values (2019 redefinition), equal to scipy.constants.h and .k;
 # importing scipy.constants for two numbers costs about 0.2 s per call.
@@ -51,7 +50,6 @@ __all__ = [
     "transition_minus",
     "transition_batch",
     "transition_minus_derivative",
-    "find_resonance_angle",
     "thermal_polarization",
 ]
 
@@ -296,35 +294,6 @@ def transition_minus_derivative(
     (MHz/deg) or magnitude (MHz/mT), propagated through the eigensolve
     via the Hellmann-Feynman theorem."""
     return _solve(params, orientation, magnitudes, angles, wrt)[1]
-
-
-def find_resonance_angle(
-    params: NVParameters,
-    orientation: CrystalOrientation,
-    magnitude: float,
-    target: float,
-    bracket: tuple,
-) -> float:
-    """Angle (deg) inside `bracket` at which the lower transition equals
-    `target` (MHz), located by bracketed root finding to 1e-4 deg."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-
-    def f(angle):
-        return (
-            transition_minus(params, orientation, FieldSetting(magnitude, angle)) - target
-        )
-
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"no sign change over [{lo:g}, {hi:g}] deg "
-            f"(residuals {flo:+.3f} and {fhi:+.3f} MHz)"
-        )
-    return float(brentq(f, lo, hi, xtol=1e-4))
 
 
 def thermal_polarization(params: NVParameters, temperature: float) -> float:

@@ -124,6 +124,24 @@ def test_criterion_9_fit_roundtrips(cfg):
     run_criterion(acceptance.criterion_fit_roundtrips, cfg, 120.0)
 
 
+@pytest.mark.parametrize("worst, verdict", [(3.481234e-07, "<"), (2.5e-06, "not <")])
+def test_criterion_9_detail_prints_the_bound_not_the_deviation(cfg, monkeypatch, worst, verdict):
+    # The Jacobian deviation is finite-difference rounding noise, so only
+    # its side of the 1e-6 bound belongs in the (byte-stable) detail.
+    monkeypatch.setattr(
+        acceptance,
+        "fit_roundtrip_errors",
+        lambda config: ([0.001], {"g_i": [0.001], "g_ii": [0.001], "kappa": [0.001]}),
+    )
+    monkeypatch.setattr(
+        acceptance, "shipped_model_jacobian_deviations", lambda config: {"a": 1e-9, "b": worst}
+    )
+    result = acceptance.criterion_fit_roundtrips(cfg)
+    assert result.passed == (verdict == "<")
+    assert result.detail.endswith(f"worst jacobian deviation {verdict} 1e-06")
+    assert f"{worst:.3e}"[:4] not in result.detail
+
+
 def test_criterion_10_determinism(cfg):
     run_criterion(acceptance.criterion_determinism, cfg, 10.0)
 

@@ -1,29 +1,125 @@
-"""The vectorized calibration scan against the per-azimuth scalar loop
-it replaced."""
+"""The in-package root finder against scipy's brentq, and the
+vectorized calibration scan against a per-azimuth scalar loop."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from cavitybus.calibrate import (
-    _scan_residuals,
-    _solve_magnitude,
-    _transition,
-    calibrate_geometry,
-)
-from cavitybus.spin import FieldSetting
+from cavitybus.calibrate import _find_root, _scan_residuals, calibrate_geometry
+from cavitybus.errors import BracketError
+from cavitybus.spin import CrystalOrientation, FieldSetting, transition_minus
+
+# The tolerances the calibration and acceptance call sites pass.
+XTOLS = (1e-8, 1e-10)
+
+
+def cos_minus_line(p):
+    """cos(x) = p*x has one root in [0, 2] for every p in [0.3, 5]."""
+    return lambda x: np.cos(x) - p * x
+
+
+# Smooth, steep, flat (triple root) and kinked residuals with their
+# brackets, so both the interpolation and the bisection steps run.
+RESIDUALS = [
+    (cos_minus_line(1.0), 0.0, 2.0),
+    (lambda x: np.tanh(40.0 * (x - 0.3)), -1.0, 3.0),
+    (lambda x: (x - 1.7) ** 3, 0.0, 5.0),
+    (lambda x: np.abs(x - 2.5) ** 0.5 * np.sign(x - 2.5) - 0.01, 0.0, 10.0),
+    (lambda x: 2749.1 - (2870.0 - 28.03 * x), 0.2, 30.0),
+]
+
+
+@pytest.mark.parametrize("xtol", XTOLS)
+@pytest.mark.parametrize("case", range(len(RESIDUALS)))
+def test_find_root_matches_brentq_on_scalars(case, xtol):
+    f, lo, hi = RESIDUALS[case]
+    calls = []
+    got = _find_root(lambda x: calls.append(x) or f(x), lo, hi, xtol=xtol)
+    assert got.shape == ()
+    assert lo <= got <= hi
+    expected, info = brentq(
+        lambda x: float(f(x)), lo, hi, xtol=xtol, maxiter=1000, full_output=True
+    )
+    assert abs(float(got) - expected) <= xtol
+    # Interpolation keeps it within two evaluations of brentq (plain
+    # bisection needs 33-40 here).
+    assert len(calls) <= info.function_calls + 2
+
+
+@pytest.mark.parametrize("xtol", XTOLS)
+def test_find_root_matches_brentq_on_arrays(xtol):
+    p = np.linspace(0.3, 5.0, 37)
+    lo, hi = np.zeros(p.size), np.linspace(1.5, 2.0, p.size)
+    got = _find_root(cos_minus_line(p), lo, hi, xtol=xtol)
+    assert got.shape == p.shape
+    expected = [
+        brentq(cos_minus_line(pk), lk, hk, xtol=xtol) for pk, lk, hk in zip(p, lo, hi)
+    ]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=xtol)
+
+
+def test_find_root_element_is_bitwise_independent_of_its_batch():
+    # Odd elements have a triple root and take about five times as many
+    # steps as the even ones, which must not move once converged.
+    p = np.linspace(0.3, 5.0, 1000)
+    r = np.linspace(1.2, 1.8, 1000)
+    slow = np.arange(1000) % 2 == 1
+
+    def f(k):
+        return lambda x: np.where(slow[k], (x - r[k]) ** 3, np.cos(x) - p[k] * x)
+
+    batch = _find_root(f(slice(None)), np.zeros(1000), 2.0, xtol=1e-10)
+    for k in (0, 1, 498, 499, 998, 999):
+        alone = _find_root(f(k), 0.0, 2.0, xtol=1e-10)
+        single = _find_root(f(slice(k, k + 1)), np.zeros(1), 2.0, xtol=1e-10)
+        assert alone.tobytes() == batch[k].tobytes() == single.tobytes()
+
+
+def test_find_root_returns_roots_on_the_bracket_ends():
+    assert _find_root(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-8) == 1.0
+    assert _find_root(lambda x: x - 1.0, -1.0, 1.0, xtol=1e-8) == 1.0
+    got = _find_root(lambda x: x - 1.0, np.array([1.0, -1.0, 0.0]), np.array([3.0, 1.0, 3.0]), 1e-10)
+    assert got[0] == 1.0 and got[1] == 1.0
+    assert abs(got[2] - 1.0) <= 1e-10
+
+
+def test_find_root_rejects_brackets_without_a_sign_change():
+    with pytest.raises(BracketError, match="between -1 and 1"):
+        _find_root(lambda x: x**2 + 1.0, -1.0, 1.0, xtol=1e-8)
+    with pytest.raises(BracketError, match="between 2 and 3"):
+        _find_root(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([3.0, 3.0]), 1e-8)
+
+
+@pytest.mark.parametrize("nan_end", ["lo", "hi"])
+def test_find_root_treats_nan_ends_as_unbracketed(nan_end):
+    def f(x):
+        return np.where(x == (0.0 if nan_end == "lo" else 2.0), np.nan, x - 1.0)
+
+    with pytest.raises(BracketError):
+        _find_root(f, 0.0, 2.0, xtol=1e-8)
+    with pytest.raises(BracketError):
+        _find_root(f, np.array([0.0, 0.5]), np.array([2.0, 1.5]), xtol=1e-8)
 
 
 def scalar_scan(cfg, azimuths, angle_i, angle_ii, relative, target):
-    """The original scan: a scalar brentq magnitude solve per node, then
-    the ensemble-II residual there (None where no magnitude exists)."""
+    """Per-node reference: a scalar brentq magnitude solve on the
+    crystal-rotated scalar spin path, then the ensemble-II residual
+    there (None where no magnitude exists in 0.2-30 mT)."""
+
+    def lower(which, azimuth, magnitude, angle):
+        orientation = CrystalOrientation(azimuth, cfg.orientation(which).axis_class)
+        return transition_minus(cfg.nv(which), orientation, FieldSetting(magnitude, angle))
+
     residuals = []
     for azimuth in azimuths:
-        mag = _solve_magnitude(cfg, azimuth, angle_i, target)
-        if mag is None:
+        def f(mag):
+            return lower("i", azimuth, mag, angle_i) - target
+
+        if f(0.2) * f(30.0) > 0:
             residuals.append(None)
             continue
-        field = FieldSetting(mag, angle_ii)
-        residuals.append(_transition(cfg, "ii", azimuth + relative, field) - target)
+        mag = brentq(f, 0.2, 30.0, xtol=1e-10)
+        residuals.append(lower("ii", azimuth + relative, mag, angle_ii) - target)
     return residuals
 
 

@@ -19,22 +19,38 @@ def test_pyproject_version_matches_package():
     assert project["version"] == cavitybus.__version__
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # scipy.signal drags in scipy.stats; peak finding imports it on first
-    # use so that every CLI call does not pay for it.  (scipy.constants is
-    # not checked: scipy.optimize, which the package needs for brentq,
-    # imports it itself through scipy.spatial.)
+def _scipy_modules_after(probe):
+    """Names of the scipy modules loaded once `probe` has run in a fresh
+    interpreter that imports the package from this checkout."""
     env = dict(os.environ)
     src = str(Path(cavitybus.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    probe = (
-        "import sys, cavitybus.cli\n"
-        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
+    probe += "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # The package needs scipy only for peak finding (scipy.signal, which
+    # drags in scipy.stats), imported on first use; every other CLI call
+    # loads no scipy module at all.
+    assert _scipy_modules_after("import sys, cavitybus.cli") == []
+
+
+def test_forward_commands_load_no_scipy(tmp_path):
+    # calibrate, transitions and sweep-angle run on numpy alone.
+    out = tmp_path.as_posix()
+    probe = (
+        "import sys\n"
+        "from cavitybus.cli import main\n"
+        f"assert main(['calibrate', '--out', '{out}/cal.cfg']) == 0\n"
+        f"assert main(['transitions', '--angles', '0:90:5', '--out', '{out}/levels.csv']) == 0\n"
+        f"assert main(['sweep-angle', '--angles', '40:60:5', '--probe', '2700:2800:1', "
+        f"'--out', '{out}/grid.csv']) == 0"
+    )
+    assert _scipy_modules_after(probe) == []
 
 
 def test_default_config_ships_as_package_data():

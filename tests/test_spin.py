@@ -10,7 +10,6 @@ from cavitybus.spin import (
     FieldSetting,
     NVParameters,
     field_in_nv_frame,
-    find_resonance_angle,
     nv_axis_vectors,
     spin_hamiltonian,
     thermal_polarization,
@@ -285,30 +284,7 @@ def test_hellmann_feynman_derivative_matches_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# resonance angle location
-
-def test_resonance_angles_match_calibration(config):
-    target = config.get("cavity.center_mhz")
-    magnitude = config.get("field.magnitude_mt")
-    angle_i = find_resonance_angle(
-        config.nv("i"), config.orientation("i"), magnitude, target, (70.0, 88.0)
-    )
-    angle_ii = find_resonance_angle(
-        config.nv("ii"), config.orientation("ii"), magnitude, target, (15.0, 31.0)
-    )
-    assert angle_i == pytest.approx(79.0, abs=0.5)
-    assert angle_ii == pytest.approx(23.0, abs=0.5)
-
-
-def test_resonance_angle_roundtrip(config):
-    target = 2730.0
-    magnitude = config.get("field.magnitude_mt")
-    nv = config.nv("i")
-    ori = config.orientation("i")
-    angle = find_resonance_angle(nv, ori, magnitude, target, (55.0, 79.0))
-    back = transition_minus(nv, ori, FieldSetting(magnitude, angle))
-    assert back == pytest.approx(target, abs=1e-3)
-
+# degeneracy location
 
 def test_degeneracy_sits_at_resonance_midpoint(config):
     # Shifted copies of the same even tuning curve can only cross midway
@@ -327,9 +303,18 @@ def test_degeneracy_sits_at_resonance_midpoint(config):
     assert freq < config.get("cavity.center_mhz")
 
 
-def test_bracket_failure_reported():
-    with pytest.raises(BracketError):
-        find_resonance_angle(NV, ORI, 0.05, 2749.1, (0.0, 90.0))
+def test_bracket_failure_reported(config):
+    # Between 60 and 79 degrees ensemble I stays above ensemble II.
+    from cavitybus.calibrate import locate_degeneracy
+
+    with pytest.raises(BracketError, match="no ensemble-ensemble degeneracy"):
+        locate_degeneracy(
+            config,
+            config.get("ensemble_i.azimuth_deg"),
+            config.get("calibration.relative_azimuth_deg"),
+            config.get("field.magnitude_mt"),
+            (60.0, 79.0),
+        )
 
 
 # ---------------------------------------------------------------------------
