@@ -7,9 +7,7 @@ from .coupled import (
     CavitySpec,
     EnsembleSpec,
     SingleExcitationModel,
-    build_model,
     collective_coupling,
-    dressed_states,
     photon_weight,
     single_excitation_model,
 )
@@ -19,8 +17,6 @@ from .dispersive import (
     build_dispersive_model,
     dispersive_shift,
     dispersive_spin_modes,
-    dispersive_validation,
-    drive_basis_states,
     drive_weights,
     ensemble_ensemble_coupling,
     pump_probe_signal,
@@ -41,7 +37,6 @@ from .spin import (
     FieldSetting,
     NVParameters,
     SpinLevels,
-    field_in_nv_frame,
     nv_axis_vectors,
     spin_hamiltonian,
     thermal_polarization,
@@ -65,16 +60,11 @@ __all__ = [
     "SpinLevels",
     "SpinTuning",
     "build_dispersive_model",
-    "build_model",
     "collective_coupling",
     "dispersive_shift",
     "dispersive_spin_modes",
-    "dispersive_validation",
-    "dressed_states",
-    "drive_basis_states",
     "drive_weights",
     "ensemble_ensemble_coupling",
-    "field_in_nv_frame",
     "fit_avoided_crossing",
     "fit_full_transmission",
     "fit_lorentzian",

@@ -57,24 +57,24 @@ class CriterionResult:
         return f"criterion {self.index:2d} {self.name}: {status} ({self.detail})"
 
 
-def _degenerate_row(config, probe):
+def _degenerate_row(config):
+    """(probe, |S21|) over the cavity +-30 MHz, both ensembles on it."""
     cavity = config.cavity()
+    probe = np.arange(cavity.center - 30.0, cavity.center + 30.0 + 1e-9, 0.005)
     pairs = [
         (config.ensemble("i"), cavity.center),
         (config.ensemble("ii"), cavity.center),
     ]
-    return np.abs(s21(probe, cavity, pairs))
+    return probe, np.abs(s21(probe, cavity, pairs))
 
 
 def criterion_collective_enhancement(config) -> CriterionResult:
-    cavity = config.cavity()
     g_i = config.ensemble("i").coupling
     g_ii = config.ensemble("ii").coupling
     g_col = collective_coupling([g_i, g_ii])
     coupling_ok = abs(g_col - 9.3597) <= 0.01
 
-    probe = np.arange(cavity.center - 30.0, cavity.center + 30.0 + 1e-9, 0.005)
-    split = peak_splitting(probe, _degenerate_row(config, probe))
+    split = peak_splitting(*_degenerate_row(config))
     split_dev = abs(split - 2.0 * g_col) / (2.0 * g_col)
     split_ok = split_dev <= 0.01
     return CriterionResult(
@@ -98,8 +98,7 @@ def criterion_dark_state(config) -> CriterionResult:
     weight = photon_weight(middle)
     weight_ok = weight < 1e-12
 
-    probe = np.arange(cavity.center - 30.0, cavity.center + 30.0 + 1e-9, 0.005)
-    mag = _degenerate_row(config, probe)
+    probe, mag = _degenerate_row(config)
     ic = int(np.argmin(np.abs(probe - cavity.center)))
     no_local_max = mag[ic] <= mag[ic - 1] and mag[ic] <= mag[ic + 1]
     amp_ratio = float(mag[ic] / np.max(mag))
@@ -134,19 +133,22 @@ def criterion_geometry(config) -> CriterionResult:
     )
 
 
+def _degenerate_spin_modes(cavity):
+    """Dispersive model for g = (7.5, 5.6) MHz at 19.1 MHz detuning, and
+    the (bright, dark) modes of its block made exactly degenerate by
+    shifting ensemble II's bare frequency until both Lamb-shifted
+    diagonal entries coincide."""
+    w_i = cavity.center - 19.1
+    model = dispersive_model_from_frequencies(cavity, (7.5, 5.6), (w_i, w_i))
+    w_ii = w_i - model.chi_i + model.chi_ii
+    return model, dispersive_spin_modes(model, omega_i=w_i, omega_ii=w_ii)
+
+
 def criterion_dispersive_coupling(config) -> CriterionResult:
     u = ensemble_ensemble_coupling(7.5, 5.6, 19.1, 19.1)
     u_ok = abs(u - 2.20) <= 0.01
 
-    cavity = config.cavity()
-    model = dispersive_model_from_frequencies(
-        cavity, (7.5, 5.6), (cavity.center - 19.1, cavity.center - 19.1)
-    )
-    # Exactly degenerate block: shift ensemble II's bare frequency so
-    # both Lamb-shifted diagonal entries coincide.
-    w_i = cavity.center - 19.1
-    w_ii = w_i - model.chi_i + model.chi_ii
-    (f_hi, _), (f_lo, _) = dispersive_spin_modes(model, omega_i=w_i, omega_ii=w_ii)
+    model, ((f_hi, _), (f_lo, _)) = _degenerate_spin_modes(config.cavity())
     split = abs(f_hi - f_lo)
     split_dev = abs(split - 2.0 * abs(model.u_coupling))
     split_ok = split_dev <= 1e-12
@@ -176,10 +178,7 @@ def _lamb_shifted_degeneracy(config, magnitude):
 def _count_pump_peaks(config, angle, signs, threshold=0.10):
     from scipy.signal import find_peaks  # deferred: slow import, see transmission
 
-    cavity = config.cavity()
-    cavity = type(cavity)(
-        cavity.center, cavity.total_hwhm, cavity.external_hwhm, signs
-    )
+    cavity = replace(config.cavity(), antinode_signs=signs)
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
     magnitude = config.get("field.dispersive_magnitude_mt")
@@ -205,20 +204,8 @@ def criterion_selection_rule(config) -> CriterionResult:
     # block.  Flipping both antinode signs is a gauge change: the
     # visible state's frequency stays put while the symmetric and
     # antisymmetric combinations trade the bright and dark roles.
-    cavity = config.cavity()
-    model = dispersive_model_from_frequencies(
-        cavity, (7.5, 5.6), (cavity.center - 19.1, cavity.center - 19.1)
-    )
-    w_i = cavity.center - 19.1
-    w_ii = w_i - model.chi_i + model.chi_ii
-    bright_a, dark_a = dispersive_spin_modes(model, omega_i=w_i, omega_ii=w_ii)
-    flipped = type(cavity)(
-        cavity.center, cavity.total_hwhm, cavity.external_hwhm, (1, 1)
-    )
-    model_b = dispersive_model_from_frequencies(
-        flipped, (7.5, 5.6), (cavity.center - 19.1, cavity.center - 19.1)
-    )
-    bright_b, dark_b = dispersive_spin_modes(model_b, omega_i=w_i, omega_ii=w_ii)
+    _, (bright_a, dark_a) = _degenerate_spin_modes(config.cavity())
+    _, (bright_b, dark_b) = _degenerate_spin_modes(replace(config.cavity(), antinode_signs=(1, 1)))
     assignment_swap = min(
         abs(float(np.dot(bright_b[1], dark_a[1]))),
         abs(float(np.dot(dark_b[1], bright_a[1]))),

@@ -70,7 +70,7 @@ class CalibrationResult:
         }
 
 
-def _find_root(f, lo, hi, xtol):
+def _find_root(f, lo, hi, xtol, _ends=None):
     """Roots of `f` in [lo, hi] by Chandrupatla's method (Adv. Eng.
     Software 28, 145, 1997), elementwise over the broadcast ends.
 
@@ -79,10 +79,13 @@ def _find_root(f, lo, hi, xtol):
     bracket is narrower than xtol + 4*eps*|x| or its residual is exactly
     zero, and is frozen from then on, so its root is the same whatever
     else is in the batch.  Raises BracketError where f(lo) and f(hi)
-    share a sign or either is NaN.
+    share a sign or either is NaN.  A caller that already holds f(lo)
+    and f(hi) passes them as `_ends` to skip their evaluation.
     """
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
+    if _ends is None:
+        _ends = f(a), f(b)
+    fa, fb = (np.asarray(v, dtype=float) for v in _ends)
     unbracketed = ~(fa * fb <= 0)
     if unbracketed.any():
         k = np.flatnonzero(unbracketed)[0]
@@ -140,6 +143,7 @@ def _magnitudes(config, which, azimuths, angle, target):
         np.full(np.count_nonzero(found), lo),
         hi,
         xtol=1e-10,
+        _ends=ends[:, found],
     )
     return mags
 
@@ -178,10 +182,12 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
     azimuths = np.arange(0.0, 180.0, scan_step)
     scan = residuals(azimuths)
     # NaN nodes compare False, so they bracket nothing.  The refinement
-    # computes a node's residual with the same bits as the scan, so
-    # every flagged interval is a bracket for it too.
+    # starts from the scan's own residuals at the flagged nodes, so
+    # every flagged interval is a bracket for it.
     k = np.flatnonzero(scan[:-1] * scan[1:] <= 0)
-    roots = _find_root(residuals, azimuths[k], azimuths[k + 1], xtol=1e-8)
+    roots = _find_root(
+        residuals, azimuths[k], azimuths[k + 1], xtol=1e-8, _ends=(scan[k], scan[k + 1])
+    )
     mags = _magnitudes(config, "i", roots, angle_i, target)
 
     candidates = []

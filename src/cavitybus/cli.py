@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -126,20 +128,63 @@ def _range_from(args_value, config, key):
     return range_values(text, key=key)
 
 
+# Float flags a subcommand may take -> (argparse dest, requirement, check).
+_FLOAT_FLAGS = (
+    ("--angle", "angle", "finite", math.isfinite),
+    ("--b-mag", "b_mag", "finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    ("--width", "width", "finite and > 0", lambda v: 0.0 < v < math.inf),
+)
+
+
+def _check_float_flags(args) -> None:
+    for flag, dest, requirement, ok in _FLOAT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise ValidationError(f"{flag} must be {requirement}, got {value:g}")
+
+
+# The provenance key naming the field coordinate each sweep kind holds
+# fixed; `fit` reads it back to rebuild the spin tuning curves.
+_FIXED_KEY = {"angle": "fixed_magnitude_mt", "magnitude": "fixed_angle_deg"}
+
+
+def _sweep_axis(args, config, kind) -> tuple:
+    """(values, fixed, extra) of an angle or magnitude sweep: the swept
+    range, the coordinate held fixed, and its provenance entry."""
+    if kind == "angle":
+        values = _range_from(args.angles, config, "sweep.angles_deg")
+        fixed = args.b_mag if args.b_mag is not None else config.get("field.magnitude_mt")
+    else:
+        values = _range_from(args.b_mags, config, "sweep.magnitudes_mt")
+        fixed = args.angle
+    return values, fixed, {_FIXED_KEY[kind]: format_float(fixed)}
+
+
+def _coords(kind, values, fixed) -> tuple:
+    """(magnitudes, angles) arrays along a sweep."""
+    held = np.full_like(values, fixed)
+    return (held, values) if kind == "angle" else (values, held)
+
+
+def _field_point(args, config, magnitude_key) -> tuple:
+    """The single field of `spectrum` and `dispersive`, and its
+    provenance: both coordinates are fixed."""
+    magnitude = args.b_mag if args.b_mag is not None else config.get(magnitude_key)
+    extra = {
+        _FIXED_KEY["magnitude"]: format_float(args.angle),
+        _FIXED_KEY["angle"]: format_float(magnitude),
+    }
+    return FieldSetting(magnitude, args.angle), extra
+
+
 def _cmd_transitions(args, config) -> int:
+    kind = "angle"
     if args.b_mags is not None or args.angle is not None:
         if args.angle is None:
             raise ValidationError("--b-mags sweeps need --angle")
-        values = _range_from(args.b_mags, config, "sweep.magnitudes_mt")
-        mags, angles = values, np.full_like(values, args.angle)
         kind = "magnitude"
-        extra = {"fixed_angle_deg": format_float(args.angle)}
-    else:
-        values = _range_from(args.angles, config, "sweep.angles_deg")
-        magnitude = args.b_mag if args.b_mag is not None else config.get("field.magnitude_mt")
-        mags, angles = np.full_like(values, magnitude), values
-        kind = "angle"
-        extra = {"fixed_magnitude_mt": format_float(magnitude)}
+    values, fixed, extra = _sweep_axis(args, config, kind)
+    mags, angles = _coords(kind, values, fixed)
 
     columns = {kind: values}
     for which in ("i", "ii"):
@@ -151,36 +196,21 @@ def _cmd_transitions(args, config) -> int:
     return EXIT_OK
 
 
-def _fields(kind, values, fixed):
-    if kind == "angle":
-        return [FieldSetting(fixed, a) for a in values]
-    return [FieldSetting(m, fixed) for m in values]
-
-
 def _cmd_spectrum(args, config) -> int:
     probe = _range_from(args.probe, config, "sweep.probe_mhz")
-    magnitude = args.b_mag if args.b_mag is not None else config.get("field.magnitude_mt")
+    field, extra = _field_point(args, config, "field.magnitude_mt")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
-    grid = sweep(config.cavity(), ensembles, [FieldSetting(magnitude, args.angle)], probe, "none")
-    write_grid(args.out, grid, config.hash, {
-        "fixed_angle_deg": format_float(args.angle),
-        "fixed_magnitude_mt": format_float(magnitude),
-    })
+    grid = sweep(config.cavity(), ensembles, [field], probe, "none")
+    write_grid(args.out, grid, config.hash, extra)
     return EXIT_OK
 
 
 def _cmd_sweep(args, config, kind) -> int:
     probe = _range_from(args.probe, config, "sweep.probe_mhz")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
-    if kind == "angle":
-        values = _range_from(args.angles, config, "sweep.angles_deg")
-        fixed = args.b_mag if args.b_mag is not None else config.get("field.magnitude_mt")
-        extra = {"fixed_magnitude_mt": format_float(fixed)}
-    else:
-        values = _range_from(args.b_mags, config, "sweep.magnitudes_mt")
-        fixed = args.angle
-        extra = {"fixed_angle_deg": format_float(fixed)}
-    grid = sweep(config.cavity(), ensembles, _fields(kind, values, fixed), probe, kind)
+    values, fixed, extra = _sweep_axis(args, config, kind)
+    fields = [FieldSetting(m, a) for m, a in zip(*_coords(kind, values, fixed))]
+    grid = sweep(config.cavity(), ensembles, fields, probe, kind)
     write_grid(args.out, grid, config.hash, extra)
     log.info("wrote %s (%d x %d)", args.out, values.size, probe.size)
     return EXIT_OK
@@ -190,8 +220,7 @@ def _cmd_dispersive(args, config) -> int:
     cavity = config.cavity()
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
-    magnitude = args.b_mag if args.b_mag is not None else config.get("field.dispersive_magnitude_mt")
-    field = FieldSetting(magnitude, args.angle)
+    field, extra = _field_point(args, config, "field.dispersive_magnitude_mt")
     floor = config.get("dispersive.floor_mhz")
     enforce = config.get("dispersive.enforce_floor")
 
@@ -206,31 +235,24 @@ def _cmd_dispersive(args, config) -> int:
     signal = pump_probe_signal(
         cavity, ens_i, ens_ii, field, pump, width=args.width, floor=floor, enforce=enforce
     )
-    write_signal(args.out, signal, config.hash, {
-        "fixed_angle_deg": format_float(args.angle),
-        "fixed_magnitude_mt": format_float(magnitude),
-    })
+    write_signal(args.out, signal, config.hash, extra)
 
     report = {
-        "angle_deg": args.angle,
-        "magnitude_mt": magnitude,
+        "angle_deg": field.angle,
+        "magnitude_mt": field.magnitude,
         "chi_i_mhz": model.chi_i,
         "chi_ii_mhz": model.chi_ii,
         "detuning_i_mhz": model.detuning_i,
         "detuning_ii_mhz": model.detuning_ii,
         "u_coupling_mhz": model.u_coupling,
-        "bright": {
-            "frequency_mhz": bright[0],
-            "vector": [float(x) for x in bright[1]],
-            "drive_weight": drive_weights(model.g_i, model.g_ii, model.antinode_signs, bright[1]),
-        },
-        "dark": {
-            "frequency_mhz": dark[0],
-            "vector": [float(x) for x in dark[1]],
-            "drive_weight": drive_weights(model.g_i, model.g_ii, model.antinode_signs, dark[1]),
-        },
         "meta": {"tool": "cavitybus", "version": __version__, "config_hash": config.hash},
     }
+    for label, (frequency, vector) in (("bright", bright), ("dark", dark)):
+        report[label] = {
+            "frequency_mhz": frequency,
+            "vector": [float(x) for x in vector],
+            "drive_weight": drive_weights(model.g_i, model.g_ii, model.antinode_signs, vector),
+        }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.report:
         atomic_write_text(args.report, text)
@@ -239,24 +261,24 @@ def _cmd_dispersive(args, config) -> int:
     return EXIT_OK
 
 
-def _fixed_coordinate(grid, meta) -> float:
-    if grid.sweep_kind == "angle":
-        key = "fixed_magnitude_mt"
-    elif grid.sweep_kind == "magnitude":
-        key = "fixed_angle_deg"
-    else:
+def _tunings(config, grid, meta, ensembles) -> list:
+    """Spin tuning curves of the named ensembles along a grid's sweep,
+    at the fixed coordinate its provenance records."""
+    key = _FIXED_KEY.get(grid.sweep_kind)
+    if key is None:
         raise ValidationError(f"cannot fit a grid with sweep_kind={grid.sweep_kind!r}")
-    fixed = meta.extra.get(key)
-    if fixed is None:
+    try:
+        fixed = float(meta.extra[key])
+    except (KeyError, ValueError):
+        fixed = math.nan
+    if not math.isfinite(fixed):
         raise ValidationError(
-            f"grid lacks a {key} comment; cannot build the spin tuning curve"
+            f"grid lacks a finite {key} comment; cannot build the spin tuning curve"
         )
-    return float(fixed)
-
-
-def _spin_tuning_from_meta(args, config, grid, meta) -> SpinTuning:
-    ensemble = config.ensemble(args.ensemble)
-    return SpinTuning.from_ensemble(ensemble, grid.sweep_kind, _fixed_coordinate(grid, meta))
+    return [
+        SpinTuning.from_ensemble(config.ensemble(which), grid.sweep_kind, fixed)
+        for which in ensembles
+    ]
 
 
 def _cmd_fit(args, config) -> int:
@@ -276,12 +298,10 @@ def _cmd_fit(args, config) -> int:
         power = grid.magnitudes[args.row] ** 2
         result = fit_lorentzian(grid.probe_frequencies, power, max_iter=max_iter)
     elif args.mode == "avoided-crossing":
-        tuning = _spin_tuning_from_meta(args, config, grid, meta)
+        (tuning,) = _tunings(config, grid, meta, (args.ensemble,))
         result = fit_avoided_crossing(grid, tuning, prominence=prominence, max_iter=max_iter)
     else:
-        fixed = _fixed_coordinate(grid, meta)
-        tun_i = SpinTuning.from_ensemble(config.ensemble("i"), grid.sweep_kind, fixed)
-        tun_ii = SpinTuning.from_ensemble(config.ensemble("ii"), grid.sweep_kind, fixed)
+        tun_i, tun_ii = _tunings(config, grid, meta, ("i", "ii"))
         result = fit_full_transmission(grid, tun_i, tun_ii, max_iter=max_iter)
 
     result = dataclasses.replace(result, provenance={"input": str(args.infile), "mode": args.mode})
@@ -328,6 +348,18 @@ def _cmd_selftest(args, config) -> int:
     return EXIT_OK if not failed else EXIT_NUMERICAL
 
 
+_COMMANDS = {
+    "transitions": _cmd_transitions,
+    "spectrum": _cmd_spectrum,
+    "sweep-angle": functools.partial(_cmd_sweep, kind="angle"),
+    "sweep-field": functools.partial(_cmd_sweep, kind="magnitude"),
+    "dispersive": _cmd_dispersive,
+    "fit": _cmd_fit,
+    "calibrate": _cmd_calibrate,
+    "selftest": _cmd_selftest,
+}
+
+
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -338,24 +370,9 @@ def run(argv) -> int:
     )
     if args.command is None:
         raise UsageError("missing subcommand")
+    _check_float_flags(args)
     config = _load(args)
-    if args.command == "transitions":
-        return _cmd_transitions(args, config)
-    if args.command == "spectrum":
-        return _cmd_spectrum(args, config)
-    if args.command == "sweep-angle":
-        return _cmd_sweep(args, config, "angle")
-    if args.command == "sweep-field":
-        return _cmd_sweep(args, config, "magnitude")
-    if args.command == "dispersive":
-        return _cmd_dispersive(args, config)
-    if args.command == "fit":
-        return _cmd_fit(args, config)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args, config)
-    if args.command == "selftest":
-        return _cmd_selftest(args, config)
-    raise UsageError(f"unknown subcommand {args.command!r}")  # pragma: no cover
+    return _COMMANDS[args.command](args, config)
 
 
 def main(argv=None) -> int:

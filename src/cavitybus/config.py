@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .coupled import CavitySpec, EnsembleSpec
 from .errors import ConfigError
-from .spin import AxisClass, CrystalOrientation, FieldSetting, NVParameters
+from .spin import AxisClass, CrystalOrientation, NVParameters
 
 __all__ = [
     "ExperimentConfig",
@@ -171,6 +172,8 @@ def _parse_value(key: str, spec: _KeySpec, raw: str, line_no: int, factor: float
             value = float(raw) * factor
         except ValueError:
             raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: value must be finite, got {raw!r}")
     elif spec.kind == "int":
         try:
             value = int(raw)
@@ -249,16 +252,6 @@ class ExperimentConfig:
                 self.values["cavity.antinode_sign_i"],
                 self.values["cavity.antinode_sign_ii"],
             ),
-        )
-
-    def field(self, angle: float, magnitude: float | None = None) -> FieldSetting:
-        if magnitude is None:
-            magnitude = self.values["field.magnitude_mt"]
-        return FieldSetting(magnitude=magnitude, angle=angle)
-
-    def dispersive_field(self, angle: float) -> FieldSetting:
-        return FieldSetting(
-            magnitude=self.values["field.dispersive_magnitude_mt"], angle=angle
         )
 
     def with_updates(self, updates: dict) -> "ExperimentConfig":

@@ -9,7 +9,6 @@ the default convention produces off-diagonals (+g_I, -g_II).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "SingleExcitationModel",
     "collective_coupling",
     "single_excitation_model",
-    "build_model",
-    "dressed_states",
     "photon_weight",
 ]
 
@@ -116,40 +113,6 @@ def single_excitation_model(
         ]
     )
     return SingleExcitationModel(m)
-
-
-def build_model(
-    cavity: CavitySpec,
-    ens_i: EnsembleSpec,
-    ens_ii: EnsembleSpec,
-    field_setting: FieldSetting,
-) -> SingleExcitationModel:
-    """Single-excitation model with spin frequencies evaluated from the
-    ensembles' level structure at the given field."""
-    return single_excitation_model(
-        cavity,
-        (ens_i.coupling, ens_ii.coupling),
-        (ens_i.transition(field_setting), ens_ii.transition(field_setting)),
-    )
-
-
-def dressed_states(g_i: float, g_ii: float) -> tuple:
-    """Closed-form polariton pair and dark state at triple degeneracy
-    for the (+, -) antinode convention, in the basis {photon, E_I, E_II}:
-
-        |+/-> = (+/- g_col, -g_I, +g_II) / (sqrt(2) g_col)
-        |D>   = (0, g_II, g_I) / g_col
-
-    The dark state carries no photon component and is invisible in
-    transmission.
-    """
-    g_col = math.hypot(g_i, g_ii)
-    if g_col == 0.0:
-        raise ValueError("at least one coupling must be nonzero")
-    plus = np.array([g_col, -g_i, g_ii]) / (math.sqrt(2.0) * g_col)
-    minus = np.array([-g_col, -g_i, g_ii]) / (math.sqrt(2.0) * g_col)
-    dark = np.array([0.0, g_ii, g_i]) / g_col
-    return plus, minus, dark
 
 
 def photon_weight(state) -> float:

@@ -45,10 +45,8 @@ __all__ = [
     "dispersive_model_from_frequencies",
     "dispersive_spin_modes",
     "validation_from_frequencies",
-    "drive_basis_states",
     "drive_weights",
     "pump_probe_signal",
-    "dispersive_validation",
     "ValidationReport",
 ]
 
@@ -174,29 +172,18 @@ def build_dispersive_model(
     )
 
 
-def drive_basis_states(g_i: float, g_ii: float, antinode_signs=(1, -1)) -> tuple:
-    """Bright/dark combinations selected by the drive, over {E_I, E_II}.
-
-    The bright vector is parallel to the drive (s_1 g_I, s_2 g_II)/g_col
-    and the dark one orthogonal to it.  With the (+, -) sign pair these
-    are the antisymmetric and symmetric superpositions respectively.
-    """
+def drive_weights(g_i: float, g_ii: float, antinode_signs, mode_vector) -> float:
+    """Squared overlap of a unit-norm spin mode with the drive vector
+    (s_1 g_I, s_2 g_II)/g_col; the orthogonal combination is dark."""
+    v = np.asarray(mode_vector, dtype=float)
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"mode vector must be unit norm (got {norm:.8f})")
     g_col = math.hypot(g_i, g_ii)
     if g_col == 0.0:
         raise ValueError("at least one coupling must be nonzero")
     s1, s2 = antinode_signs
     bright = np.array([s1 * g_i, s2 * g_ii]) / g_col
-    dark = np.array([-s2 * g_ii, s1 * g_i]) / g_col
-    return bright, dark
-
-
-def drive_weights(g_i: float, g_ii: float, antinode_signs, mode_vector) -> float:
-    """Squared overlap of a unit-norm spin mode with the drive vector."""
-    v = np.asarray(mode_vector, dtype=float)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"mode vector must be unit norm (got {norm:.8f})")
-    bright, _ = drive_basis_states(g_i, g_ii, antinode_signs)
     return float(np.dot(bright, v) ** 2)
 
 
@@ -275,22 +262,6 @@ class ValidationReport:
     @property
     def max_deviation(self) -> float:
         return max(self.deviations)
-
-
-def dispersive_validation(
-    cavity: CavitySpec,
-    ens_i: EnsembleSpec,
-    ens_ii: EnsembleSpec,
-    field_setting: FieldSetting,
-    floor: float = DEFAULT_FLOOR,
-) -> ValidationReport:
-    """Validation report at a field point (see validation_from_frequencies)."""
-    return validation_from_frequencies(
-        cavity,
-        (ens_i.coupling, ens_ii.coupling),
-        (ens_i.transition(field_setting), ens_ii.transition(field_setting)),
-        floor,
-    )
 
 
 def validation_from_frequencies(

@@ -403,11 +403,8 @@ class SpinTuning:
         mags, angles = self._coords(sweep_values, offset)
         return transition_batch(self.nv, self.orientation, mags, angles)
 
-    def derivative(self, sweep_values, offset: float = 0.0) -> np.ndarray:
-        return self.frequencies_and_derivative(sweep_values, offset)[1]
-
     def frequencies_and_derivative(self, sweep_values, offset: float = 0.0) -> tuple:
-        """frequencies() and derivative() from one spin solve."""
+        """frequencies() and their slope per sweep unit from one spin solve."""
         mags, angles = self._coords(sweep_values, offset)
         levels, slope = _solve(self.nv, self.orientation, mags, angles, self.sweep_kind)
         return levels[..., 1], slope

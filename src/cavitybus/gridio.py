@@ -179,9 +179,12 @@ def _parse_row(line, expected, source, label):
             f"{source}: ragged {label}: expected {expected} fields, got {len(cells)}"
         )
     try:
-        return np.array(cells, dtype=float)
+        row = np.array(cells, dtype=float)
     except ValueError as exc:
         raise GridFormatError(f"{source}: non-numeric value in {label}") from exc
+    if not np.isfinite(row).all():
+        raise GridFormatError(f"{source}: non-finite value in {label}")
+    return row
 
 
 def write_signal(

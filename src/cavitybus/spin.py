@@ -44,7 +44,6 @@ __all__ = [
     "FieldSetting",
     "SpinLevels",
     "nv_axis_vectors",
-    "field_in_nv_frame",
     "spin_hamiltonian",
     "transition_frequencies",
     "transition_minus",
@@ -172,14 +171,6 @@ def _decompose(axis: np.ndarray, magnitudes, angles, wrt: str | None = None) -> 
     return b_par, b_perp, d_par, d_perp
 
 
-def field_in_nv_frame(axis: np.ndarray, field: FieldSetting) -> tuple:
-    """Decompose the applied field into components parallel and
-    transverse to the given unit axis.  Returns (b_parallel, b_transverse)
-    in mT; b_parallel carries the sign of the projection."""
-    b_par, b_perp, _, _ = _decompose(np.asarray(axis, dtype=float), field.magnitude, field.angle)
-    return float(b_par), float(b_perp)
-
-
 def _zeeman(params: NVParameters, b_parallel, b_transverse) -> np.ndarray:
     """gamma*(b_par*Sz + b_perp*Sx), one matrix per field point.  H is
     linear in the components, so at component derivatives this is dH."""
@@ -273,14 +264,10 @@ def transition_batch(
     orientation: CrystalOrientation,
     magnitudes,
     angles,
-    which: str = "minus",
 ) -> np.ndarray:
-    """Transition frequencies over broadcastable arrays of field
-    magnitude (mT) and angle (deg); `which` is "minus" or "plus"."""
-    columns = {"minus": 1, "plus": 2}
-    if which not in columns:
-        raise ValueError("which must be 'minus' or 'plus'")
-    return _solve(params, orientation, magnitudes, angles)[..., columns[which]]
+    """Lower transition frequency over broadcastable arrays of field
+    magnitude (mT) and angle (deg)."""
+    return _solve(params, orientation, magnitudes, angles)[..., 1]
 
 
 def transition_minus_derivative(

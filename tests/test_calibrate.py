@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from cavitybus import calibrate
 from cavitybus.calibrate import _find_root, _scan_residuals, calibrate_geometry
 from cavitybus.errors import BracketError
 from cavitybus.spin import CrystalOrientation, FieldSetting, transition_minus
@@ -171,3 +172,20 @@ def test_roots_on_scan_nodes_give_the_coarse_scan_result(config, step):
     assert fine.azimuth_i == pytest.approx(coarse.azimuth_i, abs=1e-6)
     assert fine.magnitude == pytest.approx(coarse.magnitude, abs=1e-8)
     assert fine.dispersive_magnitude == pytest.approx(coarse.dispersive_magnitude, abs=1e-8)
+
+
+def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
+    # The magnitude solves and the azimuth refinement start from end
+    # residuals the scan already holds.  Evaluating them again took the
+    # default scan to 6,484 batched spin points.
+    points = []
+    original = calibrate.transition_batch
+
+    def counting(*args):
+        values = original(*args)
+        points.append(values.size)
+        return values
+
+    monkeypatch.setattr(calibrate, "transition_batch", counting)
+    calibrate_geometry(config)
+    assert sum(points) <= 5532

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,121 @@ def test_config_file_bad_range_exits_2(default_cfg, tmp_path, capsys, probe):
     code = main(["sweep-angle", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert "sweep.probe_mhz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edited_config(key, value):
+    """Setup: the default config with one key's value replaced."""
+
+    def setup(tmp_path):
+        text, count = re.subn(
+            rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", DEFAULT_TEXT
+        )
+        assert count == 1
+        path = tmp_path / "edited.cfg"
+        path.write_text(text, encoding="utf-8")
+        return ["--config", str(path)]
+
+    return setup
+
+
+def _edited_grid(old, new, row=None):
+    """Setup: a 37 x 161 sweep-angle grid with `old` replaced by `new`,
+    in the given data row or in the whole file."""
+
+    def setup(tmp_path):
+        path = tmp_path / "grid.csv"
+        argv = ["sweep-angle", "--angles", "70:88:0.5", "--probe", "2730:2770:0.25"]
+        assert main(argv + ["--config", str(DEFAULT_CFG), "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        if row is None:
+            lines = [line.replace(old, new) for line in lines]
+        else:
+            probe_line = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+            k = probe_line + 1 + row
+            cells = lines[k].split(",")
+            cells[old] = new
+            lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return ["--config", str(DEFAULT_CFG), "--in", str(path)]
+
+    return setup
+
+
+def _default_config(tmp_path):
+    return ["--config", str(DEFAULT_CFG)]
+
+
+SPECTRUM = ["spectrum", "--angle", "51"]
+DISPERSIVE = ["dispersive", "--angle", "30"]
+B_MAG = "--b-mag must be finite and >= 0, got "
+WIDTH = "--width must be finite and > 0, got "
+
+INVALID_INPUTS = {
+    # non-finite config values
+    "config-center-inf": (
+        SPECTRUM, _edited_config("cavity.center_mhz", "inf"),
+        "line 25: cavity.center_mhz: value must be finite, got 'inf'",
+    ),
+    "config-magnitude-nan": (
+        SPECTRUM, _edited_config("field.magnitude_mt", "nan"),
+        "field.magnitude_mt: value must be finite",
+    ),
+    "config-azimuth-nan": (
+        SPECTRUM, _edited_config("ensemble_i.azimuth_deg", "nan"),
+        "ensemble_i.azimuth_deg: value must be finite",
+    ),
+    "config-coupling-nan": (
+        SPECTRUM, _edited_config("ensemble_i.coupling_mhz", "nan"),
+        "ensemble_i.coupling_mhz: value must be finite",
+    ),
+    # field flags
+    "spectrum-b-mag-negative": (
+        ["spectrum", "--angle", "10", "--b-mag", "-1"], _default_config, B_MAG + "-1"
+    ),
+    "spectrum-b-mag-nan": (
+        ["spectrum", "--angle", "10", "--b-mag", "nan"], _default_config, B_MAG + "nan"
+    ),
+    "dispersive-b-mag-negative": (DISPERSIVE + ["--b-mag", "-3"], _default_config, B_MAG + "-3"),
+    "transitions-b-mag-negative": (
+        ["transitions", "--angles", "0:2:1", "--b-mag", "-2"], _default_config, B_MAG + "-2"
+    ),
+    "spectrum-angle-nan": (
+        ["spectrum", "--angle", "nan"], _default_config, "--angle must be finite, got nan"
+    ),
+    "sweep-field-angle-inf": (
+        ["sweep-field", "--angle", "inf"], _default_config, "--angle must be finite, got inf"
+    ),
+    "width-nan": (DISPERSIVE + ["--width", "nan"], _default_config, WIDTH + "nan"),
+    "width-zero": (DISPERSIVE + ["--width", "0"], _default_config, WIDTH + "0"),
+    "width-negative": (DISPERSIVE + ["--width", "-1"], _default_config, WIDTH + "-1"),
+    # non-finite grid cells and fixed coordinate
+    "grid-cell-nan": (
+        ["fit", "full"], _edited_grid(50, "nan", row=10), "non-finite value in data row 10"
+    ),
+    "grid-cell-inf": (
+        ["fit", "avoided-crossing"], _edited_grid(50, "inf", row=10),
+        "non-finite value in data row 10",
+    ),
+    "grid-fixed-nan": (
+        ["fit", "full"], _edited_grid("fixed_magnitude_mt=7.69336558", "fixed_magnitude_mt=nan"),
+        "grid lacks a finite fixed_magnitude_mt comment",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, setup, message", INVALID_INPUTS.values(), ids=list(INVALID_INPUTS)
+)
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, setup, message):
+    extra = setup(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    code = main(argv + extra + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -156,8 +156,6 @@ def test_typed_accessors(config):
     ens = config.ensemble("i")
     assert ens.coupling == 7.5
     assert ens.nv.d_splitting == 2870.0
-    field = config.field(45.0)
-    assert field.magnitude == config.get("field.magnitude_mt")
     with pytest.raises(ValueError):
         config.ensemble("iii")
 

@@ -11,7 +11,6 @@ from cavitybus.dispersive import (
     dispersive_model_from_frequencies,
     dispersive_shift,
     dispersive_spin_modes,
-    drive_basis_states,
     drive_weights,
     ensemble_ensemble_coupling,
     pump_probe_signal,
@@ -142,16 +141,16 @@ def test_zero_exchange_keeps_bare_modes():
 
 
 def test_drive_weights_selection_rule():
-    bright, dark = drive_basis_states(7.5, 5.6, (1, -1))
+    # With the (+, -) drive the antisymmetric coupling-weighted state is
+    # bright and the symmetric one dark.
+    g_col = math.hypot(7.5, 5.6)
+    bright = np.array([7.5, -5.6]) / g_col
+    dark = np.array([5.6, 7.5]) / g_col
     assert drive_weights(7.5, 5.6, (1, -1), dark) == pytest.approx(0.0, abs=1e-15)
     assert drive_weights(7.5, 5.6, (1, -1), bright) == pytest.approx(1.0, abs=1e-15)
-    # the dark combination matches the symmetric coupling-weighted state
-    g_col = math.hypot(7.5, 5.6)
-    np.testing.assert_allclose(dark, np.array([5.6, 7.5]) / g_col, atol=1e-12)
 
 
 def test_drive_weights_swap_for_symmetric_drive():
-    bright, dark = drive_basis_states(4.2, 4.2, (1, 1))
     root2 = 1 / math.sqrt(2)
     sym = np.array([root2, root2])
     assert drive_weights(4.2, 4.2, (1, 1), sym) == pytest.approx(1.0, abs=1e-12)

@@ -374,7 +374,7 @@ def reference_transmission_model(probe, sweep_values, tuning_i, tuning_ii, theta
     terms = []
     for g, gamma, tuning in ((g_i, gamma_i, tuning_i), (g_ii, gamma_ii, tuning_ii)):
         nu_s = tuning.frequencies(sweep_values, offset)[:, None]
-        dnu_s = tuning.derivative(sweep_values, offset)[:, None]
+        dnu_s = tuning.frequencies_and_derivative(sweep_values, offset)[1][:, None]
         pole = 1j * (nu_s - nu) + gamma
         terms.append((g, pole, dnu_s))
         den = den + g**2 / pole

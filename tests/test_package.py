@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -62,8 +63,16 @@ def test_default_config_ships_as_package_data():
 
 
 def test_exported_names_resolve():
-    for name in cavitybus.__all__:
-        assert hasattr(cavitybus, name), name
+    # Every module's __all__, so a deleted function cannot leave a
+    # dangling export behind.
+    modules = ["cavitybus"] + [
+        f"cavitybus.{info.name}" for info in pkgutil.iter_modules(cavitybus.__path__)
+    ]
+    assert len(modules) > 10
+    for module_name in modules:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module_name}.{name}"
 
 
 def test_benchmark_tracer_targets_resolve():

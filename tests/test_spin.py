@@ -9,7 +9,8 @@ from cavitybus.spin import (
     CrystalOrientation,
     FieldSetting,
     NVParameters,
-    field_in_nv_frame,
+    _decompose,
+    _solve,
     nv_axis_vectors,
     spin_hamiltonian,
     thermal_polarization,
@@ -68,19 +69,19 @@ def test_azimuth_normalized_to_circle():
 def test_field_projection_along_in_plane_axis():
     axis = nv_axis_vectors(ORI)[0]
     for magnitude in (1.0, 4.2):
-        b_par, _ = field_in_nv_frame(axis, FieldSetting(magnitude, 45.0))
+        b_par, _, _, _ = _decompose(axis, magnitude, 45.0)
         assert b_par == pytest.approx(0.8165 * magnitude, abs=2e-4)
 
 
 def test_field_projection_sign_flip():
     axis = nv_axis_vectors(ORI)[0]
-    b_par, _ = field_in_nv_frame(axis, FieldSetting(3.0, 225.0))
+    b_par, _, _, _ = _decompose(axis, 3.0, 225.0)
     assert b_par == pytest.approx(-0.8165 * 3.0, abs=2e-4)
 
 
 def test_zero_field_decomposition():
     axis = nv_axis_vectors(ORI)[1]
-    assert field_in_nv_frame(axis, FieldSetting(0.0, 12.0)) == (0.0, 0.0)
+    assert _decompose(axis, 0.0, 12.0) == (0.0, 0.0, None, None)
 
 
 def test_decomposition_preserves_magnitude():
@@ -90,7 +91,7 @@ def test_decomposition_preserves_magnitude():
         magnitude = float(rng.uniform(0.0, 12.0))
         angle = float(rng.uniform(0.0, 360.0))
         axis = axes[rng.integers(0, 4)]
-        b_par, b_perp = field_in_nv_frame(axis, FieldSetting(magnitude, angle))
+        b_par, b_perp, _, _ = _decompose(axis, magnitude, angle)
         assert b_par**2 + b_perp**2 == pytest.approx(magnitude**2, rel=1e-12)
 
 
@@ -170,9 +171,7 @@ def test_angle_sweep_extrema_track_projection(config):
     magnitude = config.get("field.magnitude_mt")
     angles = np.arange(0.0, 90.0 + 1e-9, 0.25)
     axis = nv_axis_vectors(ori)[int(ori.axis_class)]
-    projections = np.array(
-        [abs(field_in_nv_frame(axis, FieldSetting(magnitude, a))[0]) for a in angles]
-    )
+    projections = np.abs(_decompose(axis, magnitude, angles)[0])
     transitions = transition_batch(nv, ori, magnitude, angles)
     assert np.argmin(transitions) == np.argmax(projections)
     assert np.argmax(transitions) == np.argmin(projections)
@@ -224,9 +223,9 @@ def test_solver_matches_independent_scalar_reference(orientation):
     expected = np.array(
         [reference_transitions(NV, orientation, m, a) for m, a in zip(mm.ravel(), aa.ravel())]
     ).reshape(mm.shape + (2,))
-    for k, which in enumerate(("minus", "plus")):
-        got = transition_batch(NV, orientation, mm, aa, which)
-        np.testing.assert_allclose(got, expected[..., k], rtol=1e-12, atol=0.0)
+    got = _solve(NV, orientation, mm, aa)
+    for k in range(2):
+        np.testing.assert_allclose(got[..., 1 + k], expected[..., k], rtol=1e-12, atol=0.0)
 
 
 def test_scalar_and_batched_calls_agree_bitwise():
@@ -244,7 +243,7 @@ def test_operating_field_is_inside_the_validity_range(config):
     for which in ("i", "ii"):
         nv, ori = config.nv(which), config.orientation(which)
         minus = transition_batch(nv, ori, 7.7, angles)
-        plus = transition_batch(nv, ori, 7.7, angles, "plus")
+        plus = _solve(nv, ori, 7.7, angles)[:, 2]
         assert np.all(minus > 0) and np.all(plus >= minus)
         slope = transition_minus_derivative(nv, ori, 7.7, angles)
         assert np.all(np.isfinite(slope))
@@ -260,7 +259,7 @@ def test_fields_past_the_level_anticrossing_are_rejected(config):
         lambda: transition_frequencies(nv, ori, field),
         lambda: transition_minus(nv, ori, field),
         lambda: transition_batch(nv, ori, [7.7, 150.0], 40.0),
-        lambda: transition_batch(nv, ori, 150.0, 40.0, "plus"),
+        lambda: _solve(nv, ori, 150.0, 40.0),
         lambda: transition_minus_derivative(nv, ori, 150.0, [30.0, 40.0]),
     ]
     for call in calls:
