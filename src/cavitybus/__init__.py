@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 from .coupled import (
     CavitySpec,

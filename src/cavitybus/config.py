@@ -77,7 +77,7 @@ def _ensemble_keys(prefix: str, coupling: float, hwhm: float, azimuth: float) ->
         ),
         f"{prefix}.azimuth_deg": _KeySpec("float", default=azimuth),
         f"{prefix}.axis_class": _KeySpec("int", default=0, minimum=0, maximum=3),
-        f"{prefix}.coupling_mhz": _KeySpec("float", required=True, minimum=0.0),
+        f"{prefix}.coupling_mhz": _KeySpec("float", required=True, minimum=1e-9),
         f"{prefix}.spin_hwhm_mhz": _KeySpec("float", default=hwhm, minimum=1e-9),
     }
 
@@ -260,7 +260,7 @@ class ExperimentConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown key {key!r} in update")
             merged[key] = value
-        return _finalize(merged, applied_defaults=())
+        return _finalize(merged, applied_defaults=(), source="update")
 
     def dump(self) -> str:
         """Canonical text form; load(dump()) reproduces the config."""
@@ -288,7 +288,15 @@ def _config_hash(values: dict) -> str:
     return hashlib.sha256("\n".join(blob).encode("utf-8")).hexdigest()
 
 
-def _finalize(values: dict, applied_defaults: tuple) -> ExperimentConfig:
+def _finalize(values: dict, applied_defaults: tuple, source: str) -> ExperimentConfig:
+    # the one cross-key bound: CavitySpec needs external <= total width
+    external = values["cavity.external_hwhm_mhz"]
+    total = values["cavity.total_hwhm_mhz"]
+    if external is not None and external > total:
+        raise ConfigError(
+            f"{source}: cavity.external_hwhm_mhz: value {external!r} above "
+            f"cavity.total_hwhm_mhz {total!r}"
+        )
     return ExperimentConfig(
         values=dict(values),
         hash=_config_hash(values),
@@ -336,7 +344,7 @@ def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
             values[key] = spec.default
             applied.append(key)
             log.info("%s: default applied: %s = %r", source, key, spec.default)
-    return _finalize(values, applied_defaults=tuple(applied))
+    return _finalize(values, applied_defaults=tuple(applied), source=source)
 
 
 def _match_base(key: str):

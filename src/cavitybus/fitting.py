@@ -8,7 +8,14 @@ step falls below 1e-10 or the scaled residual-gradient norm below 1e-8,
 within 200 iterations.  Strictly positive parameters (widths,
 couplings) are handled through a smooth softplus reparameterization;
 reported values and standard errors are in physical space.  Standard
-errors are linearized (Jacobian-based) estimates.
+errors are linearized (Jacobian-based) estimates.  Each iteration forms
+J^T J and J^T r once from the physical-space Jacobian and applies the
+softplus chain rule to those small products, not to J.
+
+The |S21| grid model is evaluated in cache-sized blocks of rows that
+write straight into the returned values and Jacobian, so a model call
+allocates its outputs and a few block-sized temporaries, nothing else
+of grid size.
 """
 
 from __future__ import annotations
@@ -21,7 +28,13 @@ import numpy as np
 from .coupled import EnsembleSpec
 from .errors import DegenerateDataError
 from .spin import CrystalOrientation, NVParameters, _solve, transition_batch
-from .transmission import DEFAULT_PROMINENCE, SpectrumGrid, peak_positions, s21_denominator
+from .transmission import (
+    DEFAULT_PROMINENCE,
+    SpectrumGrid,
+    _row_blocks,
+    peak_positions,
+    s21_denominator,
+)
 
 __all__ = [
     "FitResult",
@@ -153,13 +166,14 @@ def levenberg_marquardt(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        j = jp * transform.chain(q)[None, :]
-        grad = j.T @ r
+        # The softplus chain scales the columns of jp; it is applied to
+        # the small products, so no scaled copy of jp is made.
+        chain = transform.chain(q)
+        grad = chain * (jp.T @ r)
         if np.max(np.abs(grad)) < grad_tol * (1.0 + math.sqrt(cost)):
             converged = True
             break
-        a = j.T @ j
-        del j  # free the scaled copy before the trial evaluations
+        a = chain[:, None] * (jp.T @ jp) * chain[None, :]
         diag = np.diag(a).copy()
         floor = 1e-12 * max(float(np.max(diag)), 1.0)
         diag = np.maximum(diag, floor)
@@ -559,6 +573,13 @@ def transmission_model(
     With D the denominator and u = 1/D, |S21| = kappa*|u|, so every
     Jacobian column is the log-derivative d|S|/dtheta = -|S| Re(u dD/dtheta)
     (plus |S|/kappa for kappa) and nothing divides by |S|.
+
+    The grid is evaluated in cache-sized blocks of rows, each written
+    straight into the preallocated values and into one contiguous array
+    per Jacobian column; the (m, 7) Jacobian is the transpose of that
+    (7, m) array, so it comes back column-major.  No grid-sized complex
+    temporary is formed, and every element is computed by the same
+    formula whatever the block size.
     """
     probe = np.asarray(probe, dtype=float)
     sweep_values = np.asarray(sweep_values, dtype=float)
@@ -567,28 +588,30 @@ def transmission_model(
         g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset = theta
         nu_i, dnu_i = tuning_i.frequencies_and_derivative(sweep_values, offset)
         nu_ii, dnu_ii = tuning_ii.frequencies_and_derivative(sweep_values, offset)
-        den, qs = s21_denominator(
-            probe[None, :],
-            nu_c,
-            kappa,
-            [(g_i, nu_i[:, None], gamma_i), (g_ii, nu_ii[:, None], gamma_ii)],
-        )
-        u = 1.0 / den
-        absval = kappa * np.abs(u)
-
-        jac = np.empty((absval.size, 7))
-        cols = jac.reshape(absval.shape + (7,))
-        cols[..., 2] = absval * (1.0 / kappa - u.real)
-        cols[..., 5] = absval * u.imag
-        d_off = 0.0
-        for k, (g, q, dnu_s) in enumerate(zip((g_i, g_ii), qs, (dnu_i, dnu_ii))):
-            a = u * q
-            b = a * q
-            cols[..., k] = (-2.0 * g) * absval * a.real
-            cols[..., 3 + k] = g**2 * absval * b.real
-            d_off = d_off - (g**2 * dnu_s[:, None]) * b.imag
-        cols[..., 6] = absval * d_off
-        return absval.ravel(), jac
+        values = np.empty((sweep_values.size, probe.size))
+        cols = np.empty((7,) + values.shape)
+        for rows in _row_blocks(*values.shape):
+            den, qs = s21_denominator(
+                probe[None, :],
+                nu_c,
+                kappa,
+                [(g_i, nu_i[rows, None], gamma_i), (g_ii, nu_ii[rows, None], gamma_ii)],
+            )
+            u = 1.0 / den
+            absval = values[rows]
+            absval[...] = kappa * np.abs(u)
+            block = cols[:, rows]
+            block[2] = absval * (1.0 / kappa - u.real)
+            block[5] = absval * u.imag
+            d_off = 0.0
+            for k, (g, q, dnu_s) in enumerate(zip((g_i, g_ii), qs, (dnu_i, dnu_ii))):
+                a = u * q
+                b = a * q
+                block[k] = (-2.0 * g) * absval * a.real
+                block[3 + k] = g**2 * absval * b.real
+                d_off = d_off - (g**2 * dnu_s[rows, None]) * b.imag
+            block[6] = absval * d_off
+        return values.ravel(), cols.reshape(7, -1).T
 
     return model
 

@@ -31,10 +31,18 @@ __all__ = [
 
 DEFAULT_PROMINENCE = 0.05
 
-# Rows per broadcast S21 evaluation in sweep().  Each ensemble term
-# holds one block-sized complex array, so blocks keep the peak memory
-# of large sweeps near that of the output grid.
-_ROW_BLOCK = 64
+# Probe points per block of grid rows in sweep() and the fit model.
+# A block's complex temporaries (256 kB each) stay in cache, and the
+# peak memory of large grids stays near that of the output arrays.
+_BLOCK_POINTS = 16384
+
+
+def _row_blocks(n_rows: int, n_probe: int):
+    """Row slices covering n_rows rows of n_probe points each, about
+    _BLOCK_POINTS points per slice and at least one row."""
+    step = max(_BLOCK_POINTS // max(n_probe, 1), 1)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,7 @@ def sweep(
         for ens in ensembles
     ]
     amplitudes = np.empty((len(field_path), probe.size), dtype=complex)
-    for start in range(0, len(field_path), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    for rows in _row_blocks(len(field_path), probe.size):
         amplitudes[rows] = s21(probe, cavity, [(ens, t[rows]) for ens, t in transitions])
     return SpectrumGrid(probe, values, amplitudes, sweep_kind)
 

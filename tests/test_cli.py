@@ -451,6 +451,15 @@ INVALID_INPUTS = {
         SPECTRUM, _edited_config("ensemble_i.coupling_mhz", "nan"),
         "ensemble_i.coupling_mhz: value must be finite",
     ),
+    # values the schema bounds alone would let through to the model
+    "config-coupling-zero": (
+        SPECTRUM, _edited_config("ensemble_i.coupling_mhz", "0"),
+        "ensemble_i.coupling_mhz: value 0.0 below minimum",
+    ),
+    "config-external-above-total": (
+        SPECTRUM, _edited_config("cavity.external_hwhm_mhz", "0.5"),
+        "cavity.external_hwhm_mhz: value 0.5 above cavity.total_hwhm_mhz 0.32",
+    ),
     # field flags
     "spectrum-b-mag-negative": (
         ["spectrum", "--angle", "10", "--b-mag", "-1"], _default_config, B_MAG + "-1"

@@ -150,6 +150,37 @@ def test_external_hwhm_defaults_to_total():
     assert cavity.external_hwhm == cavity.total_hwhm
 
 
+@pytest.mark.parametrize("external", ["0.5", "0.320000001"])
+def test_external_hwhm_above_total_rejected(external):
+    text = DEFAULT_TEXT.replace(
+        "cavity.external_hwhm_mhz = 0.320", f"cavity.external_hwhm_mhz = {external}"
+    )
+    with pytest.raises(ConfigError, match="cavity.external_hwhm_mhz: value .* above "
+                       r"cavity.total_hwhm_mhz 0.32"):
+        parse_config_text(text)
+
+
+def test_external_hwhm_equal_to_total_accepted():
+    cavity = parse_config_text(DEFAULT_TEXT).cavity()
+    assert cavity.external_hwhm == cavity.total_hwhm == 0.320
+
+
+def test_with_updates_checks_the_cavity_widths(config):
+    with pytest.raises(ConfigError, match="cavity.external_hwhm_mhz"):
+        config.with_updates({"cavity.total_hwhm_mhz": 0.2})
+
+
+@pytest.mark.parametrize("which", ["i", "ii"])
+@pytest.mark.parametrize("value", ["0", "0.0", "-1"])
+def test_coupling_must_be_strictly_positive(which, value):
+    key = f"ensemble_{which}.coupling_mhz"
+    default = "7.5" if which == "i" else "5.6"
+    text = DEFAULT_TEXT.replace(f"{key} = {default}\n", f"{key} = {value}\n")
+    assert text != DEFAULT_TEXT
+    with pytest.raises(ConfigError, match=rf"{key}: value .* below minimum"):
+        parse_config_text(text)
+
+
 def test_typed_accessors(config):
     cavity = config.cavity()
     assert cavity.antinode_signs == (1, -1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,8 +23,9 @@ from cavitybus.fitting import (
     lorentzian_model,
     transmission_model,
 )
+from cavitybus import transmission
 from cavitybus.spin import FieldSetting
-from cavitybus.transmission import SpectrumGrid, sweep
+from cavitybus.transmission import SpectrumGrid, _row_blocks, sweep
 
 CENTER = 2749.1
 
@@ -430,6 +432,51 @@ def test_transmission_jacobian_matches_reference(point, full_grid, cold_grid, tu
     assert np.max(np.abs(jac - ref_jac) / col_scale) <= 1e-12
 
 
+def _block_grid(kind):
+    """(probe, sweep values) of a grid whose row blocks have the named shape."""
+    probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.25)
+    if kind == "ragged":
+        angles = np.arange(0.0, 90.0 + 1e-9, 0.5)
+    elif kind == "long-probe":
+        angles = np.array([20.0, 51.0, 79.0])
+        probe = np.linspace(CENTER - 30.0, CENTER + 30.0, transmission._BLOCK_POINTS + 101)
+    else:
+        angles = np.array([51.0])
+    return probe, angles
+
+
+@pytest.mark.parametrize("kind", ["ragged", "long-probe", "one-row"])
+def test_blocked_transmission_model_is_bit_identical_to_one_block(
+    kind, cold_grid, tunings, monkeypatch
+):
+    probe, angles = _block_grid(kind)
+    blocks = [(b.start, b.stop) for b in _row_blocks(angles.size, probe.size)]
+    assert blocks[0][0] == 0 and blocks[-1][1] == angles.size
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    if kind == "ragged":
+        sizes = [stop - start for start, stop in blocks]
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+    elif kind == "long-probe":
+        assert probe.size > transmission._BLOCK_POINTS
+        assert len(blocks) == angles.size
+    thetas = [
+        TRUTH,
+        perturbed_start(),
+        initial_guess_full(cold_grid),
+        np.array([7.5, 1e-9, 0.32, 4.58, 4.24, CENTER, 0.2]),
+    ]
+    blocked = [transmission_model(probe, angles, *tunings)(theta) for theta in thetas]
+    monkeypatch.setattr(transmission, "_BLOCK_POINTS", 10**12)
+    assert len(list(_row_blocks(angles.size, probe.size))) == 1
+    whole = transmission_model(probe, angles, *tunings)
+    for theta, (values, jac) in zip(thetas, blocked):
+        ref_values, ref_jac = whole(theta)
+        assert jac.shape == (probe.size * angles.size, 7)
+        assert jac.T.flags.c_contiguous
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(jac, ref_jac)
+
+
 # ---------------------------------------------------------------------------
 # solver internals
 
@@ -491,6 +538,38 @@ def test_lm_frees_rejected_jacobians_before_the_next_trial(full_grid, tunings):
     assert result.converged
     assert len(alive) - 1 > len(result.history) - 1  # rejected steps happened
     assert max(alive) == 1
+
+
+def test_lm_peak_memory_stays_near_two_jacobians(config, cavity, ens_i, ens_ii, tunings):
+    # The accepted point's Jacobian and one trial's must be alive at once;
+    # values, residuals and the model's per-block temporaries add about
+    # half a Jacobian more.  A scaled copy of the Jacobian or grid-sized
+    # complex temporaries in the model each push the peak past three.
+    magnitude = config.get("field.magnitude_mt")
+    angles = np.arange(0.0, 90.0 + 1e-9, 0.5)
+    probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.05)
+    grid = sweep(cavity, [ens_i, ens_ii], [FieldSetting(magnitude, a) for a in angles],
+                 probe, "angle")
+    model, data = _full_fit_problem(grid, tunings, 1)
+    assert data.size > 200_000
+    jac_bytes = []
+
+    def residual_jac(theta):
+        values, jac = model(theta)
+        jac_bytes.append(jac.nbytes)
+        return values - data, jac
+
+    positive = (True, True, True, True, True, False, False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert len(jac_bytes) > 2
+    assert (peak - before) / jac_bytes[0] < 3.0
 
 
 def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):

@@ -9,6 +9,7 @@ from cavitybus.fitting import fit_polariton_width
 from cavitybus.spin import FieldSetting
 from cavitybus.transmission import (
     SpectrumGrid,
+    _row_blocks,
     peak_positions,
     peak_splitting,
     s21,
@@ -167,6 +168,7 @@ def test_broadcast_sweep_is_bit_identical_to_per_row_s21(
         fields = [FieldSetting(resonant_magnitude, a) for a in np.arange(0.0, 90.0, 0.7)]
     else:
         fields = [FieldSetting(m, 79.0) for m in np.arange(0.0, 12.0, 0.13)]
+    assert len(list(_row_blocks(len(fields), probe.size))) > 2  # crosses block edges
     grid = sweep(cavity, [ens_i, ens_ii], fields, probe, kind)
     rows = np.vstack(
         [s21(probe, cavity, [(e, e.transition(f)) for e in (ens_i, ens_ii)]) for f in fields]
