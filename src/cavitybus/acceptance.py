@@ -141,7 +141,7 @@ def _degenerate_spin_modes(cavity):
     w_i = cavity.center - 19.1
     model = dispersive_model_from_frequencies(cavity, (7.5, 5.6), (w_i, w_i))
     w_ii = w_i - model.chi_i + model.chi_ii
-    return model, dispersive_spin_modes(model, omega_i=w_i, omega_ii=w_ii)
+    return model, dispersive_spin_modes(replace(model, transition_ii=w_ii))
 
 
 def criterion_dispersive_coupling(config) -> CriterionResult:
@@ -181,13 +181,11 @@ def _count_pump_peaks(config, angle, signs, threshold=0.10):
     cavity = replace(config.cavity(), antinode_signs=signs)
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
-    magnitude = config.get("field.dispersive_magnitude_mt")
-    field = FieldSetting(magnitude, angle)
+    field = FieldSetting(config.get("field.dispersive_magnitude_mt"), angle)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
-    lo = min(model.spin_block[0, 0], model.spin_block[1, 1]) - 40.0
-    hi = max(model.spin_block[0, 0], model.spin_block[1, 1]) + 40.0
-    pump = np.arange(lo, hi, 0.02)
-    signal = pump_probe_signal(cavity, ens_i, ens_ii, field, pump)
+    diagonal = np.diag(model.spin_block)
+    pump = np.arange(diagonal.min() - 40.0, diagonal.max() + 40.0, 0.02)
+    signal = pump_probe_signal(model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump)
     y = -signal.shift
     idx, _ = find_peaks(y, prominence=threshold * float(np.max(y)))
     return int(idx.size)

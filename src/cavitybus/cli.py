@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .calibrate import calibrate_geometry
 from .config import (
+    MAX_RANGE_POINTS,
     ExperimentConfig,
     default_config,
     format_float,
@@ -217,23 +218,26 @@ def _cmd_sweep(args, config, kind) -> int:
 
 
 def _cmd_dispersive(args, config) -> int:
-    cavity = config.cavity()
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
     field, extra = _field_point(args, config, "field.dispersive_magnitude_mt")
     floor = config.get("dispersive.floor_mhz")
     enforce = config.get("dispersive.enforce_floor")
-
-    model = build_dispersive_model(cavity, ens_i, ens_ii, field, floor, enforce)
+    model = build_dispersive_model(config.cavity(), ens_i, ens_ii, field, floor, enforce)
     bright, dark = dispersive_spin_modes(model)
     if args.pump:
         pump = range_values(args.pump, key="--pump")
     else:
         lo = min(bright[0], dark[0]) - 40.0
         hi = max(bright[0], dark[0]) + 40.0
+        if not (hi - lo) / 0.02 <= MAX_RANGE_POINTS - 1:  # floor off: chi can be huge
+            raise ValidationError(
+                f"pump range derived from the spin modes at {bright[0]:g} and {dark[0]:g} "
+                f"MHz has more than {MAX_RANGE_POINTS} points; give --pump start:stop:step"
+            )
         pump = np.arange(lo, hi + 1e-9, 0.02)
     signal = pump_probe_signal(
-        cavity, ens_i, ens_ii, field, pump, width=args.width, floor=floor, enforce=enforce
+        model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump, width=args.width
     )
     write_signal(args.out, signal, config.hash, extra)
 

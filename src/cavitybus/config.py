@@ -19,8 +19,11 @@ from importlib import resources
 import numpy as np
 
 from .coupled import CavitySpec, EnsembleSpec
+from .dispersive import DEFAULT_FLOOR
 from .errors import ConfigError
+from .fitting import MAX_ITERATIONS
 from .spin import AxisClass, CrystalOrientation, NVParameters
+from .transmission import DEFAULT_PROMINENCE
 
 __all__ = [
     "ExperimentConfig",
@@ -112,10 +115,10 @@ SCHEMA: dict = {
     "calibration.resonance_angle_ii_deg": _KeySpec("float", default=23.0),
     "calibration.relative_azimuth_deg": _KeySpec("float", default=24.2),
     "calibration.dispersive_margin_mhz": _KeySpec("float", default=14.0, minimum=0.0),
-    "dispersive.floor_mhz": _KeySpec("float", default=12.0, minimum=0.0),
+    "dispersive.floor_mhz": _KeySpec("float", default=DEFAULT_FLOOR, minimum=0.0),
     "dispersive.enforce_floor": _KeySpec("bool", default=True),
-    "fit.peak_prominence": _KeySpec("float", default=0.05, minimum=0.0, maximum=1.0),
-    "fit.max_iterations": _KeySpec("int", default=200, minimum=1),
+    "fit.peak_prominence": _KeySpec("float", default=DEFAULT_PROMINENCE, minimum=0.0, maximum=1.0),
+    "fit.max_iterations": _KeySpec("int", default=MAX_ITERATIONS, minimum=1),
     "sweep.angles_deg": _KeySpec("range", default="0:90:0.1"),
     "sweep.magnitudes_mt": _KeySpec("range", default="0:12:0.02"),
     "sweep.probe_mhz": _KeySpec("range", default="2720:2780:0.05"),
@@ -165,39 +168,52 @@ def range_values(text: str, *, key: str = "range"):
     return values[values <= stop + 1e-9 * max(abs(stop), 1.0)]
 
 
+# file spellings of the bool and sign kinds
+_WORDS = {"bool": {"true": True, "false": False}, "sign": {"+1": 1, "1": 1, "-1": -1}}
+
+
 def _parse_value(key: str, spec: _KeySpec, raw: str, line_no: int, factor: float):
-    where = f"line {line_no}: {key}"
-    if spec.kind == "float":
-        try:
+    """Convert a file value to its kind and check it; text that does not
+    convert is checked as it is, and so rejected."""
+    text = raw.strip()
+    try:
+        if spec.kind == "float":
             value = float(raw) * factor
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}: value must be finite, got {raw!r}")
-    elif spec.kind == "int":
-        try:
+        elif spec.kind == "int":
             value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
-    elif spec.kind == "bool":
-        lowered = raw.strip().lower()
-        if lowered not in ("true", "false"):
-            raise ConfigError(f"{where}: expected true/false, got {raw!r}")
-        value = lowered == "true"
-    elif spec.kind == "sign":
-        if raw.strip() not in ("+1", "-1", "1"):
-            raise ConfigError(f"{where}: expected +1 or -1, got {raw!r}")
-        value = 1 if raw.strip() in ("+1", "1") else -1
-    elif spec.kind == "range":
-        parse_range(raw.strip(), key=key)
-        value = raw.strip()
-    else:  # pragma: no cover - schema is static
-        raise AssertionError(spec.kind)
-    if spec.kind in ("float", "int"):
-        if spec.minimum is not None and value < spec.minimum:
-            raise ConfigError(f"{where}: value {value!r} below minimum {spec.minimum}")
-        if spec.maximum is not None and value > spec.maximum:
-            raise ConfigError(f"{where}: value {value!r} above maximum {spec.maximum}")
+        elif spec.kind == "range":
+            value = text
+        else:
+            value = _WORDS[spec.kind][text.lower()]
+    except (ValueError, KeyError):
+        value = raw
+    return _check_value(key, spec, value, f"line {line_no}: {key}", shown=raw)
+
+
+def _check_value(key: str, spec: _KeySpec, value, where: str, shown=None):
+    """Kind and min/max check of a typed value from a file or `with_updates`;
+    errors name `where` and quote `shown` (the file text) or the value."""
+    got = repr(value if shown is None else shown)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    integer = number and isinstance(value, int)
+    expected, ok = {
+        "float": ("a number", number),
+        "int": ("an integer", integer),
+        "bool": ("true/false", isinstance(value, bool)),
+        "sign": ("+1 or -1", integer and value in (1, -1)),
+        "range": ("start:stop:step", isinstance(value, str)),
+    }[spec.kind]
+    if not ok:
+        raise ConfigError(f"{where}: expected {expected}, got {got}")
+    if spec.kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite, got {got}")
+    if spec.kind == "range":
+        parse_range(value, key=key)
+    # only float and int keys carry bounds
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigError(f"{where}: value {value!r} below minimum {spec.minimum}")
+    if spec.maximum is not None and value > spec.maximum:
+        raise ConfigError(f"{where}: value {value!r} above maximum {spec.maximum}")
     return value
 
 
@@ -259,7 +275,7 @@ class ExperimentConfig:
         for key, value in updates.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown key {key!r} in update")
-            merged[key] = value
+            merged[key] = _check_value(key, SCHEMA[key], value, f"update: {key}")
         return _finalize(merged, applied_defaults=(), source="update")
 
     def dump(self) -> str:

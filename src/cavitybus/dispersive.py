@@ -22,6 +22,12 @@ antinodes have opposite field sign, so the drive vector is
 (s_1 g_I, s_2 g_II)/g_col and the orthogonal combination stays dark.
 Bright/dark labels therefore always come from drive weights, never from
 energy ordering or symmetry names alone.
+
+A DispersiveModel is built, and its detunings checked against the
+validity floor, in one place: `dispersive_model_from_frequencies`
+(which `build_dispersive_model` calls at a field).  Everything
+downstream -- the spin modes, the pump-probe signal, the comparison
+with the exact model -- takes the built model.
 """
 
 from __future__ import annotations
@@ -54,74 +60,56 @@ __all__ = [
 DEFAULT_FLOOR = 12.0
 
 
-def _check_floor(delta: float, floor: float, enforce: bool, label: str) -> None:
-    if enforce and abs(delta) < floor:
-        raise DispersiveRangeError(
-            f"{label} detuning {delta:+.3f} MHz is below the dispersive floor "
-            f"of {floor:g} MHz"
-        )
-
-
 @dataclass(frozen=True)
 class DispersiveModel:
-    """Dispersive parameters of the two-ensemble system plus the 2x2
-    spin block over {E_I, E_II} (all frequencies MHz)."""
+    """Dispersive parameters of the two-ensemble system at bare spin
+    transitions (transition_i, transition_ii); all frequencies MHz.
+    The detunings and the 2x2 spin block over {E_I, E_II} are derived
+    from the stored values, so the model cannot contradict itself."""
 
+    transition_i: float
+    transition_ii: float
     chi_i: float
     chi_ii: float
-    detuning_i: float
-    detuning_ii: float
     u_coupling: float
-    spin_block: np.ndarray
     g_i: float
     g_ii: float
     antinode_signs: tuple = (1, -1)
     center: float = 0.0
 
+    @property
+    def detuning_i(self) -> float:
+        return self.center - self.transition_i
+
+    @property
+    def detuning_ii(self) -> float:
+        return self.center - self.transition_ii
+
+    @property
+    def spin_block(self) -> np.ndarray:
+        """[[w_I - chi_I, -s_1 s_2 U], [-s_1 s_2 U, w_II - chi_II]]."""
+        s_i, s_ii = self.antinode_signs
+        u_block = -s_i * s_ii * self.u_coupling
+        diag_i, diag_ii = self.transition_i - self.chi_i, self.transition_ii - self.chi_ii
+        return np.array([[diag_i, u_block], [u_block, diag_ii]])
+
 
 @dataclass(frozen=True)
 class PumpProbeSignal:
-    """Cavity-pull signal versus pump frequency."""
+    """Cavity-pull signal versus pump frequency (equal-length arrays)."""
 
     pump_frequencies: np.ndarray
     shift: np.ndarray
 
-    def __post_init__(self):
-        pump = np.asarray(self.pump_frequencies, dtype=float)
-        shift = np.asarray(self.shift, dtype=float)
-        if pump.shape != shift.shape:
-            raise ValueError("pump_frequencies and shift must have equal shapes")
-        object.__setattr__(self, "pump_frequencies", pump)
-        object.__setattr__(self, "shift", shift)
 
-
-def dispersive_shift(
-    g: float, delta: float, floor: float = DEFAULT_FLOOR, enforce: bool = True
-) -> float:
+def dispersive_shift(g: float, delta: float) -> float:
     """Cavity pull chi = g^2/delta (signed, MHz)."""
-    _check_floor(delta, floor, enforce, "spin")
     return g**2 / delta
 
 
-def ensemble_ensemble_coupling(
-    g_i: float,
-    g_ii: float,
-    delta_i: float,
-    delta_ii: float,
-    floor: float = DEFAULT_FLOOR,
-    enforce: bool = True,
-) -> float:
+def ensemble_ensemble_coupling(g_i: float, g_ii: float, delta_i: float, delta_ii: float) -> float:
     """Virtual-photon exchange rate U = (g_I g_II/2)(1/Delta_I + 1/Delta_II)."""
-    _check_floor(delta_i, floor, enforce, "ensemble I")
-    _check_floor(delta_ii, floor, enforce, "ensemble II")
     return 0.5 * g_i * g_ii * (1.0 / delta_i + 1.0 / delta_ii)
-
-
-def _spin_block(w_i, w_ii, chi_i, chi_ii, u, antinode_signs) -> np.ndarray:
-    """The spin block [[w_I - chi_I, -s_1 s_2 U], [-s_1 s_2 U, w_II - chi_II]]."""
-    s_i, s_ii = antinode_signs
-    u_block = -s_i * s_ii * u
-    return np.array([[w_i - chi_i, u_block], [u_block, w_ii - chi_ii]])
 
 
 def dispersive_model_from_frequencies(
@@ -131,22 +119,27 @@ def dispersive_model_from_frequencies(
     floor: float = DEFAULT_FLOOR,
     enforce: bool = True,
 ) -> DispersiveModel:
-    """Dispersive parameters for explicit spin transition frequencies."""
+    """Dispersive parameters for explicit spin transition frequencies.
+
+    The only place the validity floor is checked: with `enforce`, a
+    detuning magnitude below `floor` raises DispersiveRangeError,
+    ensemble I checked before ensemble II."""
     g_i, g_ii = couplings
     w_i, w_ii = transitions
     d_i = cavity.center - w_i
     d_ii = cavity.center - w_ii
-    chi_i = dispersive_shift(g_i, d_i, floor, enforce)
-    chi_ii = dispersive_shift(g_ii, d_ii, floor, enforce)
-    u = ensemble_ensemble_coupling(g_i, g_ii, d_i, d_ii, floor, enforce)
-    block = _spin_block(w_i, w_ii, chi_i, chi_ii, u, cavity.antinode_signs)
+    for label, delta in (("ensemble I", d_i), ("ensemble II", d_ii)):
+        if enforce and abs(delta) < floor:
+            raise DispersiveRangeError(
+                f"{label} detuning {delta:+.3f} MHz is below the dispersive "
+                f"floor of {floor:g} MHz"
+            )
     return DispersiveModel(
-        chi_i=chi_i,
-        chi_ii=chi_ii,
-        detuning_i=d_i,
-        detuning_ii=d_ii,
-        u_coupling=u,
-        spin_block=block,
+        transition_i=w_i,
+        transition_ii=w_ii,
+        chi_i=dispersive_shift(g_i, d_i),
+        chi_ii=dispersive_shift(g_ii, d_ii),
+        u_coupling=ensemble_ensemble_coupling(g_i, g_ii, d_i, d_ii),
         g_i=g_i,
         g_ii=g_ii,
         antinode_signs=cavity.antinode_signs,
@@ -187,23 +180,15 @@ def drive_weights(g_i: float, g_ii: float, antinode_signs, mode_vector) -> float
     return float(np.dot(bright, v) ** 2)
 
 
-def dispersive_spin_modes(
-    model: DispersiveModel, omega_i: float | None = None, omega_ii: float | None = None
-) -> tuple:
+def dispersive_spin_modes(model: DispersiveModel) -> tuple:
     """Eigenmodes of the dispersive spin block, labeled by drive weight.
 
     Returns ((bright_frequency, bright_vector), (dark_frequency,
-    dark_vector)).  Optional omega overrides rebuild the block at other
-    bare spin frequencies while keeping chi and U fixed.
+    dark_vector)).  For the block at other bare spin frequencies pass
+    ``dataclasses.replace(model, transition_ii=...)``, which keeps chi
+    and U fixed.
     """
-    block = np.asarray(model.spin_block, dtype=float)
-    if omega_i is not None or omega_ii is not None:
-        w_i = (model.center - model.detuning_i) if omega_i is None else omega_i
-        w_ii = (model.center - model.detuning_ii) if omega_ii is None else omega_ii
-        block = _spin_block(
-            w_i, w_ii, model.chi_i, model.chi_ii, model.u_coupling, model.antinode_signs
-        )
-    vals, vecs = np.linalg.eigh(block)
+    vals, vecs = np.linalg.eigh(model.spin_block)
     modes = [(float(vals[k]), vecs[:, k]) for k in range(2)]
     weights = [
         drive_weights(model.g_i, model.g_ii, model.antinode_signs, v) for _, v in modes
@@ -212,41 +197,27 @@ def dispersive_spin_modes(
     return modes[bright_idx], modes[1 - bright_idx]
 
 
-def _unit_lorentzian(x: np.ndarray, hwhm: float) -> np.ndarray:
-    return hwhm**2 / (x**2 + hwhm**2)
-
-
 def pump_probe_signal(
-    cavity: CavitySpec,
-    ens_i: EnsembleSpec,
-    ens_ii: EnsembleSpec,
-    field_setting: FieldSetting,
-    pump_frequencies,
-    width: float | None = None,
-    floor: float = DEFAULT_FLOOR,
-    enforce: bool = True,
+    model: DispersiveModel, spin_hwhm: tuple, pump_frequencies, width: float | None = None
 ) -> PumpProbeSignal:
-    """Cavity-shift signal versus pump frequency.
+    """Cavity-shift signal of a built model versus pump frequency.
 
-    Each dispersive spin mode m contributes a unit-peak Lorentzian at
-    its frequency, scaled by its drive weight and its chi-weighted mode
+    Each dispersive spin mode contributes a unit-peak Lorentzian at its
+    frequency, scaled by its drive weight and its chi-weighted mode
     content.  The sign is negative: pumping depolarizes spins and moves
     the cavity back toward its bare frequency.  Line widths default to
-    the content-weighted ensemble spin widths.
+    the content-weighted ensemble spin widths `spin_hwhm` = (gamma_I,
+    gamma_II).
     """
     pump = np.asarray(pump_frequencies, dtype=float)
-    if ens_i.coupling == 0.0 and ens_ii.coupling == 0.0:
-        return PumpProbeSignal(pump, np.zeros_like(pump))
-    model = build_dispersive_model(cavity, ens_i, ens_ii, field_setting, floor, enforce)
-    bright, dark = dispersive_spin_modes(model)
     shift = np.zeros_like(pump)
-    for freq, vec in (bright, dark):
+    for freq, vec in dispersive_spin_modes(model):
         weight = drive_weights(model.g_i, model.g_ii, model.antinode_signs, vec)
         pull = model.chi_i * vec[0] ** 2 + model.chi_ii * vec[1] ** 2
         hwhm = width
         if hwhm is None:
-            hwhm = ens_i.spin_hwhm * vec[0] ** 2 + ens_ii.spin_hwhm * vec[1] ** 2
-        shift -= weight * pull * _unit_lorentzian(pump - freq, hwhm)
+            hwhm = spin_hwhm[0] * vec[0] ** 2 + spin_hwhm[1] * vec[1] ** 2
+        shift -= weight * pull * (hwhm**2 / ((pump - freq) ** 2 + hwhm**2))
     return PumpProbeSignal(pump, shift)
 
 
@@ -265,24 +236,15 @@ class ValidationReport:
 
 
 def validation_from_frequencies(
-    cavity: CavitySpec,
-    couplings: tuple,
-    transitions: tuple,
-    floor: float = DEFAULT_FLOOR,
+    cavity: CavitySpec, couplings: tuple, transitions: tuple
 ) -> ValidationReport:
     """Compare the dispersive spin-mode frequencies against the two
     spin-like eigenvalues (least photon content) of the exact model."""
     exact_model = single_excitation_model(cavity, couplings, transitions)
     photon = np.abs(exact_model.eigenvectors[:, 0]) ** 2
     spin_like = np.sort(exact_model.eigenfrequencies[np.argsort(photon)[:2]])
-
-    if couplings[0] == 0.0 and couplings[1] == 0.0:
-        disp = np.sort(np.asarray(transitions, dtype=float))
-    else:
-        model = dispersive_model_from_frequencies(
-            cavity, couplings, transitions, floor, enforce=True
-        )
-        disp = np.sort(np.linalg.eigvalsh(model.spin_block))
+    model = dispersive_model_from_frequencies(cavity, couplings, transitions)
+    disp = np.sort(np.linalg.eigvalsh(model.spin_block))
     dev = np.abs(spin_like - disp)
     return ValidationReport(
         exact=tuple(float(x) for x in spin_like),

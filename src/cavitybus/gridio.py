@@ -188,16 +188,11 @@ def _parse_row(line, expected, source, label):
 
 
 def write_signal(
-    path,
-    signal: PumpProbeSignal,
-    config_hash: str | None = None,
-    extra: dict | None = None,
+    path, signal: PumpProbeSignal, config_hash: str | None = None, extra: dict | None = None
 ) -> None:
     """Two-column CSV of a pump-probe cavity-shift trace."""
-    lines = _provenance_lines(config_hash, extra)
-    lines.append("# columns=pump_mhz,shift_mhz")
-    lines.extend(_format_rows(np.column_stack([signal.pump_frequencies, signal.shift])))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = {"pump_mhz": signal.pump_frequencies, "shift_mhz": signal.shift}
+    write_table(path, columns, config_hash, extra)
 
 
 def write_table(

@@ -289,6 +289,23 @@ def test_dispersive_floor_violation_exits_2(default_cfg, tmp_path, capsys):
     assert "dispersive floor" in capsys.readouterr().err
 
 
+def test_dispersive_without_floor_runs_below_it(tmp_path, capsys):
+    # 20 deg at the dispersive magnitude puts ensemble II 6.1 MHz from
+    # the cavity, below the 12 MHz floor
+    out = tmp_path / "signal.csv"
+    report = tmp_path / "report.json"
+    argv = ["dispersive", "--angle", "20", "--pump", "2700:2760:0.1", "--out", str(out)]
+    argv += ["--report", str(report)]
+    assert main(argv) == 2
+    assert "ensemble II detuning +6.077 MHz" in capsys.readouterr().err
+    edited = _edited_config("dispersive.enforce_floor", "false")(tmp_path)
+    assert main(argv + edited) == 0
+    payload = json.loads(report.read_text())
+    assert payload["detuning_ii_mhz"] == pytest.approx(6.077, abs=1e-3)
+    rows = read_table_rows(out)
+    assert rows.shape == (601, 2) and np.all(np.isfinite(rows))
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -480,6 +497,13 @@ INVALID_INPUTS = {
     "width-nan": (DISPERSIVE + ["--width", "nan"], _default_config, WIDTH + "nan"),
     "width-zero": (DISPERSIVE + ["--width", "0"], _default_config, WIDTH + "0"),
     "width-negative": (DISPERSIVE + ["--width", "-1"], _default_config, WIDTH + "-1"),
+    # with the floor off, ensemble II on the cavity pulls it by ~5e8 MHz,
+    # and the pump range derived from the spin modes would not fit in memory
+    "dispersive-derived-pump-range": (
+        ["dispersive", "--angle", "23", "--b-mag", "7.69336558"],
+        _edited_config("dispersive.enforce_floor", "false"),
+        "has more than 1000000 points; give --pump start:stop:step",
+    ),
     # non-finite grid cells and fixed coordinate
     "grid-cell-nan": (
         ["fit", "full"], _edited_grid(50, "nan", row=10), "non-finite value in data row 10"

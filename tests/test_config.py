@@ -1,4 +1,5 @@
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,25 @@ def test_with_updates_changes_hash(config):
     updated = config.with_updates({"field.magnitude_mt": 5.0})
     assert updated.hash != config.hash
     assert updated.get("field.magnitude_mt") == 5.0
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("ensemble_i.coupling_mhz", -2.0, "value -2.0 below minimum"),
+        ("fit.peak_prominence", 3.0, "value 3.0 above maximum 1.0"),
+        ("fit.max_iterations", 2.5, "expected an integer, got 2.5"),
+        ("field.magnitude_mt", float("nan"), "value must be finite, got nan"),
+        ("dispersive.enforce_floor", "yes", "expected true/false, got 'yes'"),
+        ("cavity.antinode_sign_i", 2, "expected +1 or -1, got 2"),
+        ("sweep.angles_deg", "0:90:-1", "need stop >= start and step > 0"),
+    ],
+)
+def test_with_updates_applies_the_schema_checks(config, key, value, message):
+    # the same kind and bound checks as a file, in an error naming the key
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        config.with_updates({key: value})
+    assert key in str(info.value)
 
 
 def test_external_hwhm_defaults_to_total():

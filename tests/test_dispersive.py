@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,12 +42,6 @@ def test_dispersive_shift_odd_in_detuning():
     assert dispersive_shift(4.0, -16.0) == -dispersive_shift(4.0, 16.0)
 
 
-def test_dispersive_shift_floor():
-    with pytest.raises(DispersiveRangeError):
-        dispersive_shift(7.5, 11.0)
-    assert dispersive_shift(7.5, 11.0, enforce=False) == pytest.approx(7.5**2 / 11.0)
-
-
 def test_exchange_coupling_value():
     assert ensemble_ensemble_coupling(7.5, 5.6, 19.1, 19.1) == pytest.approx(2.20, abs=0.01)
 
@@ -59,11 +54,6 @@ def test_exchange_coupling_equal_detunings_identity():
 
 def test_exchange_coupling_opposite_detunings_cancel():
     assert ensemble_ensemble_coupling(7.5, 5.6, 30.0, -30.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_exchange_coupling_floor():
-    with pytest.raises(DispersiveRangeError):
-        ensemble_ensemble_coupling(7.5, 5.6, 19.1, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +70,28 @@ def test_model_fields_exact():
     # Lamb shift pushes spins away from the cavity (they sit below it).
     assert model.spin_block[0, 0] == pytest.approx(CENTER - 19.1 - model.chi_i)
     assert model.spin_block[1, 1] == pytest.approx(CENTER - 25.0 - model.chi_ii)
+
+
+@pytest.mark.parametrize(
+    "detunings, label", [((11.0, 19.1), "ensemble I"), ((19.1, 5.0), "ensemble II")],
+    ids=["i", "ii"],
+)
+def test_model_enforces_floor(detunings, label):
+    # The floor is checked once, when the model is built; either
+    # detuning below it is rejected, and enforce=False lets it through.
+    couplings = (7.5, 5.6)
+    transitions = tuple(CENTER - d for d in detunings)
+    with pytest.raises(DispersiveRangeError, match=f"{label} detuning"):
+        dispersive_model_from_frequencies(make_cavity(), couplings, transitions)
+    model = dispersive_model_from_frequencies(
+        make_cavity(), couplings, transitions, enforce=False
+    )
+    assert model.chi_i == dispersive_shift(7.5, model.detuning_i)
+    assert model.chi_ii == dispersive_shift(5.6, model.detuning_ii)
+    assert model.u_coupling == ensemble_ensemble_coupling(
+        7.5, 5.6, model.detuning_i, model.detuning_ii
+    )
+    assert min(abs(model.detuning_i), abs(model.detuning_ii)) < 12.0
 
 
 def test_block_off_diagonal_sign_follows_antinode_product():
@@ -123,18 +135,8 @@ def test_zero_exchange_keeps_bare_modes():
     model = dispersive_model_from_frequencies(
         make_cavity(), (7.5, 5.6), (CENTER - 19.1, CENTER - 40.0)
     )
-    patched = type(model)(
-        chi_i=model.chi_i,
-        chi_ii=model.chi_ii,
-        detuning_i=model.detuning_i,
-        detuning_ii=model.detuning_ii,
-        u_coupling=0.0,
-        spin_block=np.diag(np.diag(model.spin_block)),
-        g_i=model.g_i,
-        g_ii=model.g_ii,
-        antinode_signs=model.antinode_signs,
-        center=model.center,
-    )
+    patched = dataclasses.replace(model, u_coupling=0.0)
+    assert patched.spin_block[0, 1] == 0.0
     (_, v_b), (_, v_d) = dispersive_spin_modes(patched)
     assert np.allclose(np.abs(v_b), [1.0, 0.0], atol=1e-12)
     assert np.allclose(np.abs(v_d), [0.0, 1.0], atol=1e-12)
@@ -183,9 +185,10 @@ def test_degenerate_block_splitting_is_exactly_2u():
     model = dispersive_model_from_frequencies(
         make_cavity(), (7.5, 5.6), (CENTER - 19.1, CENTER - 19.1)
     )
-    w_i = CENTER - 19.1
-    w_ii = w_i - model.chi_i + model.chi_ii
-    (f_hi, _), (f_lo, _) = dispersive_spin_modes(model, omega_i=w_i, omega_ii=w_ii)
+    w_ii = model.transition_i - model.chi_i + model.chi_ii
+    shifted = dataclasses.replace(model, transition_ii=w_ii)
+    assert shifted.spin_block[0, 0] == shifted.spin_block[1, 1]
+    (f_hi, _), (f_lo, _) = dispersive_spin_modes(shifted)
     assert abs(abs(f_hi - f_lo) - 2 * abs(model.u_coupling)) < 1e-12
 
 
@@ -198,6 +201,10 @@ def lamb_shifted_degeneracy(cavity, ens_i, ens_ii, magnitude):
         return model.spin_block[0, 0] - model.spin_block[1, 1]
 
     return brentq(mismatch, 35.0, 65.0, xtol=1e-10)
+
+
+def hwhm(ens_i, ens_ii):
+    return (ens_i.spin_hwhm, ens_ii.spin_hwhm)
 
 
 def count_peaks(signal, threshold=0.10):
@@ -213,7 +220,7 @@ def test_single_resonance_at_lamb_shifted_degeneracy(
     field = FieldSetting(dispersive_magnitude, angle)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
     pump = np.arange(model.spin_block[0, 0] - 40.0, model.spin_block[1, 1] + 40.0, 0.02)
-    signal = pump_probe_signal(cavity, ens_i, ens_ii, field, pump)
+    signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), pump)
     assert count_peaks(signal) == 1
 
 
@@ -222,7 +229,7 @@ def test_two_resonances_away_from_degeneracy(cavity, ens_i, ens_ii, dispersive_m
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
     lo = min(model.spin_block[0, 0], model.spin_block[1, 1]) - 40.0
     hi = max(model.spin_block[0, 0], model.spin_block[1, 1]) + 40.0
-    signal = pump_probe_signal(cavity, ens_i, ens_ii, field, np.arange(lo, hi, 0.02))
+    signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), np.arange(lo, hi, 0.02))
     assert count_peaks(signal) == 2
 
 
@@ -234,7 +241,7 @@ def test_peak_positions_at_lamb_shifted_bare_frequencies(
     lo = min(model.spin_block[0, 0], model.spin_block[1, 1]) - 40.0
     hi = max(model.spin_block[0, 0], model.spin_block[1, 1]) + 40.0
     pump = np.arange(lo, hi, 0.02)
-    signal = pump_probe_signal(cavity, ens_i, ens_ii, field, pump)
+    signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), pump)
     y = -signal.shift
     idx, _ = find_peaks(y, prominence=0.1 * float(np.max(y)))
     positions = np.sort(pump[idx])
@@ -252,16 +259,18 @@ def test_zero_couplings_zero_signal(config, cavity, dispersive_magnitude):
         config.ensemble("ii").spin_hwhm,
     )
     field = FieldSetting(dispersive_magnitude, 30.0)
+    model = build_dispersive_model(cavity, silent_i, silent_ii, field)
     pump = np.arange(2680.0, 2740.0, 0.1)
-    signal = pump_probe_signal(cavity, silent_i, silent_ii, field, pump)
+    signal = pump_probe_signal(model, hwhm(silent_i, silent_ii), pump)
     assert np.max(np.abs(signal.shift)) < 1e-12
 
 
 def test_pump_probe_enforces_floor(cavity, ens_i, ens_ii, resonant_magnitude):
-    # ensemble II is on resonance at 23 deg with the resonant magnitude
+    # ensemble II is on resonance at 23 deg with the resonant magnitude,
+    # so the model a pump-probe signal needs cannot be built there
     field = FieldSetting(resonant_magnitude, 23.0)
-    with pytest.raises(DispersiveRangeError):
-        pump_probe_signal(cavity, ens_i, ens_ii, field, np.arange(2700.0, 2760.0, 0.1))
+    with pytest.raises(DispersiveRangeError, match="ensemble II detuning"):
+        build_dispersive_model(cavity, ens_i, ens_ii, field)
 
 
 # ---------------------------------------------------------------------------
