@@ -283,11 +283,10 @@ def _noisy(grid, seed, level=0.01):
     return SpectrumGrid(grid.probe_frequencies, grid.sweep_values, noisy, grid.sweep_kind)
 
 
-def fit_roundtrip_errors(config, seeds=range(100), keep_results=False):
+def fit_roundtrip_errors(config, seeds=range(100)):
     """Monte-Carlo round-trip errors for both grid fits under 1%
     multiplicative noise; returns (avoided g errors, full-fit error
-    dict) as arrays over seeds.  With keep_results the seed-stamped
-    FitResults ride along as a third element."""
+    dict, seed-stamped FitResults), the errors as arrays over seeds."""
     cavity = config.cavity()
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
@@ -341,12 +340,8 @@ def fit_roundtrip_errors(config, seeds=range(100), keep_results=False):
             full_errors[key].append(
                 abs(res_full.parameters[key] - true_value) / true_value
             )
-        if keep_results:
-            results.extend((res, res_full))
-    errors = np.asarray(g_errors), {k: np.asarray(v) for k, v in full_errors.items()}
-    if keep_results:
-        return errors + (results,)
-    return errors
+        results.extend((res, res_full))
+    return np.asarray(g_errors), {k: np.asarray(v) for k, v in full_errors.items()}, results
 
 
 def shipped_model_jacobian_deviations(config):
@@ -391,7 +386,7 @@ def shipped_model_jacobian_deviations(config):
 
 
 def criterion_fit_roundtrips(config) -> CriterionResult:
-    g_errors, full_errors = fit_roundtrip_errors(config)
+    g_errors, full_errors, _ = fit_roundtrip_errors(config)
     g_p95 = float(np.percentile(g_errors, 95))
     full_p95 = {k: float(np.percentile(v, 95)) for k, v in full_errors.items()}
     jac = shipped_model_jacobian_deviations(config)

@@ -2,15 +2,18 @@
 spectrum rows and 2D grids.
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
-multiplicative damping schedule on diag(J^T J).  Accepted steps never
-increase the residual norm; convergence is declared when the relative
-step falls below 1e-10 or the scaled residual-gradient norm below 1e-8,
-within 200 iterations.  Strictly positive parameters (widths,
-couplings) are handled through a smooth softplus reparameterization;
-reported values and standard errors are in physical space.  Standard
-errors are linearized (Jacobian-based) estimates.  Each iteration forms
-J^T J and J^T r once from the physical-space Jacobian and applies the
-softplus chain rule to those small products, not to J.
+multiplicative damping schedule on diag(J^T J).  It takes the model
+closure model(theta) -> (values, J) and the data the values are fitted
+to.  Accepted steps never increase the residual norm; convergence is
+declared when the relative step falls below 1e-10 or the scaled
+residual-gradient norm below 1e-8, within 200 iterations.  Strictly
+positive parameters (widths, couplings) are handled through a smooth
+softplus reparameterization; one that underflows to exactly 0.0 fails
+the fit.  Reported values and linearized standard errors are in
+physical space.  The solver keeps only the cost, J^T r and J^T J of
+the accepted point: they are formed at the start point and for each
+accepted step, the softplus chain rule and the standard errors use
+them, and no Jacobian outlives the model call that made it.
 
 The |S21| grid model is evaluated in cache-sized blocks of rows that
 write straight into the returned values and Jacobian, so a model call
@@ -71,29 +74,15 @@ class FitResult:
     history: tuple = ()
     provenance: dict = dataclass_field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "parameters": dict(self.parameters),
-            "standard_errors": None
-            if self.standard_errors is None
-            else dict(self.standard_errors),
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "provenance": dict(self.provenance),
-        }
-
 
 # ---------------------------------------------------------------------------
 # positivity transform
 
 def _softplus(q):
-    q = np.asarray(q, dtype=float)
     return np.where(q > 30.0, q, np.log1p(np.exp(np.minimum(q, 30.0))))
 
 
 def _softplus_inv(p):
-    p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise ValueError("positive-constrained parameters must start positive")
     return np.where(p > 30.0, p, np.log(np.expm1(np.minimum(p, 30.0))))
@@ -101,84 +90,58 @@ def _softplus_inv(p):
 
 def _sigmoid(q):
     # exp of -|q| only, so large negative q cannot overflow
-    q = np.asarray(q, dtype=float)
     e = np.exp(-np.abs(q))
     return np.where(q >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-class _Transform:
-    """Maps internal coordinates to physical ones, softplus on the
-    positive-constrained entries and identity elsewhere."""
-
-    def __init__(self, positive_mask):
-        self.mask = np.asarray(positive_mask, dtype=bool)
-
-    def to_internal(self, p):
-        q = np.array(p, dtype=float)
-        q[self.mask] = _softplus_inv(q[self.mask])
-        return q
-
-    def to_physical(self, q):
-        p = np.array(q, dtype=float)
-        p[self.mask] = _softplus(p[self.mask])
-        return p
-
-    def chain(self, q):
-        d = np.ones_like(np.asarray(q, dtype=float))
-        d[self.mask] = _sigmoid(np.asarray(q, dtype=float)[self.mask])
-        return d
 
 
 # ---------------------------------------------------------------------------
 # solver
 
 def levenberg_marquardt(
-    residual_jac,
-    theta0,
-    names,
-    positive=None,
-    max_iter: int = MAX_ITERATIONS,
-    step_tol: float = STEP_TOL,
-    grad_tol: float = GRAD_TOL,
+    model, data, theta0, names, positive=None, max_iter: int = MAX_ITERATIONS
 ) -> FitResult:
-    """Minimize ||r(theta)||^2 given residual_jac(theta) -> (r, J) in
-    physical space.  Returns a FitResult; converged=False when the
-    iteration budget runs out or damping stalls."""
+    """Minimize ||model(theta)[0] - data||^2 given model(theta) -> (values, J)
+    in physical space.  Returns a FitResult; converged=False when the
+    iteration budget runs out, damping stalls or a positive parameter
+    ends on exactly 0.0 (softplus underflow)."""
     names = list(names)
-    n = len(names)
-    if positive is None:
-        positive = [False] * n
-    transform = _Transform(positive)
-    q = transform.to_internal(np.asarray(theta0, dtype=float))
+    data = np.asarray(data, dtype=float)
+    mask = np.asarray([False] * len(names) if positive is None else positive, dtype=bool)
+    q = np.array(theta0, dtype=float)
+    q[mask] = _softplus_inv(q[mask])
 
-    def evaluate(q_vec):
-        p = transform.to_physical(q_vec)
-        r, jp = residual_jac(p)
-        return p, np.asarray(r, dtype=float), np.asarray(jp, dtype=float)
+    def evaluate(q_vec, bound=None):
+        # (p, cost, J^T r, J^T J) at q_vec; None when a bound is given
+        # and the cost is not finite and <= bound.  The products are
+        # formed only for a point that is kept, and J dies with this call.
+        p = np.array(q_vec, dtype=float)
+        p[mask] = _softplus(p[mask])
+        values, jp = model(p)
+        r = values - data
+        cost = float(r @ r)
+        if bound is not None and not (cost <= bound and np.isfinite(cost)):
+            return None
+        return p, cost, jp.T @ r, jp.T @ jp
 
-    # jp is the physical-space Jacobian of the accepted point; it is
-    # kept for the standard errors once the loop converges.
-    p, r, jp = evaluate(q)
-    cost = float(r @ r)
+    p, cost, jtr, jtj = evaluate(q)
     history = [math.sqrt(cost)]
     lam = 1e-3
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        # The softplus chain scales the columns of jp; it is applied to
-        # the small products, so no scaled copy of jp is made.
-        chain = transform.chain(q)
-        grad = chain * (jp.T @ r)
-        if np.max(np.abs(grad)) < grad_tol * (1.0 + math.sqrt(cost)):
+        # The softplus chain scales the columns of J, so it scales the
+        # kept products.
+        chain = np.ones(len(names))
+        chain[mask] = _sigmoid(q[mask])
+        grad = chain * jtr
+        if np.max(np.abs(grad)) < GRAD_TOL * (1.0 + math.sqrt(cost)):
             converged = True
             break
-        a = chain[:, None] * (jp.T @ jp) * chain[None, :]
-        diag = np.diag(a).copy()
-        floor = 1e-12 * max(float(np.max(diag)), 1.0)
-        diag = np.maximum(diag, floor)
+        a = chain[:, None] * jtj * chain[None, :]
+        diag = np.diag(a)
+        diag = np.maximum(diag, 1e-12 * max(float(np.max(diag)), 1.0))
 
-        accepted = False
         while lam <= 1e12:
             try:
                 delta = np.linalg.solve(a + lam * np.diag(diag), -grad)
@@ -186,35 +149,27 @@ def levenberg_marquardt(
                 lam *= 10.0
                 continue
             q_new = q + delta
-            p_new, r_new, jp_new = evaluate(q_new)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost and np.isfinite(cost_new):
-                step_rel = float(
-                    np.max(np.abs(delta) / np.maximum(np.abs(q), 1.0))
-                )
-                q, p, r, jp, cost = q_new, p_new, r_new, jp_new, cost_new
+            trial = evaluate(q_new, cost)
+            if trial is not None:
+                step_rel = float(np.max(np.abs(delta) / np.maximum(np.abs(q), 1.0)))
+                converged = step_rel < STEP_TOL
+                q = q_new
+                p, cost, jtr, jtj = trial
                 history.append(math.sqrt(cost))
                 lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if step_rel < step_tol:
-                    converged = True
                 break
-            # free the rejected trial's Jacobian before the next trial
-            del p_new, r_new, jp_new
             lam *= 10.0
-        if not accepted or converged:
+        else:
+            break  # damping stalled
+        if converged:
             break
 
-    errors = None
-    if converged:
-        errors = _standard_errors(jp, cost)
-    params = {name: float(val) for name, val in zip(names, p)}
-    err_map = None
-    if errors is not None:
-        err_map = {name: float(val) for name, val in zip(names, errors)}
+    if np.any(p[mask] == 0.0):
+        converged = False  # on the softplus floor, not at a minimum
+    errors = _standard_errors(jtj, cost, data.size) if converged else None
     return FitResult(
-        parameters=params,
-        standard_errors=err_map,
+        parameters=dict(zip(names, map(float, p))),
+        standard_errors=None if errors is None else dict(zip(names, map(float, errors))),
         residual_norm=math.sqrt(cost),
         iterations=iterations,
         converged=converged,
@@ -222,19 +177,16 @@ def levenberg_marquardt(
     )
 
 
-def _standard_errors(jp, cost):
-    m, n = jp.shape
+def _standard_errors(jtj, cost, m):
+    """Linearized standard errors from J^T J of m residuals."""
+    n = jtj.shape[0]
     if m <= n:
         return None
-    s2 = cost / (m - n)
     try:
-        cov = s2 * np.linalg.pinv(jp.T @ jp)
+        cov = cost / (m - n) * np.linalg.pinv(jtj)
     except np.linalg.LinAlgError:
         return None
-    diag = np.diag(cov)
-    if np.any(diag < 0):
-        diag = np.maximum(diag, 0.0)
-    return np.sqrt(diag)
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
 def jacobian_check(model, theta, h_scale: float = 1e-6, scales=None) -> float:
@@ -323,15 +275,10 @@ def fit_lorentzian(xs, ys, init=None, max_iter: int = MAX_ITERATIONS) -> FitResu
     if spread <= 1e-300 or spread < 1e-12 * max(abs(float(np.max(ys))), 1e-300):
         raise DegenerateDataError("flat data carries no peak to fit")
 
-    model = lorentzian_model(xs)
-
-    def residual_jac(theta):
-        f, jac = model(theta)
-        return f - ys, jac
-
     theta0 = _lorentzian_init(xs, ys) if init is None else np.asarray(init, dtype=float)
     return levenberg_marquardt(
-        residual_jac,
+        lorentzian_model(xs),
+        ys,
         theta0,
         names=("amplitude", "center", "hwhm", "offset"),
         positive=(False, False, True, False),
@@ -427,6 +374,14 @@ class SpinTuning:
 # ---------------------------------------------------------------------------
 # avoided-crossing branch fit
 
+def _require_cells(grid: SpectrumGrid):
+    if grid.amplitudes.size == 0:
+        raise DegenerateDataError(
+            f"empty grid ({grid.sweep_values.size} rows, "
+            f"{grid.probe_frequencies.size} columns): nothing to fit"
+        )
+
+
 def extract_branches(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE):
     """Per-row polariton positions: list of (sweep_value, sorted array
     of at most two peaks).  Only the two most prominent maxima per row
@@ -488,6 +443,7 @@ def fit_avoided_crossing(
     explicit init bypasses that requirement (an unsplit grid then fits
     a coupling near zero with a correspondingly wide standard error).
     """
+    _require_cells(grid)
     rows = extract_branches(grid, prominence)
     if not rows:
         raise DegenerateDataError("no peaks above the prominence threshold")
@@ -530,29 +486,23 @@ def fit_avoided_crossing(
         )
         return signs
 
-    result = None
+    signs = assign_signs(theta)
     for _ in range(4):
-        signs = assign_signs(theta)
-        model = avoided_crossing_model(svals, signs, tuning)
-
-        def residual_jac(p):
-            f, jac = model(p)
-            return f - nuhat, jac
-
         result = levenberg_marquardt(
-            residual_jac,
+            avoided_crossing_model(svals, signs, tuning),
+            nuhat,
             theta,
             names=("g", "nu_c", "offset"),
             positive=(True, False, False),
             max_iter=max_iter,
         )
-        new_theta = np.array(
-            [result.parameters["g"], result.parameters["nu_c"], result.parameters["offset"]]
-        )
-        if np.array_equal(assign_signs(new_theta), signs):
-            theta = new_theta
+        if not result.converged:
+            break  # a restart from a failed pass could start on g = 0
+        theta = np.array(list(result.parameters.values()))
+        new_signs = assign_signs(theta)
+        if np.array_equal(new_signs, signs):
             break
-        theta = new_theta
+        signs = new_signs
     return result
 
 
@@ -648,18 +598,11 @@ def fit_full_transmission(
 ) -> FitResult:
     """Joint least squares of |S21| over the whole grid against the
     input-output forward model."""
-    data = grid.magnitudes.ravel()
-    model = transmission_model(
-        grid.probe_frequencies, grid.sweep_values, tuning_i, tuning_ii
-    )
-
-    def residual_jac(theta):
-        f, jac = model(theta)
-        return f - data, jac
-
+    _require_cells(grid)
     theta0 = initial_guess_full(grid) if init is None else np.asarray(init, dtype=float)
     return levenberg_marquardt(
-        residual_jac,
+        transmission_model(grid.probe_frequencies, grid.sweep_values, tuning_i, tuning_ii),
+        grid.magnitudes.ravel(),
         theta0,
         names=_FULL_NAMES,
         positive=(True, True, True, True, True, False, False),

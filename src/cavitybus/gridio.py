@@ -17,7 +17,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -216,7 +216,8 @@ def write_table(
 def write_fit_json(path, result: FitResult, config_hash: str | None = None) -> None:
     """Serialize a FitResult; tool version and config hash ride along in
     the meta object (JSON carries no comments)."""
-    payload = result.as_dict()
+    payload = asdict(result)
+    del payload["history"]
     payload["meta"] = {
         "tool": "cavitybus",
         "version": __version__,

@@ -131,7 +131,7 @@ def test_criterion_9_detail_prints_the_bound_not_the_deviation(cfg, monkeypatch,
     monkeypatch.setattr(
         acceptance,
         "fit_roundtrip_errors",
-        lambda config: ([0.001], {"g_i": [0.001], "g_ii": [0.001], "kappa": [0.001]}),
+        lambda config: ([0.001], {"g_i": [0.001], "g_ii": [0.001], "kappa": [0.001]}, []),
     )
     monkeypatch.setattr(
         acceptance, "shipped_model_jacobian_deviations", lambda config: {"a": 1e-9, "b": worst}
@@ -153,7 +153,5 @@ def test_run_all_evaluates_every_criterion(cfg):
 
 
 def test_noise_harness_records_seeds(cfg):
-    _, _, results = acceptance.fit_roundtrip_errors(
-        cfg, seeds=range(2), keep_results=True
-    )
+    _, _, results = acceptance.fit_roundtrip_errors(cfg, seeds=range(2))
     assert {r.provenance["noise_seed"] for r in results} == {0, 1, 10_000, 10_001}

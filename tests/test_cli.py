@@ -8,7 +8,8 @@ import pytest
 import cavitybus
 from cavitybus import __version__
 from cavitybus.cli import main
-from cavitybus.gridio import read_grid
+from cavitybus.gridio import read_grid, write_grid
+from cavitybus.transmission import SpectrumGrid
 
 # the default config shipped as package data
 DEFAULT_CFG = Path(cavitybus.__file__).with_name("default.cfg")
@@ -240,6 +241,47 @@ def test_fit_rejects_version_mismatch(default_cfg, tmp_path, capsys):
     payload = json.loads(fit_path.read_text())
     assert payload["converged"] is True
     assert 2745.0 < payload["parameters"]["center"] < 2752.0
+
+
+def test_fit_avoided_crossing_on_a_zero_coupling_exits_3(tmp_path, capsys):
+    # On this clean two-ensemble grid the first ensemble-II pass drives g
+    # to exactly 0.0 (softplus underflow).  That pass is reported as not
+    # converged; a restart from it would start on g = 0.
+    grid_path = tmp_path / "grid.csv"
+    argv = ["sweep-angle", "--angles", "0:90:1", "--probe", "2720:2780:0.25"]
+    assert main(argv + ["--config", str(DEFAULT_CFG), "--out", str(grid_path)]) == 0
+    fit_path = tmp_path / "fit.json"
+    capsys.readouterr()
+    code = main(["fit", "avoided-crossing", "--ensemble", "ii", "--config", str(DEFAULT_CFG),
+                 "--in", str(grid_path), "--out", str(fit_path)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(fit_path.read_text())
+    assert payload["converged"] is False
+    assert payload["parameters"]["g"] == 0.0
+    assert payload["standard_errors"] is None
+
+
+EMPTY_GRIDS = {
+    "no-rows": SpectrumGrid(np.linspace(2740.0, 2760.0, 11), np.array([]), np.zeros((0, 11)),
+                            "angle"),
+    "no-columns": SpectrumGrid(np.array([]), np.array([20.0, 21.0, 22.0]), np.zeros((3, 0)),
+                               "angle"),
+}
+
+
+@pytest.mark.parametrize("shape", EMPTY_GRIDS)
+@pytest.mark.parametrize("mode", ["full", "avoided-crossing"])
+def test_fit_on_an_empty_grid_exits_3_with_one_line(tmp_path, capsys, mode, shape):
+    grid_path = tmp_path / "grid.csv"
+    write_grid(grid_path, EMPTY_GRIDS[shape], extra={"fixed_magnitude_mt": "7.69336558"})
+    out = tmp_path / "fit.json"
+    code = main(["fit", mode, "--config", str(DEFAULT_CFG), "--in", str(grid_path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "empty grid" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

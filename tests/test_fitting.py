@@ -493,14 +493,14 @@ def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, t
     model, data = _full_fit_problem(full_grid, tunings, seed)
     calls = []
 
-    def residual_jac(theta):
+    def traced(theta):
         values, jac = model(theta)
         r = values - data
         calls.append((np.array(theta), float(r @ r)))
-        return r, jac
+        return values, jac
 
     positive = (True, True, True, True, True, False, False)
-    result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+    result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
     assert result.converged
     # Replay: the first call is the start and every later call one trial
     # step, accepted exactly when it does not raise the cost.  An extra
@@ -520,31 +520,32 @@ def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, t
 
 
 def test_lm_frees_rejected_jacobians_before_the_next_trial(full_grid, tunings):
-    # Seed 5 includes rejected steps.  At every model call at most one
-    # earlier Jacobian (the accepted point's) may still be alive, so peak
-    # memory stays at two Jacobians on large grids.
+    # Seed 5 includes rejected steps.  The solver keeps J^T J and J^T r
+    # of the accepted point, not its Jacobian, so at every model call no
+    # earlier Jacobian is still alive.
     model, data = _full_fit_problem(full_grid, tunings, 5)
     jacobians = []
     alive = []
 
-    def residual_jac(theta):
+    def traced(theta):
         alive.append(sum(ref() is not None for ref in jacobians))
         values, jac = model(theta)
         jacobians.append(weakref.ref(jac))
-        return values - data, jac
+        return values, jac
 
     positive = (True, True, True, True, True, False, False)
-    result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+    result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
     assert result.converged
     assert len(alive) - 1 > len(result.history) - 1  # rejected steps happened
-    assert max(alive) == 1
+    assert max(alive) == 0
 
 
-def test_lm_peak_memory_stays_near_two_jacobians(config, cavity, ens_i, ens_ii, tunings):
-    # The accepted point's Jacobian and one trial's must be alive at once;
-    # values, residuals and the model's per-block temporaries add about
-    # half a Jacobian more.  A scaled copy of the Jacobian or grid-sized
-    # complex temporaries in the model each push the peak past three.
+def test_lm_peak_memory_stays_below_two_jacobians(config, cavity, ens_i, ens_ii, tunings):
+    # Only the Jacobian of the current model call is alive; values,
+    # residuals and the model's per-block temporaries add about half a
+    # Jacobian more.  A second live Jacobian (the accepted point's), a
+    # scaled copy of it or grid-sized complex temporaries in the model
+    # each push the peak past two.
     magnitude = config.get("field.magnitude_mt")
     angles = np.arange(0.0, 90.0 + 1e-9, 0.5)
     probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.05)
@@ -554,37 +555,33 @@ def test_lm_peak_memory_stays_near_two_jacobians(config, cavity, ens_i, ens_ii, 
     assert data.size > 200_000
     jac_bytes = []
 
-    def residual_jac(theta):
+    def traced(theta):
         values, jac = model(theta)
         jac_bytes.append(jac.nbytes)
-        return values - data, jac
+        return values, jac
 
     positive = (True, True, True, True, True, False, False)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+        result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.converged
     assert len(jac_bytes) > 2
-    assert (peak - before) / jac_bytes[0] < 3.0
+    assert (peak - before) / jac_bytes[0] < 2.0
 
 
 def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):
     model, data = _full_fit_problem(full_grid, tunings, 3)
-
-    def residual_jac(theta):
-        values, jac = model(theta)
-        return values - data, jac
-
     positive = (True, True, True, True, True, False, False)
-    result = levenberg_marquardt(residual_jac, perturbed_start(), _FULL_NAMES, positive)
+    result = levenberg_marquardt(model, data, perturbed_start(), _FULL_NAMES, positive)
     assert result.converged
     final = np.array([result.parameters[name] for name in _FULL_NAMES])
-    r, jp = residual_jac(final)
-    expected = _standard_errors(jp, float(r @ r))
+    values, jp = model(final)
+    r = values - data
+    expected = _standard_errors(jp.T @ jp, float(r @ r), r.size)
     assert [result.standard_errors[name] for name in _FULL_NAMES] == list(expected)
 
 
@@ -605,16 +602,29 @@ def test_levenberg_marquardt_unconverged_flag():
     xs = np.linspace(0.0, 1.0, 16)
     target = np.sin(3 * xs)
 
-    def residual_jac(theta):
-        r = theta[0] * xs - target
-        return r, xs[:, None]
+    def model(theta):
+        return theta[0] * xs, xs[:, None]
 
-    result = levenberg_marquardt(residual_jac, [0.0], names=("slope",), max_iter=1)
+    result = levenberg_marquardt(model, target, [0.0], names=("slope",), max_iter=1)
     assert result.iterations <= 1
+    assert result.converged is False
+    assert result.standard_errors is None
     # a single accepted Gauss-Newton step solves the linear problem
     assert result.parameters["slope"] == pytest.approx(
         float(np.dot(xs, target) / np.dot(xs, xs)), rel=1e-3
     )
+
+
+def test_positive_parameter_underflowing_to_zero_fails_the_fit():
+    # The best positive constant below negative data is 0; the softplus
+    # of the internal coordinate underflows to exactly 0.0 on the way.
+    def model(theta):
+        return np.full(16, theta[0]), np.ones((16, 1))
+
+    result = levenberg_marquardt(model, np.full(16, -1.0), [1.0], ("g",), positive=(True,))
+    assert result.parameters["g"] == 0.0
+    assert result.converged is False
+    assert result.standard_errors is None
 
 
 def test_positive_constraint_respected():
