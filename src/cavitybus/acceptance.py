@@ -3,8 +3,8 @@
 Each criterion function returns a CriterionResult with a deterministic
 detail string (no timestamps or timings), so two selftest runs produce
 byte-identical output.  Criterion 3 encodes a known structural property
-of the pinned-resonance calibration: the ensemble-ensemble degeneracy
-falls exactly midway between the two pinned resonance angles, which for
+of the fixed-resonance calibration: the ensemble-ensemble degeneracy
+falls exactly midway between the two fixed resonance angles, which for
 the default 79/23 targets is 51.0 degrees rather than the quoted 48.1;
 the criterion is evaluated as stated, names the configured angles and
 their midpoint in its detail, and reports its failure honestly.
@@ -148,7 +148,7 @@ def criterion_dispersive_coupling(config) -> CriterionResult:
     u = ensemble_ensemble_coupling(7.5, 5.6, 19.1, 19.1)
     u_ok = abs(u - 2.20) <= 0.01
 
-    model, ((f_hi, _), (f_lo, _)) = _degenerate_spin_modes(config.cavity())
+    model, ((f_hi, *_), (f_lo, *_)) = _degenerate_spin_modes(config.cavity())
     split = abs(f_hi - f_lo)
     split_dev = abs(split - 2.0 * abs(model.u_coupling))
     split_ok = split_dev <= 1e-12
@@ -356,7 +356,15 @@ def shipped_model_jacobian_deviations(config):
 
     xs = np.linspace(cavity.center - 10.0, cavity.center + 10.0, 81)
     sv = np.linspace(71.0, 87.0, 17)
-    signs = np.where(np.arange(17) % 2 == 0, -1.0, 1.0)
+
+    def gap(angle):
+        (nu_i, _), (nu_ii, _) = (t.frequencies_and_derivative(angle) for t in (tun_i, tun_ii))
+        return nu_i - nu_ii
+
+    # the wide sweep ends on the ensemble-ensemble degeneracy, whose
+    # middle mode is dark: no cavity content (v_0 = 0)
+    dark = _find_root(gap, 35.0, 65.0, xtol=1e-12)
+    sv_wide = np.append(np.linspace(10.0, 90.0, 17), dark)
     probe = np.linspace(cavity.center - 20.0, cavity.center + 20.0, 41)
     return {
         "lorentzian": jacobian_check(
@@ -365,9 +373,14 @@ def shipped_model_jacobian_deviations(config):
             scales=np.ones(4),
         ),
         "avoided_crossing": jacobian_check(
-            avoided_crossing_model(sv, signs, tun_i),
+            avoided_crossing_model(sv, np.arange(17) % 2, [tun_i]),
             [ens_i.coupling, cavity.center, 0.3],
             scales=np.ones(3),
+        ),
+        "avoided_crossing_two": jacobian_check(
+            avoided_crossing_model(sv_wide, np.append(np.arange(17) % 3, 1), [tun_i, tun_ii]),
+            [ens_i.coupling, ens_ii.coupling, cavity.center, 0.0],
+            scales=np.ones(4),
         ),
         "transmission": jacobian_check(
             transmission_model(probe, sv, tun_i, tun_ii),

@@ -12,7 +12,7 @@ dispersive experiments live on.
 
 Note a structural property of this geometry: the two transition curves
 versus field angle are shifted copies of one even periodic function, so
-once both resonance angles are pinned at a common magnitude, the curves
+once both resonance angles are fixed at a common magnitude, the curves
 can only cross midway between them (modulo 90 degrees).  The located
 degeneracy angle is therefore exactly the midpoint of the two resonance
 angles regardless of the relative azimuth.

@@ -27,7 +27,7 @@ from .config import (
     load_config,
     range_values,
 )
-from .dispersive import build_dispersive_model, dispersive_spin_modes, drive_weights, pump_probe_signal
+from .dispersive import build_dispersive_model, dispersive_spin_modes, pump_probe_signal
 from .errors import NumericalError, ValidationError
 from .fitting import SpinTuning, fit_avoided_crossing, fit_full_transmission, fit_lorentzian
 from .gridio import atomic_write_text, read_grid, write_fit_json, write_grid, write_signal, write_table
@@ -104,7 +104,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--row", type=int, default=0, help="row index for lorentzian fits")
     p.add_argument("--ensemble", choices=("i", "ii"), default="i",
-                   help="spin tuning curve for avoided-crossing fits")
+                   help="avoided-crossing fits: the ensemble whose coupling is written "
+                        "as g (the other one's is g_other)")
     p.add_argument("--force", action="store_true",
                    help="accept grids written by a different tool version")
 
@@ -251,11 +252,11 @@ def _cmd_dispersive(args, config) -> int:
         "u_coupling_mhz": model.u_coupling,
         "meta": {"tool": "cavitybus", "version": __version__, "config_hash": config.hash},
     }
-    for label, (frequency, vector) in (("bright", bright), ("dark", dark)):
+    for label, (frequency, vector, weight) in (("bright", bright), ("dark", dark)):
         report[label] = {
             "frequency_mhz": frequency,
             "vector": [float(x) for x in vector],
-            "drive_weight": drive_weights(model.g_i, model.g_ii, model.antinode_signs, vector),
+            "drive_weight": weight,
         }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.report:
@@ -302,11 +303,16 @@ def _cmd_fit(args, config) -> int:
         power = grid.magnitudes[args.row] ** 2
         result = fit_lorentzian(grid.probe_frequencies, power, max_iter=max_iter)
     elif args.mode == "avoided-crossing":
-        (tuning,) = _tunings(config, grid, meta, (args.ensemble,))
-        result = fit_avoided_crossing(grid, tuning, prominence=prominence, max_iter=max_iter)
+        other = "ii" if args.ensemble == "i" else "i"
+        tuning, other_tuning = _tunings(config, grid, meta, (args.ensemble, other))
+        result = fit_avoided_crossing(
+            grid, tuning, other_tuning, prominence=prominence, max_iter=max_iter
+        )
     else:
         tun_i, tun_ii = _tunings(config, grid, meta, ("i", "ii"))
-        result = fit_full_transmission(grid, tun_i, tun_ii, max_iter=max_iter)
+        result = fit_full_transmission(
+            grid, tun_i, tun_ii, prominence=prominence, max_iter=max_iter
+        )
 
     result = dataclasses.replace(result, provenance={"input": str(args.infile), "mode": args.mode})
     write_fit_json(args.out, result, config.hash)

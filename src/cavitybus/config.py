@@ -88,7 +88,7 @@ def _ensemble_keys(prefix: str, coupling: float, hwhm: float, azimuth: float) ->
 # Calibrated geometry: the azimuths and field magnitudes below, which
 # the shipped default.cfg repeats, are the output of the `calibrate`
 # subcommand run on that file (resonance angles 79 and 23 deg, relative
-# azimuth 24.2 deg, both pinned to the cavity frequency at one field
+# azimuth 24.2 deg, both placed on the cavity frequency at one field
 # magnitude; dispersive magnitude chosen so the smaller spin-cavity
 # detuning at the 23 deg resonance angle is 14 MHz).  Values carry 9
 # significant digits so config dumps round-trip bit-exactly.

@@ -183,16 +183,16 @@ def drive_weights(g_i: float, g_ii: float, antinode_signs, mode_vector) -> float
 def dispersive_spin_modes(model: DispersiveModel) -> tuple:
     """Eigenmodes of the dispersive spin block, labeled by drive weight.
 
-    Returns ((bright_frequency, bright_vector), (dark_frequency,
-    dark_vector)).  For the block at other bare spin frequencies pass
-    ``dataclasses.replace(model, transition_ii=...)``, which keeps chi
-    and U fixed.
+    Returns ((bright_frequency, bright_vector, bright_weight),
+    (dark_frequency, dark_vector, dark_weight)).  For the block at other
+    bare spin frequencies pass ``dataclasses.replace(model,
+    transition_ii=...)``, which keeps chi and U fixed.
     """
     vals, vecs = np.linalg.eigh(model.spin_block)
-    modes = [(float(vals[k]), vecs[:, k]) for k in range(2)]
     weights = [
-        drive_weights(model.g_i, model.g_ii, model.antinode_signs, v) for _, v in modes
+        drive_weights(model.g_i, model.g_ii, model.antinode_signs, vecs[:, k]) for k in range(2)
     ]
+    modes = [(float(vals[k]), vecs[:, k], weights[k]) for k in range(2)]
     bright_idx = int(np.argmax(weights))
     return modes[bright_idx], modes[1 - bright_idx]
 
@@ -211,8 +211,7 @@ def pump_probe_signal(
     """
     pump = np.asarray(pump_frequencies, dtype=float)
     shift = np.zeros_like(pump)
-    for freq, vec in dispersive_spin_modes(model):
-        weight = drive_weights(model.g_i, model.g_ii, model.antinode_signs, vec)
+    for freq, vec, weight in dispersive_spin_modes(model):
         pull = model.chi_i * vec[0] ** 2 + model.chi_ii * vec[1] ** 2
         hwhm = width
         if hwhm is None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coupled import EnsembleSpec
 from .errors import DegenerateDataError
-from .spin import CrystalOrientation, NVParameters, _solve, transition_batch
+from .spin import CrystalOrientation, NVParameters, _solve
 from .transmission import (
     DEFAULT_PROMINENCE,
     SpectrumGrid,
@@ -56,6 +56,7 @@ __all__ = [
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-8
+GAMMA_SEED = 3.0  # MHz, where a full fit without init starts both spin widths
 
 
 @dataclass(frozen=True)
@@ -360,12 +361,9 @@ class SpinTuning:
             return s, np.full_like(s, self.fixed)
         raise ValueError(f"unsupported sweep kind {self.sweep_kind!r}")
 
-    def frequencies(self, sweep_values, offset: float = 0.0) -> np.ndarray:
-        mags, angles = self._coords(sweep_values, offset)
-        return transition_batch(self.nv, self.orientation, mags, angles)
-
     def frequencies_and_derivative(self, sweep_values, offset: float = 0.0) -> tuple:
-        """frequencies() and their slope per sweep unit from one spin solve."""
+        """Lower transition frequencies and their slope per sweep unit,
+        from one spin solve."""
         mags, angles = self._coords(sweep_values, offset)
         levels, slope = _solve(self.nv, self.orientation, mags, angles, self.sweep_kind)
         return levels[..., 1], slope
@@ -382,127 +380,131 @@ def _require_cells(grid: SpectrumGrid):
         )
 
 
-def extract_branches(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE):
+def extract_branches(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE, max_peaks=2):
     """Per-row polariton positions: list of (sweep_value, sorted array
-    of at most two peaks).  Only the two most prominent maxima per row
-    are kept, since the branch model has exactly two branches."""
+    of the at most `max_peaks` most prominent maxima).  The branch
+    model of N ensembles has N + 1 modes."""
     out = []
     mags = grid.magnitudes
     for k, s in enumerate(grid.sweep_values):
         peaks = peak_positions(
-            grid.probe_frequencies, mags[k], prominence, max_peaks=2
+            grid.probe_frequencies, mags[k], prominence, max_peaks=max_peaks
         )
         if peaks.size:
             out.append((float(s), peaks))
     return out
 
 
-def _branch_frequencies(nu_s, nu_c, g):
-    mean = 0.5 * (nu_c + nu_s)
-    half = 0.5 * (nu_c - nu_s)
-    root = np.sqrt(half**2 + g**2)
-    return mean - root, mean + root, half, root
+def _branch_modes(sweep_values, theta, tunings):
+    """(eigenvalues, eigenvectors, spin slopes) at each sweep value s of
+    the matrix with nu_c and the nu_k(s + offset) on its diagonal and
+    g_k in its cavity row and column.  eigh reads the lower triangle of
+    the matrix less nu_c, so it rounds on MHz-sized entries."""
+    n = len(tunings)
+    g, nu_c, offset = theta[:n], theta[n], theta[n + 1]
+    nus, slopes = zip(*(t.frequencies_and_derivative(sweep_values, offset) for t in tunings))
+    h = np.zeros((len(sweep_values), n + 1, n + 1))
+    h[:, range(1, n + 1), range(1, n + 1)] = np.stack(nus, axis=1) - nu_c
+    h[:, 1:, 0] = g
+    mu, vecs = np.linalg.eigh(h)
+    return nu_c + mu, vecs, np.stack(slopes, axis=1)
 
 
-def avoided_crossing_model(sweep_values, branch_signs, tuning: SpinTuning):
-    """Model closure for branch positions; theta = (g, nu_c, offset).
+def avoided_crossing_model(sweep_values, modes, tunings):
+    """Model closure for branch positions; theta = (g_1..g_N, nu_c, offset).
 
-    `branch_signs` is -1/+1 per data point selecting the lower or upper
-    polariton branch at the matching sweep value.
+    Point j is eigenvalue `modes[j]` (an index, ascending) of the
+    _branch_modes matrix at s_j.  The Jacobian comes from the same
+    eigenvectors v (Hellmann-Feynman): 2 v_0 v_k for g_k, v_0^2 for
+    nu_c and sum_k v_k^2 dnu_k/ds for the offset.
     """
-    sweep_values = np.asarray(sweep_values, dtype=float)
-    signs = np.asarray(branch_signs, dtype=float)
+    rows, row_of = np.unique(np.asarray(sweep_values, dtype=float), return_inverse=True)
 
     def model(theta):
-        g, nu_c, offset = theta
-        nu_s, dnu_s = tuning.frequencies_and_derivative(sweep_values, offset)
-        lower, upper, half, root = _branch_frequencies(nu_s, nu_c, g)
-        f = np.where(signs > 0, upper, lower)
-        jac = np.empty((sweep_values.size, 3))
-        jac[:, 0] = signs * g / root
-        jac[:, 1] = 0.5 + signs * half / (2.0 * root)
-        jac[:, 2] = dnu_s * (0.5 - signs * half / (2.0 * root))
-        return f, jac
+        lam, vecs, slopes = _branch_modes(rows, theta, tunings)
+        v = vecs[row_of, :, modes]
+        jac = np.empty((row_of.size, len(tunings) + 2))
+        jac[:, :-2] = 2.0 * v[:, :1] * v[:, 1:]
+        jac[:, -2] = v[:, 0] ** 2
+        jac[:, -1] = np.sum(v[:, 1:] ** 2 * slopes[row_of], axis=1)
+        return lam[row_of, modes], jac
 
     return model
+
+
+def _enters_window(grid: SpectrumGrid, tuning: SpinTuning) -> bool:
+    """Whether the transition meets the probe window over the sweep."""
+    nu = tuning.frequencies_and_derivative(grid.sweep_values)[0]
+    probe = grid.probe_frequencies
+    return bool(nu.min() <= probe.max() and nu.max() >= probe.min())
 
 
 def fit_avoided_crossing(
     grid: SpectrumGrid,
     tuning: SpinTuning,
+    other: SpinTuning | None = None,
+    *,
     init=None,
     prominence: float = DEFAULT_PROMINENCE,
     max_iter: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Two-stage avoided-crossing fit: extract per-row peak positions,
-    then least-squares the polariton branch model through them.
+    then least-squares avoided_crossing_model through them; theta =
+    (g, [g_other], nu_c, offset), g being the coupling of `tuning`.
 
-    Rows showing two peaks pin both branches; single-peak rows attach to
-    the nearer branch (reassigned as the parameters move).  Automatic
-    initialization needs at least two resolved polariton pairs; an
-    explicit init bypasses that requirement (an unsplit grid then fits
-    a coupling near zero with a correspondingly wide standard error).
+    An ensemble whose transition never enters the probe window is left
+    out of the model, theta and init (DegenerateDataError if it is
+    `tuning`).  A row with N + 1 peaks matches them to the modes in
+    order; other rows' peaks go to their nearest eigenvalues, rematched
+    as the parameters move.  Without an init, at least two rows need
+    two or more peaks.
     """
     _require_cells(grid)
-    rows = extract_branches(grid, prominence)
-    if not rows:
-        raise DegenerateDataError("no peaks above the prominence threshold")
-    split_rows = [rp for rp in rows if rp[1].size >= 2]
+    tunings = [t for t in (tuning, other) if t is not None and _enters_window(grid, t)]
+    if tuning not in tunings:
+        raise DegenerateDataError("the fitted ensemble never enters the probe window")
+    n = len(tunings)
+    names = ["g", "g_other"][:n] + ["nu_c", "offset"]
+    if other is not None and n == 1 and init is not None:
+        init = np.delete(init, 1)
+
+    rows = extract_branches(grid, prominence, max_peaks=n + 1)
+    split_rows = [p for _, p in rows if p.size >= 2]
     if init is None and len(split_rows) < 2:
         raise DegenerateDataError(
             "insufficient branch coverage: need at least two rows with a "
             "resolved polariton pair (or an explicit init)"
         )
-
-    points = []
-    for s, peaks in rows:
-        if peaks.size >= 2:
-            points.append((s, float(peaks[0]), -1.0, True))
-            points.append((s, float(peaks[-1]), +1.0, True))
-        else:
-            points.append((s, float(peaks[0]), 0.0, False))
-    svals = np.array([pt[0] for pt in points])
-    nuhat = np.array([pt[1] for pt in points])
-    fixed_signs = np.array([pt[2] for pt in points])
-    pinned = np.array([pt[3] for pt in points])
+    if not rows:
+        raise DegenerateDataError("no peaks above the prominence threshold")
+    points = [(s, nu, j, p.size == n + 1) for s, p in rows for j, nu in enumerate(p)]
+    svals, nuhat, rank, in_order = map(np.array, zip(*points))
 
     if init is None:
-        gaps = [float(p[-1] - p[0]) for _, p in split_rows]
-        g0 = 0.5 * min(gaps)
-        nu_c0 = float(np.median(nuhat))
-        init = np.array([max(g0, 1e-3), nu_c0, 0.0])
+        g0 = 0.5 * min(float(p[-1] - p[0]) for p in split_rows) / math.sqrt(n)
+        init = [g0] * n + [float(np.median(nuhat)), 0.0]
     theta = np.asarray(init, dtype=float)
 
-    def assign_signs(theta_now):
-        lower, upper, _, _ = _branch_frequencies(
-            tuning.frequencies(svals, theta_now[2]), theta_now[1], theta_now[0]
-        )
-        signs = fixed_signs.copy()
-        free = ~pinned
-        signs[free] = np.where(
-            np.abs(nuhat[free] - lower[free]) <= np.abs(nuhat[free] - upper[free]),
-            -1.0,
-            1.0,
-        )
-        return signs
+    def match(theta_now):
+        lam = _branch_modes(svals, theta_now, tunings)[0]
+        return np.where(in_order, rank, np.argmin(np.abs(lam - nuhat[:, None]), axis=1))
 
-    signs = assign_signs(theta)
+    modes = match(theta)
     for _ in range(4):
         result = levenberg_marquardt(
-            avoided_crossing_model(svals, signs, tuning),
+            avoided_crossing_model(svals, modes, tunings),
             nuhat,
             theta,
-            names=("g", "nu_c", "offset"),
-            positive=(True, False, False),
+            names=names,
+            positive=[True] * n + [False, False],
             max_iter=max_iter,
         )
         if not result.converged:
             break  # a restart from a failed pass could start on g = 0
         theta = np.array(list(result.parameters.values()))
-        new_signs = assign_signs(theta)
-        if np.array_equal(new_signs, signs):
+        modes, previous = match(theta), modes
+        if np.array_equal(modes, previous):
             break
-        signs = new_signs
     return result
 
 
@@ -566,27 +568,21 @@ def transmission_model(
     return model
 
 
-def initial_guess_full(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE):
-    """Rough starting point from the grid itself: cavity frequency and
-    linewidth from an edge row, couplings from the smallest resolved
-    splitting."""
+def initial_guess_full(grid, tuning_i, tuning_ii, prominence=DEFAULT_PROMINENCE):
+    """Starting point from the grid itself: couplings, nu_c and offset
+    from the branch fit of both ensembles (g_ii starts at g_i when the
+    fit leaves ensemble II out), kappa from the half-power HWHM of the
+    tallest row's peak, and both spin widths at GAMMA_SEED."""
+    branch = fit_avoided_crossing(grid, tuning_i, tuning_ii, prominence=prominence)
+    if not branch.converged:
+        raise DegenerateDataError("the branch fit that seeds the full fit did not converge")
+    p = branch.parameters
     mags = grid.magnitudes
-    probe = grid.probe_frequencies
-    edge = mags[0]
-    k_peak = int(np.argmax(edge))
-    nu_c0 = float(probe[k_peak])
-    half = 0.5 * float(edge[k_peak])
-    above = probe[edge >= half]
-    kappa0 = max(0.5 * float(above[-1] - above[0]), 1e-3) if above.size >= 2 else 0.3
-
-    gaps = []
-    for row in mags:
-        peaks = peak_positions(probe, row, prominence)
-        if peaks.size >= 2:
-            gaps.append(float(peaks[-1] - peaks[0]))
-    g0 = 0.5 * min(gaps) if gaps else 5.0
-    gamma0 = max(3.0 * kappa0, 1.0)
-    return np.array([g0, g0, kappa0, gamma0, gamma0, nu_c0, 0.0])
+    row, col = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    left, right = _half_power_crossings(grid.probe_frequencies, mags[row] ** 2, col)
+    kappa0 = 0.5 * (right - left)
+    g_ii = p.get("g_other", p["g"])
+    return np.array([p["g"], g_ii, kappa0, GAMMA_SEED, GAMMA_SEED, p["nu_c"], p["offset"]])
 
 
 def fit_full_transmission(
@@ -594,12 +590,13 @@ def fit_full_transmission(
     tuning_i: SpinTuning,
     tuning_ii: SpinTuning,
     init=None,
+    prominence: float = DEFAULT_PROMINENCE,
     max_iter: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Joint least squares of |S21| over the whole grid against the
     input-output forward model."""
     _require_cells(grid)
-    theta0 = initial_guess_full(grid) if init is None else np.asarray(init, dtype=float)
+    theta0 = initial_guess_full(grid, tuning_i, tuning_ii, prominence) if init is None else init
     return levenberg_marquardt(
         transmission_model(grid.probe_frequencies, grid.sweep_values, tuning_i, tuning_ii),
         grid.magnitudes.ravel(),

@@ -243,23 +243,49 @@ def test_fit_rejects_version_mismatch(default_cfg, tmp_path, capsys):
     assert 2745.0 < payload["parameters"]["center"] < 2752.0
 
 
-def test_fit_avoided_crossing_on_a_zero_coupling_exits_3(tmp_path, capsys):
-    # On this clean two-ensemble grid the first ensemble-II pass drives g
-    # to exactly 0.0 (softplus underflow).  That pass is reported as not
-    # converged; a restart from it would start on g = 0.
-    grid_path = tmp_path / "grid.csv"
+@pytest.fixture(scope="module")
+def two_crossing_grid(tmp_path_factory):
+    """A clean 91 x 241 sweep-angle grid over both ensembles' crossings."""
+    path = tmp_path_factory.mktemp("two-crossing") / "grid.csv"
     argv = ["sweep-angle", "--angles", "0:90:1", "--probe", "2720:2780:0.25"]
-    assert main(argv + ["--config", str(DEFAULT_CFG), "--out", str(grid_path)]) == 0
+    assert main(argv + ["--config", str(DEFAULT_CFG), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("ensemble, g, g_other", [("i", 7.5, 5.6), ("ii", 5.6, 7.5)])
+def test_fit_avoided_crossing_fits_either_ensemble_of_two(
+    two_crossing_grid, tmp_path, ensemble, g, g_other
+):
+    fit_path = tmp_path / "fit.json"
+    code = main(["fit", "avoided-crossing", "--ensemble", ensemble, "--config", str(DEFAULT_CFG),
+                 "--in", str(two_crossing_grid), "--out", str(fit_path)])
+    assert code == 0
+    payload = json.loads(fit_path.read_text())
+    assert payload["converged"] is True
+    assert payload["parameters"]["g"] == pytest.approx(g, rel=0.02)
+    assert payload["parameters"]["g_other"] == pytest.approx(g_other, rel=0.02)
+
+
+def test_fit_full_out_of_iterations_exits_3(two_crossing_grid, tmp_path, capsys):
+    config = _edited_config("fit.max_iterations", "1")(tmp_path)
     fit_path = tmp_path / "fit.json"
     capsys.readouterr()
-    code = main(["fit", "avoided-crossing", "--ensemble", "ii", "--config", str(DEFAULT_CFG),
-                 "--in", str(grid_path), "--out", str(fit_path)])
+    code = main(["fit", "full", *config, "--in", str(two_crossing_grid), "--out", str(fit_path)])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
     payload = json.loads(fit_path.read_text())
     assert payload["converged"] is False
-    assert payload["parameters"]["g"] == 0.0
     assert payload["standard_errors"] is None
+
+
+def test_fit_full_seed_uses_the_peak_prominence(two_crossing_grid, tmp_path, capsys):
+    config = _edited_config("fit.peak_prominence", "1.0")(tmp_path)
+    fit_path = tmp_path / "fit.json"
+    capsys.readouterr()
+    code = main(["fit", "full", *config, "--in", str(two_crossing_grid), "--out", str(fit_path)])
+    assert code == 3
+    assert "insufficient branch coverage" in capsys.readouterr().err
+    assert not fit_path.exists()
 
 
 EMPTY_GRIDS = {
@@ -310,6 +336,19 @@ def test_dispersive_report_and_signal(default_cfg, tmp_path):
     assert payload["detuning_ii_mhz"] >= 12.0
     rows = read_table_rows(out)
     assert np.min(rows[:, 1]) < 0  # depolarization reduces the pull
+
+
+def test_dispersive_weighs_each_mode_once(tmp_path, monkeypatch):
+    from cavitybus import dispersive
+
+    calls = []
+    weigh = dispersive.drive_weights
+    monkeypatch.setattr(dispersive, "drive_weights", lambda *a: calls.append(a) or weigh(*a))
+    argv = ["dispersive", "--angle", "23", "--out", str(tmp_path / "signal.csv"),
+            "--report", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    # two modes, diagonalized once for the report and once for the signal
+    assert len(calls) == 4
 
 
 def test_dispersive_floor_violation_exits_2(default_cfg, tmp_path, capsys):

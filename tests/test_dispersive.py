@@ -109,7 +109,7 @@ def test_symmetric_degenerate_modes():
     model = dispersive_model_from_frequencies(
         make_cavity(), (4.0, 4.0), (CENTER - 20.0, CENTER - 20.0)
     )
-    (f_b, v_b), (f_d, v_d) = dispersive_spin_modes(model)
+    (f_b, v_b, _), (f_d, v_d, _) = dispersive_spin_modes(model)
     root2 = 1 / math.sqrt(2)
     assert np.allclose(np.abs(v_b), [root2, root2], atol=1e-12)
     assert np.allclose(np.abs(v_d), [root2, root2], atol=1e-12)
@@ -120,7 +120,7 @@ def test_bare_degeneracy_modes_are_coupling_weighted():
     model = dispersive_model_from_frequencies(
         make_cavity(), (7.5, 5.6), (CENTER - 19.1, CENTER - 19.1)
     )
-    (f_b, v_b), (f_d, v_d) = dispersive_spin_modes(model)
+    (f_b, v_b, _), (f_d, v_d, _) = dispersive_spin_modes(model)
     g_col = math.hypot(7.5, 5.6)
     bright_expected = np.array([-7.5, 5.6]) / g_col
     dark_expected = np.array([5.6, 7.5]) / g_col
@@ -137,7 +137,7 @@ def test_zero_exchange_keeps_bare_modes():
     )
     patched = dataclasses.replace(model, u_coupling=0.0)
     assert patched.spin_block[0, 1] == 0.0
-    (_, v_b), (_, v_d) = dispersive_spin_modes(patched)
+    (_, v_b, _), (_, v_d, _) = dispersive_spin_modes(patched)
     assert np.allclose(np.abs(v_b), [1.0, 0.0], atol=1e-12)
     assert np.allclose(np.abs(v_d), [0.0, 1.0], atol=1e-12)
 
@@ -188,7 +188,7 @@ def test_degenerate_block_splitting_is_exactly_2u():
     w_ii = model.transition_i - model.chi_i + model.chi_ii
     shifted = dataclasses.replace(model, transition_ii=w_ii)
     assert shifted.spin_block[0, 0] == shifted.spin_block[1, 1]
-    (f_hi, _), (f_lo, _) = dispersive_spin_modes(shifted)
+    (f_hi, *_), (f_lo, *_) = dispersive_spin_modes(shifted)
     assert abs(abs(f_hi - f_lo) - 2 * abs(model.u_coupling)) < 1e-12
 
 

@@ -5,6 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
+from cavitybus.calibrate import _find_root
+from cavitybus.config import range_values
 from cavitybus.errors import DegenerateDataError
 from cavitybus.fitting import (
     _FULL_NAMES,
@@ -196,11 +198,24 @@ def test_jacobian_check_reports_kink():
 def test_jacobian_check_shipped_grid_models(tunings):
     tun_i, tun_ii = tunings
     sv = np.linspace(71.0, 87.0, 17)
-    signs = np.where(np.arange(17) % 2 == 0, -1.0, 1.0)
     dev_branch = jacobian_check(
-        avoided_crossing_model(sv, signs, tun_i), [7.5, CENTER, 0.3], scales=np.ones(3)
+        avoided_crossing_model(sv, np.arange(17) % 2, [tun_i]), [7.5, CENTER, 0.3],
+        scales=np.ones(3),
     )
     assert dev_branch < 1e-6
+    # N = 2, ending on the ensemble-ensemble degeneracy: its middle mode
+    # is the dark state, with no cavity content
+    def gap(angle):
+        (nu_i, _), (nu_ii, _) = (t.frequencies_and_derivative(angle) for t in (tun_i, tun_ii))
+        return nu_i - nu_ii
+
+    dark = _find_root(gap, 35.0, 65.0, xtol=1e-12)
+    sv_wide = np.append(np.linspace(10.0, 90.0, 17), dark)
+    modes = np.append(np.arange(17) % 3, 1)
+    two = avoided_crossing_model(sv_wide, modes, tunings)
+    theta = [7.5, 5.6, CENTER, 0.0]
+    assert abs(two(theta)[1][-1, 2]) < 1e-12  # v_0^2 of the dark mode
+    assert jacobian_check(two, theta, scales=np.ones(4)) < 1e-6
     probe = np.linspace(CENTER - 20.0, CENTER + 20.0, 41)
     dev_full = jacobian_check(
         transmission_model(probe, sv, tun_i, tun_ii),
@@ -216,8 +231,8 @@ def test_jacobian_check_shipped_grid_models(tunings):
 def test_branch_model_minimum_gap_is_2g(tunings):
     tun_i, _ = tunings
     sv = np.linspace(71.0, 87.0, 401)
-    lower = avoided_crossing_model(sv, -np.ones(401), tun_i)([7.5, CENTER, 0.0])[0]
-    upper = avoided_crossing_model(sv, np.ones(401), tun_i)([7.5, CENTER, 0.0])[0]
+    lower = avoided_crossing_model(sv, np.zeros(401, dtype=int), [tun_i])([7.5, CENTER, 0.0])[0]
+    upper = avoided_crossing_model(sv, np.ones(401, dtype=int), [tun_i])([7.5, CENTER, 0.0])[0]
     assert np.min(upper - lower) == pytest.approx(2 * 7.5, rel=1e-4)
 
 
@@ -234,6 +249,14 @@ def test_avoided_crossing_noiseless_roundtrip(crossing_grid, tunings):
     assert result.parameters["g"] == pytest.approx(7.5, rel=0.02)
     assert result.parameters["nu_c"] == pytest.approx(CENTER, abs=0.1)
     assert abs(result.parameters["offset"]) < 0.1
+
+
+def test_avoided_crossing_leaves_out_an_ensemble_outside_the_probe_window(crossing_grid, tunings):
+    # ensemble II stays below this grid's probe window at every angle
+    alone = fit_avoided_crossing(crossing_grid, tunings[0])
+    assert fit_avoided_crossing(crossing_grid, *tunings).parameters == alone.parameters
+    with pytest.raises(DegenerateDataError, match="probe window"):
+        fit_avoided_crossing(crossing_grid, tunings[1], tunings[0])
 
 
 def test_avoided_crossing_magnitude_sweep(config, cavity, ens_i):
@@ -321,8 +344,40 @@ def test_full_transmission_default_init(full_grid, tunings):
     assert result.parameters["g_ii"] == pytest.approx(5.6, rel=0.03)
 
 
-def test_initial_guess_orders_of_magnitude(full_grid):
-    guess = initial_guess_full(full_grid)
+@pytest.mark.parametrize("seed", range(3))
+def test_cold_full_fit_where_row_0_is_not_the_bare_cavity(cold_grid, tunings, seed):
+    result = fit_full_transmission(with_noise(cold_grid, seed), *tunings)
+    assert result.converged
+    for key, truth in (("g_i", 7.5), ("g_ii", 5.6), ("kappa", 0.32)):
+        assert result.parameters[key] == pytest.approx(truth, rel=0.03)
+
+
+def test_cold_full_fit_on_the_default_grid(config, cavity, ens_i, ens_ii, tunings):
+    magnitude = config.get("field.magnitude_mt")
+    angles = range_values(config.get("sweep.angles_deg"))
+    probe = range_values(config.get("sweep.probe_mhz"))
+    grid = sweep(cavity, [ens_i, ens_ii], [FieldSetting(magnitude, a) for a in angles], probe,
+                 "angle")
+    result = fit_full_transmission(grid, *tunings)
+    assert result.converged
+    assert result.iterations <= 20
+    for key, truth in (("g_i", 7.5), ("g_ii", 5.6), ("kappa", 0.32)):
+        assert result.parameters[key] == pytest.approx(truth, rel=0.03)
+
+
+def test_avoided_crossing_on_a_two_ensemble_field_sweep(config, cavity, ens_i, ens_ii):
+    magnitudes = range_values(config.get("sweep.magnitudes_mt"))
+    probe = np.arange(2720.0, 2780.0 + 1e-9, 0.25)
+    fields = [FieldSetting(b, 79.0) for b in magnitudes]
+    grid = sweep(cavity, [ens_i, ens_ii], fields, probe, "magnitude")
+    tuning_i, tuning_ii = (SpinTuning.from_ensemble(e, "magnitude", 79.0) for e in (ens_i, ens_ii))
+    result = fit_avoided_crossing(grid, tuning_i, tuning_ii)
+    assert result.converged
+    assert result.parameters["g"] == pytest.approx(7.5, rel=0.02)
+
+
+def test_initial_guess_orders_of_magnitude(full_grid, tunings):
+    guess = initial_guess_full(full_grid, *tunings)
     assert 1.0 < guess[0] < 15.0
     assert 0.05 < guess[2] < 2.0
     assert abs(guess[5] - CENTER) < 2.0
@@ -375,8 +430,7 @@ def reference_transmission_model(probe, sweep_values, tuning_i, tuning_ii, theta
     den = 1j * (nu_c - nu) + kappa
     terms = []
     for g, gamma, tuning in ((g_i, gamma_i, tuning_i), (g_ii, gamma_ii, tuning_ii)):
-        nu_s = tuning.frequencies(sweep_values, offset)[:, None]
-        dnu_s = tuning.frequencies_and_derivative(sweep_values, offset)[1][:, None]
+        nu_s, dnu_s = (x[:, None] for x in tuning.frequencies_and_derivative(sweep_values, offset))
         pole = 1j * (nu_s - nu) + gamma
         terms.append((g, pole, dnu_s))
         den = den + g**2 / pole
@@ -418,7 +472,7 @@ def test_transmission_jacobian_matches_reference(point, full_grid, cold_grid, tu
     theta = {
         "truth": TRUTH,
         "perturbed": perturbed_start(),
-        "cold-guess": initial_guess_full(cold_grid),
+        "cold-guess": initial_guess_full(cold_grid, *tunings),
         "tiny-g_ii": np.array([7.5, 1e-9, 0.32, 4.58, 4.24, CENTER, 0.2]),
     }[point]
     args = (grid.probe_frequencies, grid.sweep_values, *tunings)
@@ -462,7 +516,7 @@ def test_blocked_transmission_model_is_bit_identical_to_one_block(
     thetas = [
         TRUTH,
         perturbed_start(),
-        initial_guess_full(cold_grid),
+        initial_guess_full(cold_grid, *tunings),
         np.array([7.5, 1e-9, 0.32, 4.58, 4.24, CENTER, 0.2]),
     ]
     blocked = [transmission_model(probe, angles, *tunings)(theta) for theta in thetas]
