@@ -1,15 +1,13 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 from .coupled import (
     CavitySpec,
     EnsembleSpec,
-    SingleExcitationModel,
     collective_coupling,
-    photon_weight,
-    single_excitation_model,
+    collective_modes,
 )
 from .dispersive import (
     DispersiveModel,
@@ -55,12 +53,12 @@ __all__ = [
     "FitResult",
     "NVParameters",
     "PumpProbeSignal",
-    "SingleExcitationModel",
     "SpectrumGrid",
     "SpinLevels",
     "SpinTuning",
     "build_dispersive_model",
     "collective_coupling",
+    "collective_modes",
     "dispersive_shift",
     "dispersive_spin_modes",
     "drive_weights",
@@ -74,10 +72,8 @@ __all__ = [
     "nv_axis_vectors",
     "peak_positions",
     "peak_splitting",
-    "photon_weight",
     "pump_probe_signal",
     "s21",
-    "single_excitation_model",
     "spin_hamiltonian",
     "sweep",
     "thermal_polarization",

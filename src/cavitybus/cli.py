@@ -223,15 +223,14 @@ def _cmd_dispersive(args, config) -> int:
     ens_ii = config.ensemble("ii")
     field, extra = _field_point(args, config, "field.dispersive_magnitude_mt")
     floor = config.get("dispersive.floor_mhz")
-    enforce = config.get("dispersive.enforce_floor")
-    model = build_dispersive_model(config.cavity(), ens_i, ens_ii, field, floor, enforce)
+    model = build_dispersive_model(config.cavity(), ens_i, ens_ii, field, floor)
     bright, dark = dispersive_spin_modes(model)
     if args.pump:
         pump = range_values(args.pump, key="--pump")
     else:
         lo = min(bright[0], dark[0]) - 40.0
         hi = max(bright[0], dark[0]) + 40.0
-        if not (hi - lo) / 0.02 <= MAX_RANGE_POINTS - 1:  # floor off: chi can be huge
+        if not (hi - lo) / 0.02 <= MAX_RANGE_POINTS - 1:  # floor_mhz = 0: chi can be huge
             raise ValidationError(
                 f"pump range derived from the spin modes at {bright[0]:g} and {dark[0]:g} "
                 f"MHz has more than {MAX_RANGE_POINTS} points; give --pump start:stop:step"

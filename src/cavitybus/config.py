@@ -64,14 +64,14 @@ _UNIT_FAMILIES = {
 
 @dataclass(frozen=True)
 class _KeySpec:
-    kind: str  # "float" | "int" | "bool" | "sign" | "range"
+    kind: str  # "float" | "int" | "sign" | "range"
     required: bool = False
     default: object = None
     minimum: float | None = None
     maximum: float | None = None
 
 
-def _ensemble_keys(prefix: str, coupling: float, hwhm: float, azimuth: float) -> dict:
+def _ensemble_keys(prefix: str, hwhm: float, azimuth: float) -> dict:
     return {
         f"{prefix}.d_splitting_mhz": _KeySpec("float", default=2870.0, minimum=1e-9),
         f"{prefix}.e_strain_mhz": _KeySpec("float", default=13.0, minimum=0.0),
@@ -98,8 +98,8 @@ _CALIBRATED_MAGNITUDE_MT = 7.69336558
 _CALIBRATED_DISPERSIVE_MT = 8.74222984
 
 SCHEMA: dict = {
-    **_ensemble_keys("ensemble_i", 7.5, 4.58, _CALIBRATED_AZIMUTH_I),
-    **_ensemble_keys("ensemble_ii", 5.6, 4.24, _CALIBRATED_AZIMUTH_II),
+    **_ensemble_keys("ensemble_i", 4.58, _CALIBRATED_AZIMUTH_I),
+    **_ensemble_keys("ensemble_ii", 4.24, _CALIBRATED_AZIMUTH_II),
     "cavity.center_mhz": _KeySpec("float", required=True, minimum=1e-9),
     "cavity.total_hwhm_mhz": _KeySpec("float", required=True, minimum=1e-12),
     "cavity.external_hwhm_mhz": _KeySpec("float", default=None, minimum=1e-12),
@@ -116,7 +116,6 @@ SCHEMA: dict = {
     "calibration.relative_azimuth_deg": _KeySpec("float", default=24.2),
     "calibration.dispersive_margin_mhz": _KeySpec("float", default=14.0, minimum=0.0),
     "dispersive.floor_mhz": _KeySpec("float", default=DEFAULT_FLOOR, minimum=0.0),
-    "dispersive.enforce_floor": _KeySpec("bool", default=True),
     "fit.peak_prominence": _KeySpec("float", default=DEFAULT_PROMINENCE, minimum=0.0, maximum=1.0),
     "fit.max_iterations": _KeySpec("int", default=MAX_ITERATIONS, minimum=1),
     "sweep.angles_deg": _KeySpec("range", default="0:90:0.1"),
@@ -168,8 +167,8 @@ def range_values(text: str, *, key: str = "range"):
     return values[values <= stop + 1e-9 * max(abs(stop), 1.0)]
 
 
-# file spellings of the bool and sign kinds
-_WORDS = {"bool": {"true": True, "false": False}, "sign": {"+1": 1, "1": 1, "-1": -1}}
+# file spellings of the sign kind
+_SIGNS = {"+1": 1, "1": 1, "-1": -1}
 
 
 def _parse_value(key: str, spec: _KeySpec, raw: str, line_no: int, factor: float):
@@ -184,7 +183,7 @@ def _parse_value(key: str, spec: _KeySpec, raw: str, line_no: int, factor: float
         elif spec.kind == "range":
             value = text
         else:
-            value = _WORDS[spec.kind][text.lower()]
+            value = _SIGNS[text]
     except (ValueError, KeyError):
         value = raw
     return _check_value(key, spec, value, f"line {line_no}: {key}", shown=raw)
@@ -199,7 +198,6 @@ def _check_value(key: str, spec: _KeySpec, value, where: str, shown=None):
     expected, ok = {
         "float": ("a number", number),
         "int": ("an integer", integer),
-        "bool": ("true/false", isinstance(value, bool)),
         "sign": ("+1 or -1", integer and value in (1, -1)),
         "range": ("start:stop:step", isinstance(value, str)),
     }[spec.kind]
@@ -285,9 +283,7 @@ class ExperimentConfig:
             value = self.values[key]
             if value is None:
                 continue
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
+            if isinstance(value, float):
                 text = format_float(value)
             elif isinstance(value, int):
                 text = ("+1" if value == 1 else "-1") if SCHEMA[key].kind == "sign" else str(value)

@@ -1,15 +1,16 @@
-"""Single-excitation model of two spin ensembles sharing one cavity mode.
+"""Single-excitation model of spin ensembles sharing one cavity mode.
 
-Basis ordering is {photon, ensemble-I excitation, ensemble-II
-excitation}.  The cavity mode has two magnetic-field antinodes of
-opposite sign at the two crystal positions; the sign pair lives in
-CavitySpec.antinode_signs and enters the coupling row of the matrix, so
-the default convention produces off-diagonals (+g_I, -g_II).
+Basis ordering is {photon, E_1..E_N}, one collective excitation per
+ensemble.  The cavity mode has two magnetic-field antinodes of opposite
+sign at the two crystal positions; the sign pair lives in
+CavitySpec.antinode_signs, and callers apply it to the couplings they
+pass to `collective_modes`, so the default convention gives the photon
+row (+g_I, -g_II).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +19,8 @@ from .spin import CrystalOrientation, FieldSetting, NVParameters, transition_min
 __all__ = [
     "EnsembleSpec",
     "CavitySpec",
-    "SingleExcitationModel",
     "collective_coupling",
-    "single_excitation_model",
-    "photon_weight",
+    "collective_modes",
 ]
 
 
@@ -65,26 +64,6 @@ class CavitySpec:
         object.__setattr__(self, "antinode_signs", signs)
 
 
-@dataclass(frozen=True)
-class SingleExcitationModel:
-    """3x3 Hermitian matrix over {photon, E_I, E_II} with its
-    eigen-decomposition (eigenfrequencies ascending, eigenvectors as
-    rows matching the eigenfrequencies)."""
-
-    matrix: np.ndarray
-    eigenfrequencies: np.ndarray = field(init=False)
-    eigenvectors: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3) or not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("matrix must be 3x3 symmetric")
-        object.__setattr__(self, "matrix", m)
-        vals, vecs = np.linalg.eigh(m)
-        object.__setattr__(self, "eigenfrequencies", vals)
-        object.__setattr__(self, "eigenvectors", vecs.T)
-
-
 def collective_coupling(single_couplings) -> float:
     """Quadrature sum sqrt(sum g_j^2) of individual coupling rates; this
     is the root-N enhanced coupling of the joint bright mode."""
@@ -94,31 +73,21 @@ def collective_coupling(single_couplings) -> float:
     return float(np.sqrt(np.sum(g**2)))
 
 
-def single_excitation_model(
-    cavity: CavitySpec, couplings: tuple, transitions: tuple
-) -> SingleExcitationModel:
-    """Assemble the model from explicit spin transition frequencies.
+def collective_modes(center, couplings, transitions):
+    """Eigenmodes of the single-excitation matrix over {photon, E_1..E_N}.
 
-    `couplings` are the magnitudes (g_I, g_II); the antinode signs of
-    the cavity are applied to the photon row.
+    The matrix has `center` and `transitions[..., k]` on its diagonal and
+    the signed `couplings[k]` in its photon row and column; the leading
+    axes of `transitions` are a batch.  Returns (frequencies, ascending;
+    eigenvectors as columns, photon component first), so the photon
+    weight of mode k is vectors[..., 0, k]**2.  eigh solves the matrix
+    less `center`, so it rounds on MHz-sized entries.
     """
-    g_i, g_ii = couplings
-    w_i, w_ii = transitions
-    s_i, s_ii = cavity.antinode_signs
-    m = np.array(
-        [
-            [cavity.center, s_i * g_i, s_ii * g_ii],
-            [s_i * g_i, w_i, 0.0],
-            [s_ii * g_ii, 0.0, w_ii],
-        ]
-    )
-    return SingleExcitationModel(m)
-
-
-def photon_weight(state) -> float:
-    """Squared magnitude of the photon component of a unit-norm state."""
-    v = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state must be unit norm (got {norm:.8f})")
-    return float(abs(v[0]) ** 2)
+    w = np.asarray(transitions, dtype=float)
+    n = w.shape[-1]
+    h = np.zeros(w.shape[:-1] + (n + 1, n + 1))
+    k = np.arange(1, n + 1)
+    h[..., k, k] = w - center
+    h[..., 0, 1:] = h[..., 1:, 0] = couplings
+    mu, vecs = np.linalg.eigh(h)
+    return center + mu, vecs

@@ -25,9 +25,10 @@ energy ordering or symmetry names alone.
 
 A DispersiveModel is built, and its detunings checked against the
 validity floor, in one place: `dispersive_model_from_frequencies`
-(which `build_dispersive_model` calls at a field).  Everything
-downstream -- the spin modes, the pump-probe signal, the comparison
-with the exact model -- takes the built model.
+(which `build_dispersive_model` calls at a field); a floor of 0 switches
+the check off.  The spin modes and the pump-probe signal take the built
+model; `dispersive_deviation` compares it with the exact
+`collective_modes`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import CavitySpec, EnsembleSpec, single_excitation_model
+from .coupled import CavitySpec, EnsembleSpec, collective_modes
 from .errors import DispersiveRangeError
 from .spin import FieldSetting
 
@@ -50,10 +51,9 @@ __all__ = [
     "build_dispersive_model",
     "dispersive_model_from_frequencies",
     "dispersive_spin_modes",
-    "validation_from_frequencies",
+    "dispersive_deviation",
     "drive_weights",
     "pump_probe_signal",
-    "ValidationReport",
 ]
 
 # Smallest spin-cavity detuning magnitude (MHz) accepted as dispersive.
@@ -117,19 +117,18 @@ def dispersive_model_from_frequencies(
     couplings: tuple,
     transitions: tuple,
     floor: float = DEFAULT_FLOOR,
-    enforce: bool = True,
 ) -> DispersiveModel:
     """Dispersive parameters for explicit spin transition frequencies.
 
-    The only place the validity floor is checked: with `enforce`, a
-    detuning magnitude below `floor` raises DispersiveRangeError,
-    ensemble I checked before ensemble II."""
+    The only place the validity floor is checked: a detuning magnitude
+    below `floor` raises DispersiveRangeError, ensemble I checked before
+    ensemble II."""
     g_i, g_ii = couplings
     w_i, w_ii = transitions
     d_i = cavity.center - w_i
     d_ii = cavity.center - w_ii
     for label, delta in (("ensemble I", d_i), ("ensemble II", d_ii)):
-        if enforce and abs(delta) < floor:
+        if abs(delta) < floor:
             raise DispersiveRangeError(
                 f"{label} detuning {delta:+.3f} MHz is below the dispersive "
                 f"floor of {floor:g} MHz"
@@ -153,7 +152,6 @@ def build_dispersive_model(
     ens_ii: EnsembleSpec,
     field_setting: FieldSetting,
     floor: float = DEFAULT_FLOOR,
-    enforce: bool = True,
 ) -> DispersiveModel:
     """Evaluate the dispersive parameters at the given field."""
     return dispersive_model_from_frequencies(
@@ -161,7 +159,6 @@ def build_dispersive_model(
         (ens_i.coupling, ens_ii.coupling),
         (ens_i.transition(field_setting), ens_ii.transition(field_setting)),
         floor,
-        enforce,
     )
 
 
@@ -220,33 +217,13 @@ def pump_probe_signal(
     return PumpProbeSignal(pump, shift)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Spin-mode frequencies of the exact 3x3 model against the
-    dispersive 2x2 block, with absolute deviations (MHz)."""
-
-    exact: tuple
-    dispersive: tuple
-    deviations: tuple
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations)
-
-
-def validation_from_frequencies(
-    cavity: CavitySpec, couplings: tuple, transitions: tuple
-) -> ValidationReport:
-    """Compare the dispersive spin-mode frequencies against the two
-    spin-like eigenvalues (least photon content) of the exact model."""
-    exact_model = single_excitation_model(cavity, couplings, transitions)
-    photon = np.abs(exact_model.eigenvectors[:, 0]) ** 2
-    spin_like = np.sort(exact_model.eigenfrequencies[np.argsort(photon)[:2]])
+def dispersive_deviation(cavity: CavitySpec, couplings: tuple, transitions: tuple) -> float:
+    """Largest deviation (MHz) of the dispersive spin-mode frequencies
+    from the two spin-like eigenvalues (least photon content) of the
+    exact collective modes."""
+    signed = np.multiply(cavity.antinode_signs, couplings)
+    exact, vecs = collective_modes(cavity.center, signed, transitions)
+    spin_like = np.sort(exact[np.argsort(vecs[0] ** 2)[:2]])
     model = dispersive_model_from_frequencies(cavity, couplings, transitions)
     disp = np.sort(np.linalg.eigvalsh(model.spin_block))
-    dev = np.abs(spin_like - disp)
-    return ValidationReport(
-        exact=tuple(float(x) for x in spin_like),
-        dispersive=tuple(float(x) for x in disp),
-        deviations=tuple(float(x) for x in dev),
-    )
+    return float(np.max(np.abs(spin_like - disp)))

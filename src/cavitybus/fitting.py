@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .coupled import EnsembleSpec
+from .coupled import EnsembleSpec, collective_modes
 from .errors import DegenerateDataError
 from .spin import CrystalOrientation, NVParameters, _solve
 from .transmission import (
@@ -397,17 +397,13 @@ def extract_branches(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE,
 
 def _branch_modes(sweep_values, theta, tunings):
     """(eigenvalues, eigenvectors, spin slopes) at each sweep value s of
-    the matrix with nu_c and the nu_k(s + offset) on its diagonal and
-    g_k in its cavity row and column.  eigh reads the lower triangle of
-    the matrix less nu_c, so it rounds on MHz-sized entries."""
+    the collective_modes matrix with nu_c, the g_k and the
+    nu_k(s + offset) of theta."""
     n = len(tunings)
     g, nu_c, offset = theta[:n], theta[n], theta[n + 1]
     nus, slopes = zip(*(t.frequencies_and_derivative(sweep_values, offset) for t in tunings))
-    h = np.zeros((len(sweep_values), n + 1, n + 1))
-    h[:, range(1, n + 1), range(1, n + 1)] = np.stack(nus, axis=1) - nu_c
-    h[:, 1:, 0] = g
-    mu, vecs = np.linalg.eigh(h)
-    return nu_c + mu, vecs, np.stack(slopes, axis=1)
+    lam, vecs = collective_modes(nu_c, g, np.stack(nus, axis=1))
+    return lam, vecs, np.stack(slopes, axis=1)
 
 
 def avoided_crossing_model(sweep_values, modes, tunings):

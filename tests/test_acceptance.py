@@ -56,6 +56,14 @@ def test_criterion_2_dark_state(cfg):
     run_criterion(acceptance.criterion_dark_state, cfg, 1.0)
 
 
+def test_criterion_2_dark_state_has_no_photon_content(cfg):
+    # At triple degeneracy the middle mode of the cavity-plus-ensembles
+    # matrix (solved less the cavity frequency) has exactly no photon
+    # component.
+    detail = acceptance.criterion_dark_state(cfg).detail
+    assert detail.startswith("middle-mode photon weight=0.000e+00 < 1e-12; ")
+
+
 def test_criterion_3_geometry(cfg):
     result = timed_criterion(acceptance.criterion_geometry, cfg, 10.0)
     calibration = calibrate_geometry(cfg)

@@ -379,7 +379,7 @@ def test_dispersive_without_floor_runs_below_it(tmp_path, capsys):
     argv += ["--report", str(report)]
     assert main(argv) == 2
     assert "ensemble II detuning +6.077 MHz" in capsys.readouterr().err
-    edited = _edited_config("dispersive.enforce_floor", "false")(tmp_path)
+    edited = _edited_config("dispersive.floor_mhz", "0")(tmp_path)
     assert main(argv + edited) == 0
     payload = json.loads(report.read_text())
     assert payload["detuning_ii_mhz"] == pytest.approx(6.077, abs=1e-3)
@@ -578,11 +578,11 @@ INVALID_INPUTS = {
     "width-nan": (DISPERSIVE + ["--width", "nan"], _default_config, WIDTH + "nan"),
     "width-zero": (DISPERSIVE + ["--width", "0"], _default_config, WIDTH + "0"),
     "width-negative": (DISPERSIVE + ["--width", "-1"], _default_config, WIDTH + "-1"),
-    # with the floor off, ensemble II on the cavity pulls it by ~5e8 MHz,
+    # with floor_mhz = 0, ensemble II on the cavity pulls it by ~5e8 MHz,
     # and the pump range derived from the spin modes would not fit in memory
     "dispersive-derived-pump-range": (
         ["dispersive", "--angle", "23", "--b-mag", "7.69336558"],
-        _edited_config("dispersive.enforce_floor", "false"),
+        _edited_config("dispersive.floor_mhz", "0"),
         "has more than 1000000 points; give --pump start:stop:step",
     ),
     # non-finite grid cells and fixed coordinate

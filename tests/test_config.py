@@ -95,14 +95,6 @@ def test_malformed_line_rejected():
         parse_config_text("just words\n")
 
 
-def test_bad_bool_rejected():
-    text = DEFAULT_TEXT.replace(
-        "dispersive.enforce_floor = true", "dispersive.enforce_floor = yes"
-    )
-    with pytest.raises(ConfigError, match="true/false"):
-        parse_config_text(text)
-
-
 def test_bad_sign_rejected():
     text = DEFAULT_TEXT.replace(
         "cavity.antinode_sign_ii = -1", "cavity.antinode_sign_ii = 2"
@@ -152,7 +144,7 @@ def test_with_updates_changes_hash(config):
         ("fit.peak_prominence", 3.0, "value 3.0 above maximum 1.0"),
         ("fit.max_iterations", 2.5, "expected an integer, got 2.5"),
         ("field.magnitude_mt", float("nan"), "value must be finite, got nan"),
-        ("dispersive.enforce_floor", "yes", "expected true/false, got 'yes'"),
+        ("field.magnitude_mt", True, "expected a number, got True"),
         ("cavity.antinode_sign_i", 2, "expected +1 or -1, got 2"),
         ("sweep.angles_deg", "0:90:-1", "need stop >= start and step > 0"),
     ],

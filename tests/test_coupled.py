@@ -3,19 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cavitybus.coupled import (
-    CavitySpec,
-    EnsembleSpec,
-    collective_coupling,
-    photon_weight,
-    single_excitation_model,
-)
+from cavitybus.coupled import CavitySpec, EnsembleSpec, collective_coupling, collective_modes
 
 CENTER = 2749.1
-
-
-def make_cavity(signs=(1, -1)):
-    return CavitySpec(CENTER, 0.320, 0.320, signs)
 
 
 def dressed_states(g_i, g_ii):
@@ -36,7 +26,7 @@ def dressed_states(g_i, g_ii):
 
 
 def degenerate_eigs_closed_form(g_i, g_ii, center):
-    """Characteristic polynomial of the degenerate 3x3 model factors as
+    """Characteristic polynomial of the degenerate 3x3 matrix factors as
     lambda (lambda^2 - g_col^2) around the center."""
     g_col = math.hypot(g_i, g_ii)
     return np.array([center - g_col, center, center + g_col])
@@ -73,66 +63,84 @@ def test_collective_coupling_empty():
 
 
 # ---------------------------------------------------------------------------
-# single-excitation model
+# collective modes
+
+def signed(couplings, signs=(1, -1)):
+    """Couplings with the cavity's antinode signs applied, as callers
+    pass them to collective_modes."""
+    return np.multiply(signs, couplings)
+
 
 def test_sign_convention_in_matrix():
-    model = single_excitation_model(make_cavity(), (7.5, 5.6), (2749.1, 2749.1))
-    assert model.matrix[0][1] == 7.5
-    assert model.matrix[0][2] == -5.6
-    assert model.matrix[1][2] == 0.0
+    # The signed couplings sit in the photon row as given; the spins
+    # do not couple to each other.
+    freqs, vectors = collective_modes(CENTER, signed((7.5, 5.6)), (CENTER, CENTER))
+    matrix = vectors @ np.diag(freqs - CENTER) @ vectors.T
+    np.testing.assert_allclose(matrix[0, 1:], [7.5, -5.6], atol=1e-12)
+    assert abs(matrix[1, 2]) < 1e-12
 
 
 def test_detuned_eigenfrequencies_near_diagonal():
     g_i, g_ii, delta = 5.0, 4.0, 200.0
-    model = single_excitation_model(
-        make_cavity(), (g_i, g_ii), (CENTER - delta, CENTER + delta)
-    )
-    diag = np.sort(np.diag(model.matrix))
+    transitions = (CENTER - delta, CENTER + delta)
+    freqs, _ = collective_modes(CENTER, signed((g_i, g_ii)), transitions)
+    diag = np.sort([CENTER, *transitions])
     bound = 1.05 * (g_i**2 + g_ii**2) / delta
-    assert np.max(np.abs(np.sort(model.eigenfrequencies) - diag)) < bound
+    assert np.max(np.abs(freqs - diag)) < bound
 
 
 def test_degenerate_spectrum_closed_form():
-    model = single_excitation_model(make_cavity(), (7.5, 5.6), (CENTER, CENTER))
-    np.testing.assert_allclose(
-        model.eigenfrequencies,
-        degenerate_eigs_closed_form(7.5, 5.6, CENTER),
-        atol=1e-9,
-    )
+    freqs, _ = collective_modes(CENTER, signed((7.5, 5.6)), (CENTER, CENTER))
+    np.testing.assert_allclose(freqs, degenerate_eigs_closed_form(7.5, 5.6, CENTER), atol=1e-9)
 
 
 def test_degenerate_splitting_matches_collective_rate():
-    model = single_excitation_model(make_cavity(), (7.5, 5.6), (CENTER, CENTER))
-    splitting = model.eigenfrequencies[2] - model.eigenfrequencies[0]
-    assert splitting == pytest.approx(2 * 9.36, abs=0.01)
+    freqs, _ = collective_modes(CENTER, signed((7.5, 5.6)), (CENTER, CENTER))
+    assert freqs[2] - freqs[0] == pytest.approx(2 * 9.36, abs=0.01)
 
 
 def test_middle_mode_unshifted_at_degeneracy():
-    model = single_excitation_model(make_cavity(), (7.5, 5.6), (CENTER, CENTER))
-    assert model.eigenfrequencies[1] == pytest.approx(CENTER, abs=1e-9)
+    freqs, _ = collective_modes(CENTER, signed((7.5, 5.6)), (CENTER, CENTER))
+    assert freqs[1] == pytest.approx(CENTER, abs=1e-9)
+
+
+def test_single_ensemble_on_resonance_splits_by_2g():
+    freqs, vectors = collective_modes(CENTER, [7.5], [CENTER])
+    np.testing.assert_allclose(freqs, [CENTER - 7.5, CENTER + 7.5], atol=1e-12)
+    np.testing.assert_allclose(vectors[0] ** 2, [0.5, 0.5], atol=1e-15)
 
 
 def test_trace_identity_over_parameter_draws():
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        couplings = tuple(rng.uniform(0.5, 12.0, size=2))
-        transitions = tuple(CENTER + rng.uniform(-80.0, 80.0, size=2))
-        model = single_excitation_model(make_cavity(), couplings, transitions)
-        assert np.sum(model.eigenfrequencies) == pytest.approx(
-            np.trace(model.matrix), abs=1e-9
-        )
-        gram = model.eigenvectors @ model.eigenvectors.T
-        np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            couplings = rng.uniform(-12.0, 12.0, size=n)
+            transitions = CENTER + rng.uniform(-80.0, 80.0, size=n)
+            freqs, vectors = collective_modes(CENTER, couplings, transitions)
+            assert np.sum(freqs) == pytest.approx(CENTER + np.sum(transitions), abs=1e-9)
+            np.testing.assert_allclose(vectors.T @ vectors, np.eye(n + 1), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stack_of_transitions_matches_one_call_per_point(n):
+    rng = np.random.default_rng(11)
+    couplings = signed(rng.uniform(0.5, 12.0, size=n), (1, -1)[:n])
+    transitions = CENTER + rng.uniform(-60.0, 60.0, size=(4, 5, n))
+    freqs, vectors = collective_modes(CENTER, couplings, transitions)
+    assert freqs.shape == (4, 5, n + 1) and vectors.shape == (4, 5, n + 1, n + 1)
+    for index in np.ndindex(4, 5):
+        one_freqs, one_vectors = collective_modes(CENTER, couplings, transitions[index])
+        assert np.array_equal(freqs[index], one_freqs)
+        assert np.array_equal(vectors[index], one_vectors)
 
 
 # ---------------------------------------------------------------------------
 # dressed states
 
 def test_dressed_states_match_exact_eigenvectors():
-    model = single_excitation_model(make_cavity(), (7.5, 5.6), (CENTER, CENTER))
+    _, vectors = collective_modes(CENTER, signed((7.5, 5.6)), (CENTER, CENTER))
     for state in dressed_states(7.5, 5.6):
-        overlaps = [abs(np.dot(state, v)) for v in model.eigenvectors]
-        assert max(overlaps) > 1.0 - 1e-10
+        assert np.max(np.abs(state @ vectors)) > 1.0 - 1e-10
 
 
 def test_dressed_states_orthonormal():
@@ -159,37 +167,34 @@ def test_single_ensemble_limit():
 
 
 def test_sign_flip_swaps_dark_combination():
-    model = single_excitation_model(make_cavity((1, 1)), (7.5, 5.6), (CENTER, CENTER))
-    weights = [photon_weight(v) for v in model.eigenvectors]
-    dark_vec = model.eigenvectors[int(np.argmin(weights))]
-    expected = np.array([0.0, 5.6, -7.5]) / math.hypot(7.5, 5.6)
-    assert min(np.max(np.abs(dark_vec - expected)), np.max(np.abs(dark_vec + expected))) < 1e-10
+    # Same-sign antinodes make (0, g_II, -g_I) dark; the default (+, -)
+    # pair makes (0, g_II, g_I) dark (dressed_states).
+    for signs, dark_spins in (((1, 1), (5.6, -7.5)), ((1, -1), (5.6, 7.5))):
+        _, vectors = collective_modes(CENTER, signed((7.5, 5.6), signs), (CENTER, CENTER))
+        dark_vec = vectors[:, int(np.argmin(vectors[0] ** 2))]
+        expected = np.array([0.0, *dark_spins]) / math.hypot(7.5, 5.6)
+        assert min(np.max(np.abs(dark_vec - expected)), np.max(np.abs(dark_vec + expected))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# photon weight
+# photon weight: vectors[0, k]**2
 
-def test_photon_weight_of_dark_state():
+def test_dark_mode_has_no_photon_content():
     rng = np.random.default_rng(9)
     for _ in range(20):
         g_i, g_ii = rng.uniform(0.2, 10.0, size=2)
-        _, _, dark = dressed_states(g_i, g_ii)
-        assert photon_weight(dark) == 0.0
+        _, vectors = collective_modes(CENTER, signed((g_i, g_ii)), (CENTER, CENTER))
+        assert vectors[0, 1] ** 2 < 1e-24
 
 
-def test_photon_weight_of_polaritons():
-    plus, minus, _ = dressed_states(7.5, 5.6)
-    assert photon_weight(plus) == pytest.approx(0.5, abs=1e-12)
-    assert photon_weight(minus) == pytest.approx(0.5, abs=1e-12)
+def test_polaritons_are_half_photon():
+    _, vectors = collective_modes(CENTER, signed((7.5, 5.6)), (CENTER, CENTER))
+    np.testing.assert_allclose(vectors[0, [0, 2]] ** 2, [0.5, 0.5], atol=1e-12)
 
 
-def test_photon_weight_of_bare_photon():
-    assert photon_weight([1.0, 0.0, 0.0]) == 1.0
-
-
-def test_photon_weight_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        photon_weight([1.0, 1.0, 0.0])
+def test_uncoupled_photon_mode_is_all_photon():
+    _, vectors = collective_modes(CENTER, (0.0, 0.0), (CENTER - 100.0, CENTER + 100.0))
+    np.testing.assert_array_equal(vectors[0] ** 2, [0.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

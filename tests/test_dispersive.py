@@ -9,13 +9,13 @@ from scipy.signal import find_peaks
 from cavitybus.coupled import CavitySpec
 from cavitybus.dispersive import (
     build_dispersive_model,
+    dispersive_deviation,
     dispersive_model_from_frequencies,
     dispersive_shift,
     dispersive_spin_modes,
     drive_weights,
     ensemble_ensemble_coupling,
     pump_probe_signal,
-    validation_from_frequencies,
 )
 from cavitybus.errors import DispersiveRangeError
 from cavitybus.spin import FieldSetting
@@ -78,14 +78,12 @@ def test_model_fields_exact():
 )
 def test_model_enforces_floor(detunings, label):
     # The floor is checked once, when the model is built; either
-    # detuning below it is rejected, and enforce=False lets it through.
+    # detuning below it is rejected, and floor=0.0 lets it through.
     couplings = (7.5, 5.6)
     transitions = tuple(CENTER - d for d in detunings)
     with pytest.raises(DispersiveRangeError, match=f"{label} detuning"):
         dispersive_model_from_frequencies(make_cavity(), couplings, transitions)
-    model = dispersive_model_from_frequencies(
-        make_cavity(), couplings, transitions, enforce=False
-    )
+    model = dispersive_model_from_frequencies(make_cavity(), couplings, transitions, floor=0.0)
     assert model.chi_i == dispersive_shift(7.5, model.detuning_i)
     assert model.chi_ii == dispersive_shift(5.6, model.detuning_ii)
     assert model.u_coupling == ensemble_ensemble_coupling(
@@ -277,8 +275,8 @@ def test_pump_probe_enforces_floor(cavity, ens_i, ens_ii, resonant_magnitude):
 # validity vs the exact model
 
 def test_validation_zero_coupling_is_exact(cavity):
-    report = validation_from_frequencies(cavity, (0.0, 0.0), (CENTER - 20.0, CENTER - 35.0))
-    assert report.max_deviation == pytest.approx(0.0, abs=1e-12)
+    deviation = dispersive_deviation(cavity, (0.0, 0.0), (CENTER - 20.0, CENTER - 35.0))
+    assert deviation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_validation_small_coupling_within_chi_percent(cavity):
@@ -286,18 +284,14 @@ def test_validation_small_coupling_within_chi_percent(cavity):
     # dispersive value is the next order (g/Delta)^2 of chi, minus
     # higher corrections, so it sits just under 1% of chi.
     g, delta = 2.0, 20.0
-    report = validation_from_frequencies(
-        cavity, (g, 1e-9), (CENTER - delta, CENTER - delta)
-    )
+    deviation = dispersive_deviation(cavity, (g, 1e-9), (CENTER - delta, CENTER - delta))
     chi = g**2 / delta
-    assert report.max_deviation < 0.01 * chi
+    assert deviation < 0.01 * chi
 
 
 def test_validation_deviation_monotone_and_quartic(cavity):
-    deviations = []
-    for g in (4.0, 2.0, 1.0, 0.5):
-        report = validation_from_frequencies(cavity, (g, g), (CENTER - 20.0, CENTER - 20.0))
-        deviations.append(report.max_deviation)
+    transitions = (CENTER - 20.0, CENTER - 20.0)
+    deviations = [dispersive_deviation(cavity, (g, g), transitions) for g in (4.0, 2.0, 1.0, 0.5)]
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
     ratios = [a / b for a, b in zip(deviations, deviations[1:])]
     assert all(r >= 8.0 for r in ratios)
