@@ -2,23 +2,26 @@
 spectrum rows and 2D grids.
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
-multiplicative damping schedule on diag(J^T J).  It takes the model
-closure model(theta) -> (values, J) and the data the values are fitted
-to.  Accepted steps never increase the residual norm; convergence is
-declared when the relative step falls below 1e-10 or the scaled
-residual-gradient norm below 1e-8, within 200 iterations.  Strictly
-positive parameters (widths, couplings) are handled through a smooth
-softplus reparameterization; one that underflows to exactly 0.0 fails
-the fit.  Reported values and linearized standard errors are in
-physical space.  The solver keeps only the cost, J^T r and J^T J of
-the accepted point: they are formed at the start point and for each
-accepted step, the softplus chain rule and the standard errors use
-them, and no Jacobian outlives the model call that made it.
+multiplicative damping schedule on diag(J^T J).  Every model closure
+takes model(theta, data=None).  Without data it returns (values, J), for
+jacobian_check and the tests; with data it returns (values, G), where
+G = [J r]^T [J r] is the (n+1)x(n+1) Gram matrix of the Jacobian columns
+and the residual r = values - data.  The solver asks for the second
+form only and reads the cost, J^T r and J^T J from G.  Accepted steps
+never increase the residual norm; convergence is declared when the
+relative step falls below 1e-10 or the scaled residual-gradient norm
+below 1e-8, within 200 iterations.  Strictly positive parameters
+(widths, couplings) are handled through a smooth softplus
+reparameterization; one that underflows to exactly 0.0 fails the fit.
+Reported values and linearized standard errors are in physical space;
+the softplus chain rule and the standard errors act on the kept
+products of the accepted point.
 
-The |S21| grid model is evaluated in cache-sized blocks of rows that
-write straight into the returned values and Jacobian, so a model call
-allocates its outputs and a few block-sized temporaries, nothing else
-of grid size.
+The |S21| grid model is evaluated in cache-sized blocks of rows by one
+formula.  Only where a block goes differs: into the full Jacobian
+array, or into an (8, block) buffer whose Gram matrix is added to G
+while the block is in cache.  So a fit never holds a grid-sized
+Jacobian; its only grid-sized arrays are the values and the data.
 """
 
 from __future__ import annotations
@@ -101,28 +104,29 @@ def _sigmoid(q):
 def levenberg_marquardt(
     model, data, theta0, names, positive=None, max_iter: int = MAX_ITERATIONS
 ) -> FitResult:
-    """Minimize ||model(theta)[0] - data||^2 given model(theta) -> (values, J)
-    in physical space.  Returns a FitResult; converged=False when the
+    """Minimize ||model(theta)[0] - data||^2 in physical space, given
+    model(theta, data) -> (values, G) with G = [J r]^T [J r] and
+    r = values - data.  Returns a FitResult; converged=False when the
     iteration budget runs out, damping stalls or a positive parameter
     ends on exactly 0.0 (softplus underflow)."""
     names = list(names)
+    n = len(names)
     data = np.asarray(data, dtype=float)
-    mask = np.asarray([False] * len(names) if positive is None else positive, dtype=bool)
+    mask = np.asarray([False] * n if positive is None else positive, dtype=bool)
     q = np.array(theta0, dtype=float)
     q[mask] = _softplus_inv(q[mask])
 
     def evaluate(q_vec, bound=None):
-        # (p, cost, J^T r, J^T J) at q_vec; None when a bound is given
-        # and the cost is not finite and <= bound.  The products are
-        # formed only for a point that is kept, and J dies with this call.
+        # (p, cost, J^T r, J^T J) at q_vec, read from the model's Gram
+        # matrix; None when a bound is given and the cost is not finite
+        # and <= bound.
         p = np.array(q_vec, dtype=float)
         p[mask] = _softplus(p[mask])
-        values, jp = model(p)
-        r = values - data
-        cost = float(r @ r)
+        gram = model(p, data)[1]
+        cost = float(gram[n, n])
         if bound is not None and not (cost <= bound and np.isfinite(cost)):
             return None
-        return p, cost, jp.T @ r, jp.T @ jp
+        return p, cost, gram[:n, n], gram[:n, :n]
 
     p, cost, jtr, jtj = evaluate(q)
     history = [math.sqrt(cost)]
@@ -133,7 +137,7 @@ def levenberg_marquardt(
     for iterations in range(1, max_iter + 1):
         # The softplus chain scales the columns of J, so it scales the
         # kept products.
-        chain = np.ones(len(names))
+        chain = np.ones(n)
         chain[mask] = _sigmoid(q[mask])
         grad = chain * jtr
         if np.max(np.abs(grad)) < GRAD_TOL * (1.0 + math.sqrt(cost)):
@@ -176,6 +180,13 @@ def levenberg_marquardt(
         converged=converged,
         history=tuple(history),
     )
+
+
+def _gram(values, jac, data):
+    """[J r]^T [J r] with r = values - data: J^T J, J^T r and r.r in one
+    (n+1)x(n+1) matrix, the form levenberg_marquardt reads."""
+    jr = np.column_stack((jac, values - data))
+    return jr.T @ jr
 
 
 def _standard_errors(jtj, cost, m):
@@ -231,11 +242,12 @@ def lorentzian(x, amplitude, center, hwhm, offset):
 
 
 def lorentzian_model(xs):
-    """Model closure over sample positions, returning (values, Jacobian)
-    for theta = (amplitude, center, hwhm, offset)."""
+    """Model closure over sample positions for theta = (amplitude,
+    center, hwhm, offset): model(theta) -> (values, Jacobian),
+    model(theta, data) -> (values, Gram matrix)."""
     xs = np.asarray(xs, dtype=float)
 
-    def model(theta):
+    def model(theta, data=None):
         a, x0, w, b = theta
         d = xs - x0
         u = d**2 + w**2
@@ -245,7 +257,7 @@ def lorentzian_model(xs):
         jac[:, 1] = 2.0 * a * w**2 * d / u**2
         jac[:, 2] = 2.0 * a * w * d**2 / u**2
         jac[:, 3] = 1.0
-        return f, jac
+        return f, jac if data is None else _gram(f, jac, data)
 
     return model
 
@@ -416,14 +428,15 @@ def avoided_crossing_model(sweep_values, modes, tunings):
     """
     rows, row_of = np.unique(np.asarray(sweep_values, dtype=float), return_inverse=True)
 
-    def model(theta):
+    def model(theta, data=None):
         lam, vecs, slopes = _branch_modes(rows, theta, tunings)
         v = vecs[row_of, :, modes]
         jac = np.empty((row_of.size, len(tunings) + 2))
         jac[:, :-2] = 2.0 * v[:, :1] * v[:, 1:]
         jac[:, -2] = v[:, 0] ** 2
         jac[:, -1] = np.sum(v[:, 1:] ** 2 * slopes[row_of], axis=1)
-        return lam[row_of, modes], jac
+        values = lam[row_of, modes]
+        return values, jac if data is None else _gram(values, jac, data)
 
     return model
 
@@ -481,8 +494,10 @@ def fit_avoided_crossing(
         init = [g0] * n + [float(np.median(nuhat)), 0.0]
     theta = np.asarray(init, dtype=float)
 
+    distinct, row_of = np.unique(svals, return_inverse=True)
+
     def match(theta_now):
-        lam = _branch_modes(svals, theta_now, tunings)[0]
+        lam = _branch_modes(distinct, theta_now, tunings)[0][row_of]
         return np.where(in_order, rank, np.argmin(np.abs(lam - nuhat[:, None]), axis=1))
 
     modes = match(theta)
@@ -523,22 +538,33 @@ def transmission_model(
     (plus |S|/kappa for kappa) and nothing divides by |S|.
 
     The grid is evaluated in cache-sized blocks of rows, each written
-    straight into the preallocated values and into one contiguous array
-    per Jacobian column; the (m, 7) Jacobian is the transpose of that
-    (7, m) array, so it comes back column-major.  No grid-sized complex
-    temporary is formed, and every element is computed by the same
-    formula whatever the block size.
+    straight into the preallocated values.  model(theta) writes the
+    Jacobian columns into one contiguous array per column; the (m, 7)
+    Jacobian is the transpose of that (7, m) array, so it comes back
+    column-major.  model(theta, data) writes them, with the block's
+    residuals as an eighth row, into one (8, block) buffer and adds its
+    Gram matrix to the 8x8 G.  No grid-sized complex temporary is
+    formed, and every element is computed by the same formula whatever
+    the block size and call form.
     """
     probe = np.asarray(probe, dtype=float)
     sweep_values = np.asarray(sweep_values, dtype=float)
 
-    def model(theta):
+    def model(theta, data=None):
         g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset = theta
         nu_i, dnu_i = tuning_i.frequencies_and_derivative(sweep_values, offset)
         nu_ii, dnu_ii = tuning_ii.frequencies_and_derivative(sweep_values, offset)
         values = np.empty((sweep_values.size, probe.size))
-        cols = np.empty((7,) + values.shape)
-        for rows in _row_blocks(*values.shape):
+        blocks = list(_row_blocks(*values.shape))
+        if data is None:
+            cols = np.empty((7,) + values.shape)
+        else:
+            # rows 0-6 of the buffer take the Jacobian columns, row 7 the
+            # residual; the first block is the largest
+            data = np.reshape(data, values.shape)
+            buf = np.empty((8, blocks[0].stop if blocks else 0, probe.size))
+            gram = np.zeros((8, 8))
+        for rows in blocks:
             den, qs = s21_denominator(
                 probe[None, :],
                 nu_c,
@@ -548,7 +574,7 @@ def transmission_model(
             u = 1.0 / den
             absval = values[rows]
             absval[...] = kappa * np.abs(u)
-            block = cols[:, rows]
+            block = cols[:, rows] if data is None else buf[:, : rows.stop - rows.start]
             block[2] = absval * (1.0 / kappa - u.real)
             block[5] = absval * u.imag
             d_off = 0.0
@@ -559,7 +585,13 @@ def transmission_model(
                 block[3 + k] = g**2 * absval * b.real
                 d_off = d_off - (g**2 * dnu_s[rows, None]) * b.imag
             block[6] = absval * d_off
-        return values.ravel(), cols.reshape(7, -1).T
+            if data is not None:
+                np.subtract(absval, data[rows], out=block[7])
+                flat = block.reshape(8, -1)
+                gram += flat @ flat.T
+        if data is None:
+            return values.ravel(), cols.reshape(7, -1).T
+        return values.ravel(), gram
 
     return model
 

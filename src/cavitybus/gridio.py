@@ -17,6 +17,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -108,19 +109,17 @@ def write_grid(
     atomic_write_text(path, grid_to_text(grid, config_hash, extra))
 
 
-def _parse_comments(lines, source):
+def _parse_comments(handle, source):
+    """GridMeta and the header match from the comment lines that lead
+    the open grid file, which is left just past the header line."""
     meta = GridMeta()
-    header = None
-    body_start = None
-    for idx, line in enumerate(lines):
+    for line in iter(handle.readline, ""):
+        line = line.rstrip("\n")
         if not line.startswith("#"):
-            body_start = idx
             break
         match = _HEADER_RE.match(line)
         if match:
-            header = match
-            body_start = idx + 1
-            break
+            return meta, match
         content = line.lstrip("#").strip()
         if content.startswith("cavitybus "):
             meta.version = content.split(None, 1)[1]
@@ -130,46 +129,69 @@ def _parse_comments(lines, source):
                 meta.config_hash = value.strip()
             else:
                 meta.extra[key.strip()] = value.strip()
-    if header is None:
-        raise GridFormatError(f"{source}: missing '# sweep_kind=...' header line")
-    return meta, header, body_start
+    raise GridFormatError(f"{source}: missing '# sweep_kind=...' header line")
 
 
 def read_grid(path) -> tuple:
-    """Read a grid file; returns (SpectrumGrid, GridMeta)."""
+    """Read a grid file; returns (SpectrumGrid, GridMeta).
+
+    The data rows go through numpy's text parser, which rounds each
+    cell exactly as float() does.  A body that it rejects or that fails
+    a check is parsed again row by row, so every error names its row.
+    """
     source = os.fspath(path)
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            meta, header = _parse_comments(handle, source)
+            rows = int(header.group("rows"))
+            cols = int(header.group("cols"))
+            if cols == 0:
+                probe = np.array([])
+            else:
+                line = next((ln for ln in iter(handle.readline, "") if ln.strip()), None)
+                if line is None:
+                    raise GridFormatError(f"{source}: missing probe-frequency line")
+                probe = _parse_row(line.rstrip("\n"), cols, source, "probe line")
+            start = handle.tell()
+            table = _load_table(handle, (rows, cols + 1))
+            if table is None:
+                handle.seek(start)
+                table = _parse_table(handle.read().splitlines(), rows, cols + 1, source)
     except OSError as exc:
         raise GridFormatError(f"cannot read grid {source}: {exc}") from exc
 
-    meta, header, body_start = _parse_comments(lines, source)
-    kind = header.group("kind")
-    rows = int(header.group("rows"))
-    cols = int(header.group("cols"))
-    body = [ln for ln in lines[body_start:] if ln.strip()]
+    # a copy, so that the grid does not keep the whole table alive
+    sweep_values = table[:, 0].copy()
+    grid = SpectrumGrid(probe, sweep_values, table[:, 1:].astype(complex), header.group("kind"))
+    return grid, meta
 
-    if cols == 0:
-        probe = np.array([])
-        data_lines = body
-    else:
-        if not body:
-            raise GridFormatError(f"{source}: missing probe-frequency line")
-        probe = _parse_row(body[0], cols, source, "probe line")
-        data_lines = body[1:]
+
+def _load_table(handle, shape):
+    """The rest of the file as a float array of the given shape, or None
+    when numpy's parser rejects it or a cell is not finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape != shape or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _parse_table(lines, rows, width, source):
+    """Row-by-row parse of the non-blank data lines, raising
+    GridFormatError at the first row that is wrong."""
+    data_lines = [ln for ln in lines if ln.strip()]
     if len(data_lines) != rows:
         raise GridFormatError(
             f"{source}: expected {rows} data rows, found {len(data_lines)}"
         )
-    sweep_values = np.empty(rows)
-    amplitudes = np.empty((rows, cols))
+    table = np.empty((rows, width))
     for k, line in enumerate(data_lines):
-        cells = _parse_row(line, cols + 1, source, f"data row {k}")
-        sweep_values[k] = cells[0]
-        amplitudes[k] = cells[1:]
-    grid = SpectrumGrid(probe, sweep_values, amplitudes.astype(complex), kind)
-    return grid, meta
+        table[k] = _parse_row(line, width, source, f"data row {k}")
+    return table
 
 
 def _parse_row(line, expected, source, label):

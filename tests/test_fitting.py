@@ -11,6 +11,8 @@ from cavitybus.errors import DegenerateDataError
 from cavitybus.fitting import (
     _FULL_NAMES,
     SpinTuning,
+    _branch_modes,
+    _gram,
     _sigmoid,
     _standard_errors,
     avoided_crossing_model,
@@ -531,6 +533,62 @@ def test_blocked_transmission_model_is_bit_identical_to_one_block(
         assert np.array_equal(jac, ref_jac)
 
 
+@pytest.mark.parametrize("kind", ["ragged", "long-probe", "one-row"])
+def test_transmission_model_gram_form_matches_its_jacobian(kind, tunings):
+    # model(theta, data) sums [J r]^T [J r] block by block; the values
+    # come from the same formula and are bit-identical to model(theta)'s.
+    probe, angles = _block_grid(kind)
+    blocks = [rows.stop - rows.start for rows in _row_blocks(angles.size, probe.size)]
+    if kind == "ragged":
+        assert len(blocks) >= 3 and blocks[-1] < blocks[0]
+    elif kind == "one-row":
+        assert blocks == [1]
+    model = transmission_model(probe, angles, *tunings)
+    rng = np.random.default_rng(7)
+    data = model(TRUTH)[0] * (1.0 + 0.01 * rng.standard_normal(probe.size * angles.size))
+    for theta in (TRUTH, perturbed_start()):
+        values, jac = model(theta)
+        values_g, gram = model(theta, data)
+        assert np.array_equal(values_g, values)
+        jr = np.column_stack((jac, values - data))
+        ref = jr.T @ jr
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert gram.shape == (8, 8)
+        assert np.all(np.abs(gram - ref) <= 1e-12 * scale)
+
+
+def test_small_models_return_the_gram_matrix_of_their_jacobian(tunings):
+    xs = np.linspace(0.0, 20.0, 41)
+    sv = np.linspace(71.0, 87.0, 17)
+    cases = [
+        (lorentzian_model(xs), [0.9, 10.3, 0.8, 0.05]),
+        (avoided_crossing_model(sv, np.arange(17) % 2, tunings[:1]), [7.5, CENTER, 0.3]),
+        (avoided_crossing_model(sv, np.arange(17) % 3, tunings), [7.5, 5.6, CENTER, 0.3]),
+    ]
+    for model, theta in cases:
+        values, jac = model(theta)
+        data = values + np.linspace(-0.1, 0.1, values.size)
+        values_g, gram = model(theta, data)
+        assert np.array_equal(values_g, values)
+        assert gram.shape == (len(theta) + 1,) * 2
+        assert np.array_equal(gram, _gram(values, jac, data))
+        assert gram[-1, -1] == pytest.approx(float(np.sum((values - data) ** 2)), rel=1e-12)
+
+
+def test_branch_modes_per_distinct_row_match_one_solve_per_peak(crossing_grid, tunings):
+    # fit_avoided_crossing matches peaks to modes from one solve per
+    # distinct sweep value; every peak of a row sees the same modes.
+    svals = np.array([s for s, peaks in extract_branches(crossing_grid) for _ in peaks])
+    distinct, row_of = np.unique(svals, return_inverse=True)
+    assert distinct.size < svals.size
+    for tun, theta in ((tunings[:1], [7.4, CENTER + 0.2, 0.1]),
+                       (tunings, [7.4, 5.5, CENTER + 0.2, 0.1])):
+        per_peak = _branch_modes(svals, np.array(theta), tun)
+        per_row = _branch_modes(distinct, np.array(theta), tun)
+        for a, b in zip(per_peak, per_row):
+            assert np.array_equal(a, b[row_of])
+
+
 # ---------------------------------------------------------------------------
 # solver internals
 
@@ -547,11 +605,10 @@ def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, t
     model, data = _full_fit_problem(full_grid, tunings, seed)
     calls = []
 
-    def traced(theta):
-        values, jac = model(theta)
-        r = values - data
-        calls.append((np.array(theta), float(r @ r)))
-        return values, jac
+    def traced(theta, data=None):
+        values, gram = model(theta, data)
+        calls.append((np.array(theta), float(gram[-1, -1])))
+        return values, gram
 
     positive = (True, True, True, True, True, False, False)
     result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
@@ -574,18 +631,20 @@ def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, t
 
 
 def test_lm_frees_rejected_jacobians_before_the_next_trial(full_grid, tunings):
-    # Seed 5 includes rejected steps.  The solver keeps J^T J and J^T r
-    # of the accepted point, not its Jacobian, so at every model call no
-    # earlier Jacobian is still alive.
+    # Seed 5 includes rejected steps.  The solver asks the model for the
+    # 8x8 Gram matrix [J r]^T [J r], never for a Jacobian, and keeps
+    # only the products of the accepted point, so at every model call
+    # no earlier grid-sized output is still alive.
     model, data = _full_fit_problem(full_grid, tunings, 5)
-    jacobians = []
+    outputs = []
     alive = []
 
-    def traced(theta):
-        alive.append(sum(ref() is not None for ref in jacobians))
-        values, jac = model(theta)
-        jacobians.append(weakref.ref(jac))
-        return values, jac
+    def traced(theta, data=None):
+        alive.append(sum(ref() is not None for ref in outputs))
+        values, gram = model(theta, data)
+        assert gram.shape == (8, 8)
+        outputs.append(weakref.ref(values))
+        return values, gram
 
     positive = (True, True, True, True, True, False, False)
     result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
@@ -595,11 +654,11 @@ def test_lm_frees_rejected_jacobians_before_the_next_trial(full_grid, tunings):
 
 
 def test_lm_peak_memory_stays_below_two_jacobians(config, cavity, ens_i, ens_ii, tunings):
-    # Only the Jacobian of the current model call is alive; values,
-    # residuals and the model's per-block temporaries add about half a
-    # Jacobian more.  A second live Jacobian (the accepted point's), a
-    # scaled copy of it or grid-sized complex temporaries in the model
-    # each push the peak past two.
+    # The model sums the normal equations block by block, so no Jacobian
+    # exists during the fit: the peak is the values (a seventh of a
+    # Jacobian) plus a few MB of per-block buffers, about 0.46 of a
+    # Jacobian on this grid.  One more grid-sized float array (a residual
+    # vector, say) adds another seventh and breaks the bound.
     magnitude = config.get("field.magnitude_mt")
     angles = np.arange(0.0, 90.0 + 1e-9, 0.5)
     probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.05)
@@ -607,12 +666,12 @@ def test_lm_peak_memory_stays_below_two_jacobians(config, cavity, ens_i, ens_ii,
                  probe, "angle")
     model, data = _full_fit_problem(grid, tunings, 1)
     assert data.size > 200_000
-    jac_bytes = []
+    jac_bytes = 7 * data.nbytes
+    calls = []
 
-    def traced(theta):
-        values, jac = model(theta)
-        jac_bytes.append(jac.nbytes)
-        return values, jac
+    def traced(theta, data=None):
+        calls.append(theta)
+        return model(theta, data)
 
     positive = (True, True, True, True, True, False, False)
     tracemalloc.start()
@@ -623,8 +682,8 @@ def test_lm_peak_memory_stays_below_two_jacobians(config, cavity, ens_i, ens_ii,
     finally:
         tracemalloc.stop()
     assert result.converged
-    assert len(jac_bytes) > 2
-    assert (peak - before) / jac_bytes[0] < 2.0
+    assert len(calls) > 2
+    assert (peak - before) / jac_bytes < 0.55
 
 
 def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):
@@ -633,9 +692,8 @@ def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):
     result = levenberg_marquardt(model, data, perturbed_start(), _FULL_NAMES, positive)
     assert result.converged
     final = np.array([result.parameters[name] for name in _FULL_NAMES])
-    values, jp = model(final)
-    r = values - data
-    expected = _standard_errors(jp.T @ jp, float(r @ r), r.size)
+    gram = model(final, data)[1]
+    expected = _standard_errors(gram[:7, :7], float(gram[7, 7]), data.size)
     assert [result.standard_errors[name] for name in _FULL_NAMES] == list(expected)
 
 
@@ -656,8 +714,9 @@ def test_levenberg_marquardt_unconverged_flag():
     xs = np.linspace(0.0, 1.0, 16)
     target = np.sin(3 * xs)
 
-    def model(theta):
-        return theta[0] * xs, xs[:, None]
+    def model(theta, data=None):
+        values = theta[0] * xs
+        return values, _gram(values, xs[:, None], data)
 
     result = levenberg_marquardt(model, target, [0.0], names=("slope",), max_iter=1)
     assert result.iterations <= 1
@@ -672,8 +731,9 @@ def test_levenberg_marquardt_unconverged_flag():
 def test_positive_parameter_underflowing_to_zero_fails_the_fit():
     # The best positive constant below negative data is 0; the softplus
     # of the internal coordinate underflows to exactly 0.0 on the way.
-    def model(theta):
-        return np.full(16, theta[0]), np.ones((16, 1))
+    def model(theta, data=None):
+        values = np.full(16, theta[0])
+        return values, _gram(values, np.ones((16, 1)), data)
 
     result = levenberg_marquardt(model, np.full(16, -1.0), [1.0], ("g",), positive=(True,))
     assert result.parameters["g"] == 0.0

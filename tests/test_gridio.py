@@ -62,6 +62,49 @@ def test_empty_grid_roundtrip(tmp_path):
     assert meta.config_hash == "none"
 
 
+def test_read_grid_is_bit_identical_to_a_per_cell_float_parse(tmp_path):
+    rng = np.random.default_rng(5)
+    probe = np.linspace(2719.1, 2779.1, 301)
+    sweep_values = np.linspace(0.0, 90.0, 41)
+    amplitudes = rng.uniform(1e-4, 1.0, size=(41, 301)) ** 3
+    path = tmp_path / "grid.csv"
+    write_grid(path, SpectrumGrid(probe, sweep_values, amplitudes, "angle"))
+    lines = path.read_text().splitlines()
+    # blank and CRLF-terminated lines are skipped as before
+    assert lines[2].startswith("# sweep_kind=")
+    path.write_text("\n".join(lines[:4]) + "\n\n   \n" + "\r\n".join(lines[4:]) + "\r\n")
+    table = [[float(cell) for cell in line.split(",")] for line in lines[3:]]
+    back, _ = read_grid(path)
+    assert np.array_equal(back.probe_frequencies, np.array(table[0]))
+    assert np.array_equal(back.sweep_values, np.array([row[0] for row in table[1:]]))
+    assert np.array_equal(back.magnitudes, np.array([row[1:] for row in table[1:]]))
+    assert back.sweep_values.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("20,1,2\n21,1\n", "ragged data row 1: expected 3 fields, got 2"),
+        ("20,1,2,3\n21,1,2,3\n", "ragged data row 0: expected 3 fields, got 4"),
+        ("20,1,nan\n21,1\n", "non-finite value in data row 0"),
+        ("20,1,1e400\n21,1,2\n", "non-finite value in data row 0"),
+        ("20,1,2\n# note\n", "ragged data row 1: expected 3 fields, got 1"),
+        ("20,1,2\n21,1,x\n", "non-numeric value in data row 1"),
+        ("", "expected 2 data rows, found 0"),
+        ("20,1,2\n21,1,2\n22,1,2\n", "expected 2 data rows, found 3"),
+    ],
+)
+def test_first_bad_data_row_is_named(tmp_path, body, message):
+    # numpy's parser rejects some of these bodies, warns on the empty one
+    # and accepts the wide, 1e400 and extra-row ones; each must end in
+    # the row-by-row parse's message for the first bad row.
+    path = tmp_path / "grid.csv"
+    path.write_text("# sweep_kind=angle, rows=2, cols=2\n2740,2741\n" + body)
+    with pytest.raises(GridFormatError) as info:
+        read_grid(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_ragged_row_reports_index(tmp_path):
     grid = sample_grid()
     path = tmp_path / "grid.csv"

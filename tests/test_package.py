@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavitybus
@@ -75,12 +76,18 @@ def test_exported_names_resolve():
             assert hasattr(module, name), f"{module_name}.{name}"
 
 
-def test_benchmark_tracer_targets_resolve():
-    # The benchmark tracer patches these names with getattr and no
-    # default, so a renamed or deleted function breaks traced runs.
+def _benchmark_tracer():
+    """perfbench/tracer.py, loaded read-only as a module."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve():
+    # The benchmark tracer patches these names with getattr and no
+    # default, so a renamed or deleted function breaks traced runs.
+    tracer = _benchmark_tracer()
     for span_name in list(tracer.KINDS) + ["cli.main"]:
         if span_name == "fitting.model":  # a closure, traced through MODEL_FACTORIES
             continue
@@ -90,3 +97,34 @@ def test_benchmark_tracer_targets_resolve():
     fitting = importlib.import_module("cavitybus.fitting")
     for factory in tracer.MODEL_FACTORIES:
         assert callable(getattr(fitting, factory, None)), factory
+
+
+def test_benchmark_tracer_reads_every_model_call_of_both_grid_fits():
+    # The tracer unpacks each model call's result as two arrays and adds
+    # their sizes, so both call forms must return (values, array).  The
+    # solver's form carries the 8x8 Gram matrix, not a Jacobian.
+    from cavitybus import fitting
+    from cavitybus.config import default_config
+    from cavitybus.spin import FieldSetting
+    from cavitybus.transmission import sweep
+
+    config = default_config()
+    cavity = config.cavity()
+    ensembles = [config.ensemble("i"), config.ensemble("ii")]
+    magnitude = config.get("field.magnitude_mt")
+    angles = np.arange(10.0, 90.0 + 1e-9, 2.0)
+    probe = np.arange(cavity.center - 30.0, cavity.center + 30.0 + 1e-9, 0.5)
+    grid = sweep(cavity, ensembles, [FieldSetting(magnitude, a) for a in angles], probe, "angle")
+    tun_i, tun_ii = (fitting.SpinTuning.from_ensemble(e, "angle", magnitude) for e in ensembles)
+
+    tracer = _benchmark_tracer().Tracer()
+    tracer.install()
+    try:
+        fitting.fit_full_transmission(grid, tun_i, tun_ii)
+        fitting.fit_avoided_crossing(grid, tun_i, tun_ii)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["fitting.model_evals"] > 0
+    assert metrics["fitting.fits"] >= 2
+    assert 0 < metrics["fitting.model_bytes"] < 2 * grid.amplitudes.size * 8
