@@ -21,6 +21,7 @@ from .config import ExperimentConfig, default_config
 from .coupled import collective_coupling, collective_modes
 from .dispersive import (
     build_dispersive_model,
+    derived_pump_range,
     dispersive_deviation,
     dispersive_model_from_frequencies,
     dispersive_spin_modes,
@@ -39,7 +40,7 @@ from .fitting import (
     transmission_model,
 )
 from .spin import FieldSetting, thermal_polarization
-from .transmission import SpectrumGrid, peak_splitting, s21, sweep
+from .transmission import SpectrumGrid, peak_positions, peak_splitting, s21, sweep
 from .gridio import grid_to_text
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -174,19 +175,14 @@ def _lamb_shifted_degeneracy(config, magnitude):
 
 
 def _count_pump_peaks(config, angle, signs, threshold=0.10):
-    from scipy.signal import find_peaks  # deferred: slow import, see transmission
-
     cavity = replace(config.cavity(), antinode_signs=signs)
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
     field = FieldSetting(config.get("field.dispersive_magnitude_mt"), angle)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
-    diagonal = np.diag(model.spin_block)
-    pump = np.arange(diagonal.min() - 40.0, diagonal.max() + 40.0, 0.02)
+    pump = derived_pump_range(dispersive_spin_modes(model))
     signal = pump_probe_signal(model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump)
-    y = -signal.shift
-    idx, _ = find_peaks(y, prominence=threshold * float(np.max(y)))
-    return int(idx.size)
+    return peak_positions(pump, -signal.shift, threshold).size
 
 
 def criterion_selection_rule(config) -> CriterionResult:

@@ -19,15 +19,13 @@ import numpy as np
 
 from . import __version__
 from .calibrate import calibrate_geometry
-from .config import (
-    MAX_RANGE_POINTS,
-    ExperimentConfig,
-    default_config,
-    format_float,
-    load_config,
-    range_values,
+from .config import ExperimentConfig, default_config, format_float, load_config, range_values
+from .dispersive import (
+    build_dispersive_model,
+    derived_pump_range,
+    dispersive_spin_modes,
+    pump_probe_signal,
 )
-from .dispersive import build_dispersive_model, dispersive_spin_modes, pump_probe_signal
 from .errors import NumericalError, ValidationError
 from .fitting import SpinTuning, fit_avoided_crossing, fit_full_transmission, fit_lorentzian
 from .gridio import atomic_write_text, read_grid, write_fit_json, write_grid, write_signal, write_table
@@ -224,18 +222,8 @@ def _cmd_dispersive(args, config) -> int:
     field, extra = _field_point(args, config, "field.dispersive_magnitude_mt")
     floor = config.get("dispersive.floor_mhz")
     model = build_dispersive_model(config.cavity(), ens_i, ens_ii, field, floor)
-    bright, dark = dispersive_spin_modes(model)
-    if args.pump:
-        pump = range_values(args.pump, key="--pump")
-    else:
-        lo = min(bright[0], dark[0]) - 40.0
-        hi = max(bright[0], dark[0]) + 40.0
-        if not (hi - lo) / 0.02 <= MAX_RANGE_POINTS - 1:  # floor_mhz = 0: chi can be huge
-            raise ValidationError(
-                f"pump range derived from the spin modes at {bright[0]:g} and {dark[0]:g} "
-                f"MHz has more than {MAX_RANGE_POINTS} points; give --pump start:stop:step"
-            )
-        pump = np.arange(lo, hi + 1e-9, 0.02)
+    modes = dispersive_spin_modes(model)
+    pump = range_values(args.pump, key="--pump") if args.pump else derived_pump_range(modes)
     signal = pump_probe_signal(
         model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump, width=args.width
     )
@@ -251,7 +239,7 @@ def _cmd_dispersive(args, config) -> int:
         "u_coupling_mhz": model.u_coupling,
         "meta": {"tool": "cavitybus", "version": __version__, "config_hash": config.hash},
     }
-    for label, (frequency, vector, weight) in (("bright", bright), ("dark", dark)):
+    for label, (frequency, vector, weight) in zip(("bright", "dark"), modes):
         report[label] = {
             "frequency_mhz": frequency,
             "vector": [float(x) for x in vector],
@@ -299,7 +287,7 @@ def _cmd_fit(args, config) -> int:
     if args.mode == "lorentzian":
         if not 0 <= args.row < grid.sweep_values.size:
             raise ValidationError(f"row {args.row} outside grid with {grid.sweep_values.size} rows")
-        power = grid.magnitudes[args.row] ** 2
+        power = np.abs(grid.amplitudes[args.row]) ** 2
         result = fit_lorentzian(grid.probe_frequencies, power, max_iter=max_iter)
     elif args.mode == "avoided-crossing":
         other = "ii" if args.ensemble == "i" else "i"

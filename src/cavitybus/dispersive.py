@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupled import CavitySpec, EnsembleSpec, collective_modes
-from .errors import DispersiveRangeError
+from .errors import DispersiveRangeError, ValidationError
 from .spin import FieldSetting
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "build_dispersive_model",
     "dispersive_model_from_frequencies",
     "dispersive_spin_modes",
+    "derived_pump_range",
     "dispersive_deviation",
     "drive_weights",
     "pump_probe_signal",
@@ -215,6 +216,21 @@ def pump_probe_signal(
             hwhm = spin_hwhm[0] * vec[0] ** 2 + spin_hwhm[1] * vec[1] ** 2
         shift -= weight * pull * (hwhm**2 / ((pump - freq) ** 2 + hwhm**2))
     return PumpProbeSignal(pump, shift)
+
+
+def derived_pump_range(modes) -> np.ndarray:
+    """The (bright, dark) `dispersive_spin_modes` frequencies +- 40 MHz
+    at 0.02 MHz; ValidationError rather than over MAX_RANGE_POINTS."""
+    from .config import MAX_RANGE_POINTS  # config imports this module
+
+    (f_bright, _, _), (f_dark, _, _) = modes
+    lo, hi = min(f_bright, f_dark) - 40.0, max(f_bright, f_dark) + 40.0
+    if not (hi - lo) / 0.02 <= MAX_RANGE_POINTS - 1:  # floor 0: chi can be huge
+        raise ValidationError(
+            f"pump range derived from the spin modes at {f_bright:g} and {f_dark:g} "
+            f"MHz has more than {MAX_RANGE_POINTS} points; give --pump start:stop:step"
+        )
+    return np.arange(lo, hi + 1e-9, 0.02)
 
 
 def dispersive_deviation(cavity: CavitySpec, couplings: tuple, transitions: tuple) -> float:

@@ -7,8 +7,8 @@ version, config hash, fixed sweep coordinates), a header line
 
 then one line of probe frequencies and one line per sweep value holding
 the sweep value followed by the |S21| row.  Floats are written with 9
-significant digits, so read(write(grid)) reproduces values to 1e-8
-relative.  All writes go through a temp file plus rename.
+significant digits, so read(write(grid)) reproduces |S21| to 1e-8
+relative, as float64.  All writes go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _parse_comments(handle, source):
 
 
 def read_grid(path) -> tuple:
-    """Read a grid file; returns (SpectrumGrid, GridMeta).
+    """Read a grid file; returns (SpectrumGrid of float64 |S21|, GridMeta).
 
     The data rows go through numpy's text parser, which rounds each
     cell exactly as float() does.  A body that it rejects or that fails
@@ -160,10 +160,8 @@ def read_grid(path) -> tuple:
     except OSError as exc:
         raise GridFormatError(f"cannot read grid {source}: {exc}") from exc
 
-    # a copy, so that the grid does not keep the whole table alive
-    sweep_values = table[:, 0].copy()
-    grid = SpectrumGrid(probe, sweep_values, table[:, 1:].astype(complex), header.group("kind"))
-    return grid, meta
+    # the amplitudes are a view of the table, the sweep values a contiguous copy
+    return SpectrumGrid(probe, table[:, 0].copy(), table[:, 1:], header.group("kind")), meta
 
 
 def _load_table(handle, shape):

@@ -47,8 +47,9 @@ def _row_blocks(n_rows: int, n_probe: int):
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Rectangular grid of complex S21 (or a real signal) over probe
-    frequency x sweep parameter.  Rows follow sweep_values."""
+    """Probe frequency x sweep parameter grid, rows following sweep_values:
+    complex128 S21 from `sweep`, float64 |S21| from files and noise models.
+    Float64 amplitudes are held without a copy; writes to them show here."""
 
     probe_frequencies: np.ndarray
     sweep_values: np.ndarray
@@ -58,7 +59,7 @@ class SpectrumGrid:
     def __post_init__(self):
         probe = np.asarray(self.probe_frequencies, dtype=float)
         sweep_vals = np.asarray(self.sweep_values, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes, complex if np.iscomplexobj(self.amplitudes) else float)
         if self.sweep_kind not in ("angle", "magnitude", "none"):
             raise ValueError(f"unknown sweep_kind {self.sweep_kind!r}")
         if amps.shape != (sweep_vals.size, probe.size):

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.signal import find_peaks
 
 from cavitybus.coupled import CavitySpec
 from cavitybus.dispersive import (
     build_dispersive_model,
+    derived_pump_range,
     dispersive_deviation,
     dispersive_model_from_frequencies,
     dispersive_shift,
@@ -17,8 +17,9 @@ from cavitybus.dispersive import (
     ensemble_ensemble_coupling,
     pump_probe_signal,
 )
-from cavitybus.errors import DispersiveRangeError
+from cavitybus.errors import DispersiveRangeError, ValidationError
 from cavitybus.spin import FieldSetting
+from cavitybus.transmission import peak_positions
 
 CENTER = 2749.1
 
@@ -206,9 +207,26 @@ def hwhm(ens_i, ens_ii):
 
 
 def count_peaks(signal, threshold=0.10):
-    y = -signal.shift
-    idx, _ = find_peaks(y, prominence=threshold * float(np.max(y)))
-    return int(idx.size)
+    return peak_positions(signal.pump_frequencies, -signal.shift, threshold).size
+
+
+def test_derived_pump_range_spans_both_spin_modes(cavity, ens_i, ens_ii, dispersive_magnitude):
+    model = build_dispersive_model(cavity, ens_i, ens_ii, FieldSetting(dispersive_magnitude, 23.0))
+    lower, upper = np.sort(np.linalg.eigvalsh(model.spin_block))
+    pump = derived_pump_range(dispersive_spin_modes(model))
+    assert pump[0] == pytest.approx(lower - 40.0, abs=1e-9)
+    assert upper + 40.0 - 0.02 < pump[-1] < upper + 40.0 + 1e-6
+    np.testing.assert_allclose(np.diff(pump), 0.02, rtol=1e-6)
+
+
+def test_derived_pump_range_refuses_more_than_max_range_points():
+    # with no validity floor, a spin 1 kHz from the cavity pulls it by
+    # ~56 GHz, and the range would have millions of points
+    model = dispersive_model_from_frequencies(
+        make_cavity(), (7.5, 5.6), (CENTER - 1e-3, CENTER - 30.0), floor=0.0
+    )
+    with pytest.raises(ValidationError, match="give --pump start:stop:step"):
+        derived_pump_range(dispersive_spin_modes(model))
 
 
 def test_single_resonance_at_lamb_shifted_degeneracy(
@@ -217,7 +235,7 @@ def test_single_resonance_at_lamb_shifted_degeneracy(
     angle = lamb_shifted_degeneracy(cavity, ens_i, ens_ii, dispersive_magnitude)
     field = FieldSetting(dispersive_magnitude, angle)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
-    pump = np.arange(model.spin_block[0, 0] - 40.0, model.spin_block[1, 1] + 40.0, 0.02)
+    pump = derived_pump_range(dispersive_spin_modes(model))
     signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), pump)
     assert count_peaks(signal) == 1
 
@@ -225,9 +243,8 @@ def test_single_resonance_at_lamb_shifted_degeneracy(
 def test_two_resonances_away_from_degeneracy(cavity, ens_i, ens_ii, dispersive_magnitude):
     field = FieldSetting(dispersive_magnitude, 23.0)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
-    lo = min(model.spin_block[0, 0], model.spin_block[1, 1]) - 40.0
-    hi = max(model.spin_block[0, 0], model.spin_block[1, 1]) + 40.0
-    signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), np.arange(lo, hi, 0.02))
+    pump = derived_pump_range(dispersive_spin_modes(model))
+    signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), pump)
     assert count_peaks(signal) == 2
 
 
@@ -236,13 +253,9 @@ def test_peak_positions_at_lamb_shifted_bare_frequencies(
 ):
     field = FieldSetting(dispersive_magnitude, 23.0)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
-    lo = min(model.spin_block[0, 0], model.spin_block[1, 1]) - 40.0
-    hi = max(model.spin_block[0, 0], model.spin_block[1, 1]) + 40.0
-    pump = np.arange(lo, hi, 0.02)
+    pump = derived_pump_range(dispersive_spin_modes(model))
     signal = pump_probe_signal(model, hwhm(ens_i, ens_ii), pump)
-    y = -signal.shift
-    idx, _ = find_peaks(y, prominence=0.1 * float(np.max(y)))
-    positions = np.sort(pump[idx])
+    positions = peak_positions(signal.pump_frequencies, -signal.shift, 0.1)
     expected = np.sort(np.linalg.eigvalsh(model.spin_block))
     np.testing.assert_allclose(positions, expected, atol=0.25)
 

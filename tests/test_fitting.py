@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -259,6 +260,15 @@ def test_avoided_crossing_leaves_out_an_ensemble_outside_the_probe_window(crossi
     assert fit_avoided_crossing(crossing_grid, *tunings).parameters == alone.parameters
     with pytest.raises(DegenerateDataError, match="probe window"):
         fit_avoided_crossing(crossing_grid, tunings[1], tunings[0])
+
+
+def test_avoided_crossing_drops_the_left_out_ensemble_from_init(crossing_grid, tunings):
+    # ensemble II never enters this grid's probe window, so its entry of
+    # a two-ensemble init is dropped
+    both = fit_avoided_crossing(crossing_grid, *tunings, init=[7.0, 5.0, CENTER, 0.0])
+    alone = fit_avoided_crossing(crossing_grid, tunings[0], init=[7.0, CENTER, 0.0])
+    assert both.converged
+    assert both == alone
 
 
 def test_avoided_crossing_magnitude_sweep(config, cavity, ens_i):
@@ -747,3 +757,18 @@ def test_positive_constraint_respected():
     result = fit_lorentzian(xs, ys, init=[0.4, CENTER + 1.0, 3.0, 0.0])
     assert result.parameters["hwhm"] > 0
     assert result.parameters["hwhm"] == pytest.approx(0.2, rel=1e-4)
+
+
+def test_grid_fits_of_real_magnitudes_equal_fits_of_their_complex_copy(
+    crossing_grid, full_grid, tunings
+):
+    # |complex(x, 0)| == x exactly, so both grids give the fits the same data
+    for grid, fit in (
+        (with_noise(crossing_grid, 3), fit_avoided_crossing),
+        (with_noise(full_grid, 3), fit_full_transmission),
+    ):
+        assert grid.amplitudes.dtype == np.float64
+        as_complex = dataclasses.replace(grid, amplitudes=grid.amplitudes.astype(complex))
+        result = fit(grid, *tunings)
+        assert result.converged
+        assert result == fit(as_complex, *tunings)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,32 @@ def test_read_grid_is_bit_identical_to_a_per_cell_float_parse(tmp_path):
     assert np.array_equal(back.sweep_values, np.array([row[0] for row in table[1:]]))
     assert np.array_equal(back.magnitudes, np.array([row[1:] for row in table[1:]]))
     assert back.sweep_values.flags.c_contiguous
+
+
+def test_read_grid_holds_float64_magnitudes(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_grid(path, sample_grid())
+    back, _ = read_grid(path)
+    assert back.amplitudes.dtype == np.float64
+
+
+def test_read_grid_peak_memory_stays_near_its_table(tmp_path):
+    # the default sweep-angle grid: 901 sweep values x 1201 probes
+    rows, cols = 901, 1201
+    rng = np.random.default_rng(3)
+    probe = np.linspace(2719.1, 2779.1, cols)
+    sweep_values = np.linspace(0.0, 90.0, rows)
+    path = tmp_path / "grid.csv"
+    write_grid(path, SpectrumGrid(probe, sweep_values, rng.uniform(size=(rows, cols)), "angle"))
+    table_bytes = rows * (cols + 1) * 8
+    tracemalloc.start()
+    try:
+        back, _ = read_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.amplitudes.shape == (rows, cols)
+    assert peak <= 1.5 * table_bytes
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,35 @@ def test_grid_shape_validation():
         SpectrumGrid(np.arange(3.0), np.arange(2.0), np.zeros((2, 3)), "bogus")
 
 
+def test_grid_keeps_float64_input_without_a_copy():
+    amplitudes = np.random.default_rng(1).uniform(size=(2, 3))
+    grid = SpectrumGrid(np.arange(3.0), np.arange(2.0), amplitudes)
+    assert grid.amplitudes.dtype == np.float64
+    assert np.shares_memory(grid.amplitudes, amplitudes)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, dtype",
+    [
+        (np.full((2, 3), 0.5 + 0.5j), np.complex128),
+        (np.full((2, 3), 0.5 + 0.5j, dtype=np.complex64), np.complex128),
+        (np.ones((2, 3), dtype=int), np.float64),
+        (np.ones((2, 3), dtype=np.float32), np.float64),
+        ([[1, 2, 3], [4, 5, 6]], np.float64),
+        ([[1j, 2, 3], [4, 5, 6]], np.complex128),
+    ],
+)
+def test_grid_value_type_is_complex128_or_float64(amplitudes, dtype):
+    grid = SpectrumGrid(np.arange(3.0), np.arange(2.0), amplitudes)
+    assert grid.amplitudes.dtype == dtype
+    np.testing.assert_array_equal(grid.amplitudes, np.asarray(amplitudes))
+
+
+def test_grid_rejects_non_numeric_amplitudes():
+    with pytest.raises(ValueError):
+        SpectrumGrid(np.arange(3.0), np.arange(2.0), np.full((2, 3), "x"))
+
+
 # ---------------------------------------------------------------------------
 # polariton linewidths
 
