@@ -179,8 +179,12 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
     def residuals(azimuths):
         return _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target)
 
-    azimuths = np.arange(0.0, 180.0, scan_step)
-    scan = residuals(azimuths)
+    # Half a turn of the crystals reverses b_par only, so the residual
+    # has period 180 deg: node 180 closes the circle with node 0's
+    # residual, and roots fold back into [0, 180).
+    azimuths = np.append(np.arange(0.0, 180.0, scan_step), 180.0)
+    scan = residuals(azimuths[:-1])
+    scan = np.append(scan, scan[0])
     # NaN nodes compare False, so they bracket nothing.  The refinement
     # starts from the scan's own residuals at the flagged nodes, so
     # every flagged interval is a bracket for it.
@@ -188,6 +192,9 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
     roots = _find_root(
         residuals, azimuths[k], azimuths[k + 1], xtol=1e-8, _ends=(scan[k], scan[k + 1])
     )
+    # A root on a node (or on 0 = 180) ends both intervals beside it.
+    roots = np.sort(roots % 180.0)
+    roots = roots[np.diff(roots, prepend=-np.inf) > 0]
     mags = _magnitudes(config, "i", roots, angle_i, target)
 
     candidates = []
@@ -227,9 +234,7 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
         dispersive_magnitude=disp_mag,
         degeneracy_angle=best["degeneracy_angle"],
         degeneracy_transition=best["degeneracy_transition"],
-        candidates=tuple(
-            tuple(sorted(c.items())) for c in sorted(candidates, key=lambda c: c["azimuth_i"])
-        ),
+        candidates=tuple(tuple(sorted(c.items())) for c in candidates),
     )
 
 

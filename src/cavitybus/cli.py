@@ -29,7 +29,7 @@ from .dispersive import (
 from .errors import NumericalError, ValidationError
 from .fitting import SpinTuning, fit_avoided_crossing, fit_full_transmission, fit_lorentzian
 from .gridio import atomic_write_text, read_grid, write_fit_json, write_grid, write_signal, write_table
-from .spin import FieldSetting, _solve
+from .spin import FieldSetting, _solve, sweep_fields
 from .transmission import sweep
 from . import acceptance
 
@@ -160,12 +160,6 @@ def _sweep_axis(args, config, kind) -> tuple:
     return values, fixed, {_FIXED_KEY[kind]: format_float(fixed)}
 
 
-def _coords(kind, values, fixed) -> tuple:
-    """(magnitudes, angles) arrays along a sweep."""
-    held = np.full_like(values, fixed)
-    return (held, values) if kind == "angle" else (values, held)
-
-
 def _field_point(args, config, magnitude_key) -> tuple:
     """The single field of `spectrum` and `dispersive`, and its
     provenance: both coordinates are fixed."""
@@ -184,7 +178,7 @@ def _cmd_transitions(args, config) -> int:
             raise ValidationError("--b-mags sweeps need --angle")
         kind = "magnitude"
     values, fixed, extra = _sweep_axis(args, config, kind)
-    mags, angles = _coords(kind, values, fixed)
+    mags, angles = sweep_fields(kind, values, fixed)
 
     columns = {kind: values}
     for which in ("i", "ii"):
@@ -209,7 +203,7 @@ def _cmd_sweep(args, config, kind) -> int:
     probe = _range_from(args.probe, config, "sweep.probe_mhz")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
     values, fixed, extra = _sweep_axis(args, config, kind)
-    fields = [FieldSetting(m, a) for m, a in zip(*_coords(kind, values, fixed))]
+    fields = [FieldSetting(m, a) for m, a in zip(*sweep_fields(kind, values, fixed))]
     grid = sweep(config.cavity(), ensembles, fields, probe, kind)
     write_grid(args.out, grid, config.hash, extra)
     log.info("wrote %s (%d x %d)", args.out, values.size, probe.size)

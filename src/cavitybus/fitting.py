@@ -33,7 +33,7 @@ import numpy as np
 
 from .coupled import EnsembleSpec, collective_modes
 from .errors import DegenerateDataError
-from .spin import CrystalOrientation, NVParameters, _solve
+from .spin import CrystalOrientation, NVParameters, _solve, sweep_fields
 from .transmission import (
     DEFAULT_PROMINENCE,
     SpectrumGrid,
@@ -201,9 +201,9 @@ def _standard_errors(jtj, cost, m):
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
-def jacobian_check(model, theta, h_scale: float = 1e-6, scales=None) -> float:
+def jacobian_check(model, theta, scales=None) -> float:
     """Worst relative deviation between the model's own Jacobian and a
-    central finite difference with per-parameter step h_scale*scale_i.
+    central finite difference with per-parameter step 1e-6*scale_i.
 
     scales defaults to max(|theta_i|, 1); pass explicit characteristic
     scales when a parameter's magnitude (an absolute frequency, say) is
@@ -217,7 +217,7 @@ def jacobian_check(model, theta, h_scale: float = 1e-6, scales=None) -> float:
     jac = np.asarray(jac, dtype=float)
     fd = np.empty_like(jac)
     for i in range(theta.size):
-        h = h_scale * scales[i]
+        h = 1e-6 * scales[i]
         up = theta.copy()
         up[i] += h
         down = theta.copy()
@@ -365,18 +365,11 @@ class SpinTuning:
     def from_ensemble(cls, ensemble: EnsembleSpec, sweep_kind: str, fixed: float):
         return cls(ensemble.nv, ensemble.orientation, sweep_kind, fixed)
 
-    def _coords(self, sweep_values, offset):
-        s = np.asarray(sweep_values, dtype=float) + offset
-        if self.sweep_kind == "angle":
-            return np.full_like(s, self.fixed), s
-        if self.sweep_kind == "magnitude":
-            return s, np.full_like(s, self.fixed)
-        raise ValueError(f"unsupported sweep kind {self.sweep_kind!r}")
-
     def frequencies_and_derivative(self, sweep_values, offset: float = 0.0) -> tuple:
         """Lower transition frequencies and their slope per sweep unit,
         from one spin solve."""
-        mags, angles = self._coords(sweep_values, offset)
+        s = np.asarray(sweep_values, dtype=float) + offset
+        mags, angles = sweep_fields(self.sweep_kind, s, self.fixed)
         levels, slope = _solve(self.nv, self.orientation, mags, angles, self.sweep_kind)
         return levels[..., 1], slope
 

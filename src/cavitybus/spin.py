@@ -49,6 +49,7 @@ __all__ = [
     "transition_minus",
     "transition_batch",
     "transition_minus_derivative",
+    "sweep_fields",
     "thermal_polarization",
 ]
 
@@ -70,6 +71,10 @@ _BASE_AXES = np.array(
         [-1.0, -1.0, 1.0],
     ]
 ) / math.sqrt(3.0)
+
+
+# Largest field magnitude (mT) whose square is still a finite float.
+_MAX_MAGNITUDE = math.sqrt(np.finfo(float).max)
 
 
 class AxisClass(IntEnum):
@@ -147,6 +152,19 @@ def nv_axis_vectors(orientation: CrystalOrientation) -> np.ndarray:
     return _BASE_AXES @ rot.T
 
 
+def sweep_fields(kind: str, values, fixed) -> tuple:
+    """(magnitudes, angles) arrays of the fields a sweep visits: `values`
+    are the swept angles (kind "angle") or magnitudes (kind
+    "magnitude"), and `fixed` is the other coordinate."""
+    values = np.asarray(values, dtype=float)
+    held = np.full_like(values, fixed)
+    if kind == "angle":
+        return held, values
+    if kind == "magnitude":
+        return values, held
+    raise ValueError(f"unsupported sweep kind {kind!r}")
+
+
 def _decompose(axis: np.ndarray, magnitudes, angles, wrt: str | None = None) -> tuple:
     """Components of in-plane fields (magnitudes in mT, angles in deg)
     parallel and transverse to the unit `axis`: (b_par, b_perp, d_par,
@@ -209,14 +227,25 @@ def _solve(
     derivative of the lower transition per deg or per mT, taken by
     Hellmann-Feynman from the same eigenvectors.
 
-    Raises ValidationError naming the first field at which the lowest
-    level is not the m_s=0-dominated one (largest |<0|v>|^2).
+    Raises ValidationError naming the first field whose angle is not
+    finite or whose magnitude is not finite or too large to square, or
+    else the first at which the lowest level is not the m_s=0-dominated
+    one (largest |<0|v>|^2).
     """
     mags, angs = np.broadcast_arrays(
         np.asarray(magnitudes, dtype=float), np.asarray(angles, dtype=float)
     )
     shape = mags.shape
     mags, angs = mags.ravel(), angs.ravel()
+    # NaN compares False with the bound, so a NaN magnitude is caught too
+    unrepresentable = ~(np.abs(mags) <= _MAX_MAGNITUDE) | ~np.isfinite(angs)
+    if unrepresentable.any():
+        k = int(np.argmax(unrepresentable))
+        raise ValidationError(
+            f"field {mags[k]:g} mT at {angs[k]:g} deg is outside the spin "
+            f"model's range: the angle must be finite and the magnitude at "
+            f"most {_MAX_MAGNITUDE:g} mT"
+        )
     b_par, b_perp, d_par, d_perp = _decompose(_selected_axis(orientation), mags, angs, wrt)
     vals, vecs = np.linalg.eigh(spin_hamiltonian(params, b_par, b_perp))
     # m_s=0 is basis index 1

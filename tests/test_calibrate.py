@@ -189,3 +189,37 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     monkeypatch.setattr(calibrate, "transition_batch", counting)
     calibrate_geometry(config)
     assert sum(points) <= 5532
+
+
+def _with_targets(config, angle_i, angle_ii, relative):
+    return config.with_updates(
+        {
+            "calibration.resonance_angle_i_deg": angle_i,
+            "calibration.resonance_angle_ii_deg": angle_ii,
+            "calibration.relative_azimuth_deg": relative,
+        }
+    )
+
+
+def test_scan_finds_the_root_between_the_last_node_and_180_deg(config):
+    # Half a turn of the crystals leaves the residual unchanged, and for
+    # these targets it changes sign between azimuth 179.75 deg (the last
+    # node) and 180 = 0 deg, so a scan that stops at the last node finds
+    # no root at all.
+    cfg = _with_targets(config, 79.0, 35.0, 24.2)
+    residual_0, residual_180 = _scan_residuals(cfg, np.array([0.0, 180.0]), 79.0, 35.0, 24.2, 2749.1)
+    assert residual_0 == pytest.approx(residual_180, abs=1e-9)
+
+    result = calibrate_geometry(cfg)
+    assert [dict(c)["azimuth_i"] for c in result.candidates] == [result.azimuth_i]
+    assert result.azimuth_i == pytest.approx(179.9, abs=1e-6)
+    assert result.degeneracy_angle == pytest.approx(57.0, abs=1e-6)
+
+
+def test_scan_lists_a_root_on_a_scan_node_once(config):
+    # At 0.01 deg the residual is exactly zero on the node 157.90 deg, so
+    # both intervals beside the node bracket it and refine to the node.
+    cfg = _with_targets(config, 60.0, 10.0, 24.2)
+    azimuths = [dict(c)["azimuth_i"] for c in calibrate_geometry(cfg, scan_step=0.01).candidates]
+    assert azimuths == pytest.approx([67.9, 157.9], abs=1e-6)
+    assert azimuths == sorted(set(azimuths))

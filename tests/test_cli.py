@@ -440,6 +440,25 @@ def test_calibrate_unreachable_target_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transitions", "--b-mag", "1e160", "--angles", "0:0:1"],
+        ["spectrum", "--angle", "0", "--b-mag", "1e160"],
+        ["sweep-field", "--angle", "0", "--b-mags", "0:1e160:1e160"],
+        ["dispersive", "--angle", "23", "--b-mag", "1e308"],
+    ],
+)
+def test_fields_too_large_to_square_exit_2(default_cfg, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code = main([*argv, "--config", str(default_cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "outside the spin model's range: the angle must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-9", "90.5"])
 def test_calibrate_bad_scan_step_exits_2(default_cfg, tmp_path, capsys, step):
     out = tmp_path / "calibrated.cfg"

@@ -29,7 +29,7 @@ from cavitybus.fitting import (
     transmission_model,
 )
 from cavitybus import transmission
-from cavitybus.spin import FieldSetting
+from cavitybus.spin import FieldSetting, transition_batch, transition_minus_derivative
 from cavitybus.transmission import SpectrumGrid, _row_blocks, sweep
 
 CENTER = 2749.1
@@ -184,7 +184,7 @@ def test_jacobian_check_quadratic_exact():
         jac = np.stack([xs**2, xs, np.ones_like(xs)], axis=1)
         return values, jac
 
-    assert jacobian_check(quadratic, [2.0, 3.0, 1.0], h_scale=1e-3) < 1e-10
+    assert jacobian_check(quadratic, [2.0, 3.0, 1.0], scales=[2e3, 3e3, 1e3]) < 1e-10
 
 
 def test_jacobian_check_reports_kink():
@@ -226,6 +226,31 @@ def test_jacobian_check_shipped_grid_models(tunings):
         scales=np.ones(7),
     )
     assert dev_full < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# spin tuning curves
+
+@pytest.mark.parametrize("kind, fixed", [("angle", 7.7), ("magnitude", 79.0)])
+def test_spin_tuning_solves_at_the_offset_sweep_fields(config, kind, fixed):
+    ens = config.ensemble("i")
+    tuning = SpinTuning.from_ensemble(ens, kind, fixed)
+    values = np.linspace(5.0, 9.0, 9)
+    shifted = values + 0.3
+    held = np.full_like(shifted, fixed)
+    mags, angles = (held, shifted) if kind == "angle" else (shifted, held)
+    nu, slope = tuning.frequencies_and_derivative(values, 0.3)
+    np.testing.assert_array_equal(nu, transition_batch(ens.nv, ens.orientation, mags, angles))
+    np.testing.assert_array_equal(
+        slope, transition_minus_derivative(ens.nv, ens.orientation, mags, angles, kind)
+    )
+
+
+@pytest.mark.parametrize("kind", ["none", "frequency"])
+def test_spin_tuning_rejects_sweeps_without_a_field_coordinate(config, kind):
+    tuning = SpinTuning.from_ensemble(config.ensemble("i"), kind, 7.7)
+    with pytest.raises(ValueError, match=f"unsupported sweep kind '{kind}'"):
+        tuning.frequencies_and_derivative(np.array([70.0, 80.0]))
 
 
 # ---------------------------------------------------------------------------

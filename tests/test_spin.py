@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cavitybus.spin import (
     _solve,
     nv_axis_vectors,
     spin_hamiltonian,
+    sweep_fields,
     thermal_polarization,
     transition_batch,
     transition_frequencies,
@@ -267,6 +269,38 @@ def test_fields_past_the_level_anticrossing_are_rejected(config):
             call()
 
 
+# Largest magnitude whose square is a finite float, and the next float up.
+LARGEST_SQUARABLE = 1.3407807929942596e154
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        FieldSetting(float("nan"), 10.0),
+        FieldSetting(math.inf, 10.0),
+        FieldSetting(math.nextafter(LARGEST_SQUARABLE, math.inf), 10.0),
+        FieldSetting(1e160, 0.0),
+        FieldSetting(7.7, float("nan")),
+        FieldSetting(7.7, -math.inf),
+    ],
+)
+def test_unrepresentable_fields_are_rejected_before_the_eigensolve(config, field):
+    # These fields used to overflow in the field decomposition and end
+    # in LinAlgError("Eigenvalues did not converge").
+    with pytest.raises(ValidationError, match="outside the spin model's range: the angle must"):
+        config.ensemble("i").transition(field)
+    named = re.escape(f"field {field.magnitude:g} mT at {field.angle:g} deg")
+    with pytest.raises(ValidationError, match=named):
+        transition_batch(NV, ORI, [7.7, field.magnitude], [40.0, field.angle])
+
+
+def test_largest_squarable_field_reaches_the_level_order_check(config):
+    # A RuntimeWarning fails the suite, so this also checks that the
+    # decomposition does not overflow.
+    with pytest.raises(ValidationError, match="the m_s=0 level is not the lowest"):
+        config.ensemble("i").transition(FieldSetting(LARGEST_SQUARABLE, 0.0))
+
+
 def test_hellmann_feynman_derivative_matches_finite_difference():
     angles = np.linspace(5.0, 85.0, 9)
     h = 1e-4
@@ -353,3 +387,24 @@ def test_parameter_invariants():
         NVParameters(2870.0, 13.0, 0.0)
     with pytest.raises(ValueError):
         FieldSetting(-0.1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# sweep coordinates
+
+@pytest.mark.parametrize("values", [np.linspace(10.0, 90.0, 5), [1, 2, 3]])
+def test_sweep_fields_holds_the_fixed_coordinate(values):
+    swept = np.asarray(values, dtype=float)
+    mags, angles = sweep_fields("angle", values, 7.7)
+    np.testing.assert_array_equal(mags, np.full_like(swept, 7.7))
+    np.testing.assert_array_equal(angles, swept)
+    mags, angles = sweep_fields("magnitude", values, 79.5)
+    np.testing.assert_array_equal(mags, swept)
+    np.testing.assert_array_equal(angles, np.full_like(swept, 79.5))
+    assert mags.dtype == angles.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["none", "frequency"])
+def test_sweep_fields_rejects_other_kinds(kind):
+    with pytest.raises(ValueError, match=f"unsupported sweep kind '{kind}'"):
+        sweep_fields(kind, [1.0, 2.0], 7.7)
