@@ -37,6 +37,7 @@ from .spin import CrystalOrientation, NVParameters, _solve, sweep_fields
 from .transmission import (
     DEFAULT_PROMINENCE,
     SpectrumGrid,
+    _refined_peaks,
     _row_blocks,
     peak_positions,
     s21_denominator,
@@ -383,21 +384,25 @@ def _require_cells(grid: SpectrumGrid):
             f"empty grid ({grid.sweep_values.size} rows, "
             f"{grid.probe_frequencies.size} columns): nothing to fit"
         )
+    finite = np.isfinite(grid.amplitudes)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DegenerateDataError(f"non-finite grid cell in row {row}, column {col}")
 
 
 def extract_branches(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE, max_peaks=2):
     """Per-row polariton positions: list of (sweep_value, sorted array
-    of the at most `max_peaks` most prominent maxima).  The branch
-    model of N ensembles has N + 1 modes."""
-    out = []
-    mags = grid.magnitudes
-    for k, s in enumerate(grid.sweep_values):
-        peaks = peak_positions(
-            grid.probe_frequencies, mags[k], prominence, max_peaks=max_peaks
-        )
-        if peaks.size:
-            out.append((float(s), peaks))
-    return out
+    of the at most `max_peaks` most prominent maxima), for the rows
+    with a peak; one peak search over the whole grid.  The branch model
+    of N ensembles has N + 1 modes."""
+    rows, positions = _refined_peaks(
+        grid.probe_frequencies, grid.amplitudes, prominence, max_peaks
+    )
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    stops = np.append(starts[1:], rows.size)
+    return [
+        (float(grid.sweep_values[rows[a]]), positions[a:b]) for a, b in zip(starts, stops)
+    ]
 
 
 def _branch_modes(sweep_values, theta, tunings):
@@ -598,9 +603,14 @@ def initial_guess_full(grid, tuning_i, tuning_ii, prominence=DEFAULT_PROMINENCE)
     if not branch.converged:
         raise DegenerateDataError("the branch fit that seeds the full fit did not converge")
     p = branch.parameters
-    mags = grid.magnitudes
-    row, col = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    left, right = _half_power_crossings(grid.probe_frequencies, mags[row] ** 2, col)
+    # the first cell of the largest |S21|, from the row maxima block by
+    # block, so that no grid-sized |S21| copy is made
+    amps = grid.amplitudes
+    tops = [np.abs(amps[rows]).max(axis=1) for rows in _row_blocks(*amps.shape)]
+    row = int(np.argmax(np.concatenate(tops)))
+    mags = np.abs(amps[row])
+    col = int(np.argmax(mags))
+    left, right = _half_power_crossings(grid.probe_frequencies, mags**2, col)
     kappa0 = 0.5 * (right - left)
     g_ii = p.get("g_other", p["g"])
     return np.array([p["g"], g_ii, kappa0, GAMMA_SEED, GAMMA_SEED, p["nu_c"], p["offset"]])

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Exact SI values (2019 redefinition), equal to scipy.constants.h and .k;
-# importing scipy.constants for two numbers costs about 0.2 s per call.
+# Exact SI values (2019 redefinition); the tests check them against an
+# independent table of physical constants.
 _PLANCK = 6.62607015e-34  # J s
 _BOLTZMANN = 1.380649e-23  # J/K
 

@@ -27,6 +27,7 @@ __all__ = [
     "s21_denominator",
     "sweep",
     "peak_splitting",
+    "row_peaks",
 ]
 
 DEFAULT_PROMINENCE = 0.05
@@ -37,12 +38,18 @@ DEFAULT_PROMINENCE = 0.05
 _BLOCK_POINTS = 16384
 
 
-def _row_blocks(n_rows: int, n_probe: int):
+def _row_blocks(n_rows: int, n_probe: int, points: int | None = None):
     """Row slices covering n_rows rows of n_probe points each, about
-    _BLOCK_POINTS points per slice and at least one row."""
-    step = max(_BLOCK_POINTS // max(n_probe, 1), 1)
+    `points` (default _BLOCK_POINTS) points per slice and at least one
+    row."""
+    step = max((_BLOCK_POINTS if points is None else points) // max(n_probe, 1), 1)
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
+
+
+# Samples per block of rows in the peak finder, whose temporaries take
+# a few tens of bytes per sample.
+_PEAK_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -140,18 +147,154 @@ def sweep(
     return SpectrumGrid(probe, values, amplitudes, sweep_kind)
 
 
-def _refine_quadratic(x: np.ndarray, y: np.ndarray, idx: int) -> float:
-    """Sub-bin peak position from a parabola through three samples."""
-    if idx <= 0 or idx >= x.size - 1:
-        return float(x[idx])
-    y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
+def _sparse_table(values: np.ndarray, reduce) -> np.ndarray:
+    """table[k, i] = reduce of values[i : i + 2**k], for i <= size - 2**k
+    (other entries are unset)."""
+    size = values.size
+    table = np.empty((size.bit_length(), size))
+    table[0] = values
+    for k in range(1, table.shape[0]):
+        w = 1 << (k - 1)
+        m = size - 2 * w + 1
+        reduce(table[k - 1, :m], table[k - 1, w : w + m], out=table[k, :m])
+    return table
+
+
+def _peak_block(y: np.ndarray, prominence: float) -> tuple:
+    """(row, index, prominence) of the maxima of the rows of the float
+    block y whose prominence is at least `prominence` times the row
+    maximum, ordered by row and index."""
+    n_rows, n = y.shape
+    flat = y.ravel()
+    # step signs: 1 up, -1 down, 0 level, 2 across a row end
+    sign = (flat[1:] > flat[:-1]).view(np.int8) - (flat[1:] < flat[:-1]).view(np.int8)
+    sign[n - 1 :: n] = 2
+    steps = np.flatnonzero(sign)
+    turn = sign[steps]
+    turn = turn[:-1] - turn[1:]
+    # Turning points: up then (past level steps) down is a maximum, 2;
+    # down then up a minimum, -2.  Along a row they alternate.
+    tp = np.flatnonzero(np.abs(turn) == 2)
+    pos = steps[tp] + 1  # first sample of each turning plateau
+    row = pos // n
+    is_top = turn[tp] == 2
+    top = np.flatnonzero(is_top)
+    height = flat[pos[top]]
+
+    # Skip the maxima that cannot pass.  Prominence is at most the
+    # height above the row minimum and, on a side whose next maximum is
+    # higher, the height above the minimum in between, which is then
+    # that side's base minimum.
+    threshold = prominence * y.max(axis=1)[row[top]]
+    keep = height - y.min(axis=1)[row[top]] >= threshold
+    top, height, threshold = top[keep], height[keep], threshold[keep]
+    bound = np.full(top.size, np.inf)
+    last = tp.size - 1
+    for side in (-1, 1):
+        # the maximum two turning points away, if in the row; a clipped
+        # index lands on top itself or on a minimum, neither higher
+        peer = np.clip(top + 2 * side, 0, last)
+        higher = (row[peer] == row[top]) & (flat[pos[peer]] > height)
+        dip = height - flat[pos[np.clip(top + side, 0, last)]]
+        bound = np.where(higher, np.minimum(bound, dip), bound)
+    keep = bound >= threshold
+    top, height, threshold = top[keep], height[keep], threshold[keep]
+    rows = row[top]
+    plateau_end = steps[tp[top] + 1]
+    at = (pos[top] + plateau_end) // 2  # flat index of each maximum
+    if not rows.size:
+        return rows, at, height
+
+    # The samples between neighbouring turning points are monotone, so
+    # the searches run over the turning points and the row ends: the
+    # nearest strictly higher one among the maxima (those below every
+    # kept height left out) and the base minimum among the minima.
+    def with_row_ends(positions):
+        marks = np.zeros(flat.size, bool)
+        marks[::n] = marks[n - 1 :: n] = marks[positions] = True
+        return np.flatnonzero(marks)
+
+    lowest = np.full(n_rows, np.inf)
+    np.minimum.at(lowest, rows, height)
+    tops = pos[is_top]
+    hi_pos = with_row_ends(tops[flat[tops] > lowest[tops // n]])
+    hi = _sparse_table(flat[hi_pos], np.maximum)
+    lo_pos = with_row_ends(pos[~is_top])
+    lo = _sparse_table(flat[lo_pos], np.minimum)
+
+    # hi entries left..right - 1 hold no higher value than the maximum;
+    # widen that run by 2**k, from the largest k down, within the row
+    start, stop = rows * n, rows * n + n - 1
+    first, final = np.searchsorted(hi_pos, start), np.searchsorted(hi_pos, stop)
+    left = np.searchsorted(hi_pos, at)
+    right = np.searchsorted(hi_pos, at, "right")
+    for k in range(hi.shape[0] - 1, -1, -1):
+        w = 1 << k
+        fits = left - w >= first
+        left -= w * (fits & (hi[k, np.where(fits, left - w, 0)] <= height))
+        fits = right + w <= final + 1
+        right += w * (fits & (hi[k, np.where(fits, right, 0)] <= height))
+    # each base runs to the nearest higher entry or the row end; taking
+    # that entry in leaves its minimum as it is
+    base_start = hi_pos[np.maximum(left - 1, first)]
+    base_stop = hi_pos[np.minimum(right, final)]
+
+    def range_min(a, b):
+        i, j = np.searchsorted(lo_pos, a), np.searchsorted(lo_pos, b, "right") - 1
+        k = np.frexp(j - i + 1)[1] - 1  # floor(log2(j - i + 1))
+        return np.minimum(lo[k, i], lo[k, j + 1 - (1 << k)])
+
+    prom = height - np.maximum(range_min(base_start, at), range_min(at, base_stop))
+    keep = prom >= threshold
+    return rows[keep], at[keep] - rows[keep] * n, prom[keep]
+
+
+def row_peaks(values, prominence: float = DEFAULT_PROMINENCE) -> tuple:
+    """Local maxima of |values| along each row of a 2-D array whose
+    prominence is at least `prominence` times the row maximum.
+
+    A maximum is an interior run of equal samples with lower samples on
+    both sides, placed at (first + last) // 2; a run that touches a row
+    end is none.  Its prominence is its height minus the larger of the
+    two minima, taken on each side up to the nearest strictly higher
+    sample or the row end (the usual signal-processing definitions).
+    The rows are taken about _PEAK_POINTS samples at a time.  Returns
+    (row, index, prominence) arrays, ordered by row and index.
+    """
+    values = np.asarray(values)
+    n_rows, n = values.shape
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    if n < 3:
+        return found[0]
+    for block in _row_blocks(n_rows, n, _PEAK_POINTS):
+        y = np.abs(values[block]).astype(float, copy=False)
+        rows, idx, prom = _peak_block(y, prominence)
+        found.append((rows + block.start, idx, prom))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _refined_peaks(probe_frequencies, values, prominence, max_peaks) -> tuple:
+    """(row, position) of the row_peaks of values, at most max_peaks of
+    the most prominent per row (ties toward lower frequency), refined by
+    a parabola through three samples and ordered by row and position."""
+    x = np.asarray(probe_frequencies, dtype=float)
+    rows, idx, prom = row_peaks(values, prominence)
+    if max_peaks is not None:
+        order = np.lexsort((idx, -prom, rows))
+        rows, idx = rows[order], idx[order]
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        rows, idx = rows[rank < max_peaks], idx[rank < max_peaks]
+    y0, y1, y2 = (
+        np.abs(values[rows, idx + d]).astype(float, copy=False) for d in (-1, 0, 1)
+    )
+    # at a maximum y1 >= y0, y2, so the vertex lies within half a step
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(x[idx])
-    shift = 0.5 * (y0 - y2) / denom
-    shift = min(max(shift, -1.0), 1.0)
+    flat = denom == 0.0
+    shift = 0.5 * (y0 - y2) / np.where(flat, 1.0, denom)
     step = 0.5 * (x[idx + 1] - x[idx - 1])
-    return float(x[idx] + shift * step)
+    position = np.where(flat, x[idx], x[idx] + shift * step)
+    order = np.lexsort((position, rows))
+    return rows[order], position[order]
 
 
 def peak_positions(
@@ -160,24 +303,12 @@ def peak_positions(
     prominence: float = DEFAULT_PROMINENCE,
     max_peaks: int | None = None,
 ) -> np.ndarray:
-    """Local maxima above the relative prominence threshold, refined by
-    quadratic interpolation and sorted by frequency.  With max_peaks
-    set, only the most prominent ones are kept (ties resolve toward
-    lower frequency)."""
-    # imported here: scipy.signal pulls in scipy.stats, which would
-    # more than double the import time of every CLI call
-    from scipy.signal import find_peaks
-
-    x = np.asarray(probe_frequencies, dtype=float)
-    y = np.abs(np.asarray(magnitudes))
-    top = float(np.max(y))
-    if top <= 0.0:
-        return np.array([])
-    idx, props = find_peaks(y, prominence=prominence * top)
-    if max_peaks is not None and idx.size > max_peaks:
-        order = np.lexsort((idx, -props["prominences"]))
-        idx = np.sort(idx[order[:max_peaks]])
-    return np.array(sorted(_refine_quadratic(x, y, i) for i in idx))
+    """Local maxima of |magnitudes| above the relative prominence
+    threshold (see row_peaks), refined by quadratic interpolation and
+    sorted by frequency.  With max_peaks set, only the most prominent
+    ones are kept (ties resolve toward lower frequency)."""
+    row = np.asarray(magnitudes)[None, :]
+    return _refined_peaks(probe_frequencies, row, prominence, max_peaks)[1]
 
 
 def peak_splitting(

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,24 +36,49 @@ def _scipy_modules_after(probe):
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # The package needs scipy only for peak finding (scipy.signal, which
-    # drags in scipy.stats), imported on first use; every other CLI call
-    # loads no scipy module at all.
+    # The package runs on numpy alone; scipy is a test-only reference.
     assert _scipy_modules_after("import sys, cavitybus.cli") == []
 
 
-def test_forward_commands_load_no_scipy(tmp_path):
-    # calibrate, transitions and sweep-angle run on numpy alone.
+def test_no_command_loads_scipy(tmp_path):
+    # Every command runs on numpy alone.  selftest is left out for time:
+    # its peak searches go through the fits below and `peak_positions`,
+    # which criterion 5's pump-peak count runs here.
     out = tmp_path.as_posix()
+    commands = [
+        ["calibrate", "--out", f"{out}/cal.cfg"],
+        ["transitions", "--angles", "0:90:5", "--out", f"{out}/levels.csv"],
+        ["spectrum", "--angle", "48.1", "--out", f"{out}/row.csv"],
+        ["sweep-field", "--angle", "79", "--b-mags", "7:8.4:0.1", "--out", f"{out}/field.csv"],
+        ["dispersive", "--angle", "23", "--out", f"{out}/pump.csv",
+         "--report", f"{out}/modes.json"],
+        ["sweep-angle", "--angles", "0:90:1", "--probe", "2720:2780:0.25",
+         "--out", f"{out}/grid.csv"],
+        ["fit", "full", "--in", f"{out}/grid.csv", "--out", f"{out}/full.json"],
+        ["fit", "avoided-crossing", "--in", f"{out}/grid.csv", "--out", f"{out}/branch.json"],
+        ["fit", "lorentzian", "--in", f"{out}/grid.csv", "--row", "0", "--out", f"{out}/row.json"],
+    ]
     probe = (
         "import sys\n"
+        "from cavitybus.acceptance import _count_pump_peaks\n"
         "from cavitybus.cli import main\n"
-        f"assert main(['calibrate', '--out', '{out}/cal.cfg']) == 0\n"
-        f"assert main(['transitions', '--angles', '0:90:5', '--out', '{out}/levels.csv']) == 0\n"
-        f"assert main(['sweep-angle', '--angles', '40:60:5', '--probe', '2700:2800:1', "
-        f"'--out', '{out}/grid.csv']) == 0"
+        "from cavitybus.config import default_config\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert _count_pump_peaks(default_config(), 23.0, (1, -1)) == 2\n"
     )
     assert _scipy_modules_after(probe) == []
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    # the tests keep scipy as an independent reference
+    test_extra = project["optional-dependencies"]["test"]
+    assert [dep for dep in test_extra if re.match(r"scipy\b", dep)]
 
 
 def test_default_config_ships_as_package_data():

@@ -5,13 +5,15 @@ import pytest
 
 from cavitybus.coupled import CavitySpec, collective_modes
 from cavitybus.errors import UnsplitError
-from cavitybus.fitting import fit_polariton_width
+from cavitybus.fitting import extract_branches, fit_polariton_width
 from cavitybus.spin import FieldSetting
 from cavitybus.transmission import (
+    _PEAK_POINTS,
     SpectrumGrid,
     _row_blocks,
     peak_positions,
     peak_splitting,
+    row_peaks,
     s21,
     sweep,
 )
@@ -102,6 +104,191 @@ def test_bare_cavity_is_unsplit(cavity):
     probe = probe_grid(step=0.02)
     with pytest.raises(UnsplitError):
         peak_splitting(probe, np.abs(s21(probe, cavity, [])))
+
+
+# ---------------------------------------------------------------------------
+# the peak finder against a direct scan
+
+
+def brute_peaks(row, threshold):
+    """(index, prominence) pairs of a row by direct scan: every run of
+    equal samples with a lower sample on each side is a maximum at its
+    middle index; its prominence is its height minus the larger of the
+    minima between it and the nearest strictly higher sample (or the
+    row end) on either side."""
+    row = [float(v) for v in row]
+    n = len(row)
+    out = []
+    first = 0
+    while first < n:
+        last = first
+        while last + 1 < n and row[last + 1] == row[first]:
+            last += 1
+        h = row[first]
+        if 0 < first and last < n - 1 and row[first - 1] < h and row[last + 1] < h:
+            p = (first + last) // 2
+            lo = p
+            while lo - 1 >= 0 and row[lo - 1] <= h:
+                lo -= 1
+            hi = p
+            while hi + 1 < n and row[hi + 1] <= h:
+                hi += 1
+            prom = h - max(min(row[lo : p + 1]), min(row[p : hi + 1]))
+            if prom >= threshold:
+                out.append((p, prom))
+        first = last + 1
+    return out
+
+
+def assert_matches_brute(values, prominence):
+    rows, idx, prom = row_peaks(values, prominence)
+    want = [
+        (r, p, pr)
+        for r, row in enumerate(np.abs(values))
+        for p, pr in brute_peaks(row, prominence * float(np.max(row)))
+    ]
+    got = list(zip(rows.tolist(), idx.tolist(), prom.tolist()))
+    assert got == want  # exact: same indices, same prominence bits
+    return len(got)
+
+
+def _rng_rows(kind, seed=3):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(size=(150, 97))
+    if kind == "integer ties":
+        return rng.integers(0, 4, size=(200, 25)).astype(float)
+    if kind == "plateaus":
+        runs = rng.integers(0, 5, size=(150, 20))
+        return np.repeat(runs, rng.integers(1, 4, size=20), axis=1).astype(float)
+    if kind == "sawtooth":
+        tooth = np.r_[np.arange(6.0), np.arange(3.0)]
+        return np.tile(tooth, (40, 7)) + rng.integers(0, 3, size=(40, 1))
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer ties", "plateaus", "sawtooth"])
+@pytest.mark.parametrize("prominence", [0.0, 0.05, 0.4])
+def test_row_peaks_match_a_direct_scan(kind, prominence):
+    values = _rng_rows(kind)
+    found = assert_matches_brute(values, prominence)
+    if prominence == 0.0:
+        assert found > values.shape[0]
+
+
+def test_row_peaks_of_complex_rows_are_the_peaks_of_their_magnitude():
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((30, 40)) + 1j * rng.standard_normal((30, 40))
+    assert assert_matches_brute(values, 0.05) > 0
+    for got, want in zip(row_peaks(values, 0.05), row_peaks(np.abs(values), 0.05)):
+        assert np.array_equal(got, want)
+
+
+def test_plateaus_peak_at_their_middle_and_never_at_the_row_ends():
+    rows = np.array(
+        [
+            [2, 2, 1, 3, 3, 3, 1, 2, 2],  # edge plateaus are no peaks
+            [1, 3, 3, 1, 0, 4, 4, 4, 4],  # even plateau: lower middle
+            [0, 1, 1, 2, 2, 2, 2, 1, 0],  # a rise inside is no peak
+            [5, 4, 3, 2, 1, 2, 3, 4, 5],  # a valley has no maximum
+        ],
+        dtype=float,
+    )
+    rows_, idx, prom = row_peaks(rows, 0.0)
+    assert list(zip(rows_.tolist(), idx.tolist(), prom.tolist())) == [
+        (0, 4, 2.0),
+        (1, 1, 2.0),
+        (2, 4, 2.0),
+    ]
+    assert_matches_brute(rows, 0.0)
+
+
+def test_equal_peaks_see_past_each_other_to_the_row_end():
+    # Only a strictly higher sample ends a base, so each peak of height
+    # 2 takes the 0 beyond its equal neighbour as its other minimum.
+    _, idx, prom = row_peaks(np.array([[0.0, 2.0, 1.0, 2.0, 0.5]]), 0.0)
+    assert idx.tolist() == [1, 3]
+    assert prom.tolist() == [1.5, 1.5]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 50])
+def test_flat_and_short_rows_have_no_peaks(width):
+    values = np.vstack([np.full(width, 0.7), np.zeros(width), np.arange(width, dtype=float)])
+    if width < 3:
+        values = np.vstack([values, np.random.default_rng(0).uniform(size=(5, width))])
+    rows, idx, prom = row_peaks(values, 0.0)
+    assert rows.size == idx.size == prom.size == 0
+    assert peak_positions(np.arange(float(width)), values[-1]).size == 0
+
+
+def test_row_peaks_across_block_edges_equal_row_by_row_calls():
+    width = _PEAK_POINTS // 64
+    rng = np.random.default_rng(11)
+    values = np.vstack([rng.uniform(size=(100, width)), np.ones((1, width)), np.zeros((1, width))])
+    values = np.vstack([values, rng.integers(0, 4, size=(100, width))])
+    assert len(list(_row_blocks(values.shape[0], width, _PEAK_POINTS))) > 2
+    whole = row_peaks(values, 0.05)
+    by_row = [row_peaks(row[None, :], 0.05) for row in values]
+    rows = np.concatenate([np.full(r[0].size, k) for k, r in enumerate(by_row)])
+    assert np.array_equal(whole[0], rows)
+    for j in (1, 2):
+        assert np.concatenate([r[j] for r in by_row]).tobytes() == whole[j].tobytes()
+
+
+def test_extract_branches_across_block_edges_equals_per_row_peak_positions():
+    rng = np.random.default_rng(4)
+    xs = np.linspace(0.0, 30.0, 301)
+    centers = rng.uniform(3.0, 27.0, size=(2 * _PEAK_POINTS // xs.size + 9, 3))
+    amps = sum(1.0 / (1.0 + (xs - c[:, None]) ** 2) for c in centers.T)
+    amps *= 1.0 + 0.01 * rng.standard_normal(amps.shape)
+    amps[70] = 0.5  # a flat row has no peak and is left out
+    grid = SpectrumGrid(xs, np.arange(amps.shape[0], dtype=float), amps, "angle")
+    for max_peaks in (None, 1, 2, 3):
+        rows = extract_branches(grid, 0.05, max_peaks)
+        want = [
+            (float(s), peaks)
+            for s, row in zip(grid.sweep_values, amps)
+            if (peaks := peak_positions(xs, row, 0.05, max_peaks)).size
+        ]
+        assert [s for s, _ in rows] == [s for s, _ in want]
+        assert 70.0 not in [s for s, _ in rows]
+        for (_, got), (_, exp) in zip(rows, want):
+            assert got.tobytes() == exp.tobytes()
+
+
+def test_max_peaks_ties_resolve_toward_lower_frequency_in_every_row():
+    # bumps on a zero floor: each bump's prominence is its height
+    def bumps(*heights):
+        return np.concatenate([[0.0, 0.0, h / 3.0, h, h / 3.0] for h in heights] + [[0.0]])
+
+    rows = np.vstack([bumps(3, 3, 3), bumps(3, 3, 2), bumps(2, 3, 3)])
+    xs = np.arange(float(rows.shape[1]))
+    tops = [3.0, 8.0, 13.0]  # bump centres
+    kept = {
+        1: [[tops[0]], [tops[0]], [tops[1]]],
+        2: [tops[:2], tops[:2], tops[1:]],
+        3: [tops, tops, tops],
+    }
+    grid = SpectrumGrid(xs, np.arange(3.0), rows)
+    for max_peaks, want in kept.items():
+        branches = extract_branches(grid, 0.05, max_peaks)
+        assert [peaks.tolist() for _, peaks in branches] == want
+        for row, peaks in zip(rows, want):
+            assert peak_positions(xs, row, 0.05, max_peaks).tolist() == peaks
+
+
+def test_peak_positions_refine_with_a_parabola():
+    xs = np.arange(7.0)
+    ys = np.array([0.0, 1.0, 3.0, 4.0, 2.0, 1.0, 0.0])
+    # y0=3, y1=4, y2=2: shift = 0.5 * (3 - 2) / (3 - 8 + 2) = -1/6
+    assert peak_positions(xs, ys).tolist() == [3.0 + 0.5 * (3.0 - 2.0) / (3.0 - 8.0 + 2.0)]
+    # a three-sample plateau has a flat parabola and stays on its sample
+    assert peak_positions(xs, [0.0, 1.0, 4.0, 4.0, 4.0, 1.0, 0.0]).tolist() == [3.0]
+    # so does a parabola whose curvature rounds to zero: (y0 - 2 y1) + y2
+    # is 0.0 here although y0 < y2
+    y0 = 1.0 - 2.0**-53
+    assert (y0 - 2.0) + 1.0 == 0.0
+    assert peak_positions(xs - 2.0, [0.0, y0, 1.0, 1.0, 0.0, 0.0, 0.0]).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
