@@ -39,8 +39,8 @@ __all__ = [
 log = logging.getLogger("cavitybus.config")
 
 
-# Every float the package writes uses this spec; gridio builds its
-# batched row formats from it, so one change here moves both.
+# Every float the package writes uses this spec.  gridio's vectorized
+# writer reads its digit count from it and holds at most 9 digits.
 FLOAT_SPEC = ".9g"
 
 

@@ -9,10 +9,17 @@ then one line of probe frequencies and one line per sweep value holding
 the sweep value followed by the |S21| row.  Floats are written with 9
 significant digits, so read(write(grid)) reproduces |S21| to 1e-8
 relative, as float64.  All writes go through a temp file plus rename.
+
+The writers format a block of rows at a time.  Cells in [1e-4, 1),
+nearly every |S21| cell, are converted together by numpy arithmetic;
+every other cell, and the rare one whose rounding is a tie or carries
+into the next decade, by Python's %-format.  Either way the bytes are
+those of `config.format_float`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -27,7 +34,7 @@ from .config import FLOAT_SPEC
 from .dispersive import PumpProbeSignal
 from .errors import GridFormatError
 from .fitting import FitResult
-from .transmission import SpectrumGrid
+from .transmission import SpectrumGrid, _row_blocks
 
 __all__ = [
     "GridMeta",
@@ -77,15 +84,88 @@ def _provenance_lines(config_hash: str | None, extra: dict | None) -> list:
     return lines
 
 
-def _format_rows(table: np.ndarray, lead: np.ndarray | None = None) -> list:
-    """One CSV line per row of the 2-D float array `table`, led by
-    `lead[k]` when given.  Each line is a single %-format of the row's
-    Python floats, byte-equal to joining `format_float` of every cell;
-    rows are converted one at a time to keep the working set small."""
-    fmt = ",".join(["%" + FLOAT_SPEC] * (table.shape[1] + (lead is not None)))
-    if lead is None:
-        return [fmt % tuple(row.tolist()) for row in table]
-    return [fmt % (value, *row.tolist()) for value, row in zip(lead.tolist(), table)]
+# The vectorized writer.  A cell x in [1e-4, 1) with e = floor(log10 x)
+# is written "0." + (-e-1) zeros + the digits of D = round(Y),
+# Y = x * 10**(_DIGITS-1-e), with trailing zeros stripped.  The power of
+# ten is exact, so y = fl(Y) carries one rounding (below 2**-24, as
+# y < 2**30) and rint(y) = D unless y lies within 1e-6 of a tie; those
+# cells, and those where D = 10**_DIGITS (a carry into the next decade),
+# are slow cells, as is every cell outside the range.  The decade comes
+# from comparisons with 1e-3, 1e-2 and 1e-1, each of which as a double
+# lies just above its power of ten.  A cell fills a 16-byte frame of
+# four native words: (unused, separator, "0."), then D right-aligned in
+# three 4-digit groups, whose leading pad zeros double as the decimal
+# zeros (so _DIGITS <= 9).  A boolean mask per (decade, digits kept)
+# picks the bytes to keep, only the separator for a slow cell, whose
+# %-format is then spliced in after it.
+_FORMAT = "%" + FLOAT_SPEC
+_DIGITS = int(FLOAT_SPEC.strip(".g"))
+
+
+@functools.cache
+def _frame_tables() -> tuple:
+    """(scales, quads, trailing, masks, lengths, lead) for the vectorized
+    writer, built on the first write, so that a process that writes no
+    file pays nothing for them at import:
+    - scales[decade] = 10**(_DIGITS+3-decade), exact, for the cells in
+      [10**(decade-4), 10**(decade-3));
+    - quads[n], the ASCII digits of 0 <= n < 10000 as one native word,
+      and trailing[n], the trailing zeros of those four digits;
+    - masks[decade * (_DIGITS+1) + kept], the frame bytes of a cell in
+      that decade with `kept` significant digits, masks[0] the separator
+      of a slow cell, and lengths their byte counts;
+    - lead, the first word of a frame: (unused, ",", "0.")."""
+    scales = (10 ** np.arange(_DIGITS + 3, _DIGITS - 1, -1)).astype(float)
+    groups = np.arange(10000)[:, None]
+    digits = groups // [1000, 100, 10, 1] % 10 + ord("0")
+    quads = digits.astype(np.uint8).view(np.uint32).ravel()
+    trailing = (groups % [10, 100, 1000, 10000] == 0).sum(axis=1)
+    decade = np.arange(4)[:, None, None]
+    kept = np.arange(_DIGITS + 1)[None, :, None]
+    slot = np.arange(16)
+    first = 16 - _DIGITS  # slot of the leading digit
+    masks = (slot >= 1) & (slot < 4) | (slot >= first - 3 + decade) & (slot < first + kept)
+    masks = (masks & (kept > 0)).reshape(-1, 16)
+    masks[0] = slot == 1
+    lead = np.frombuffer(b"\0,0.", np.uint32)[0]
+    return scales, quads, trailing, masks, masks.sum(axis=1), lead
+
+
+def _format_rows(table: np.ndarray) -> str:
+    """The CSV lines of the 2-D float array `table`, each led by a
+    newline and byte-equal to joining `format_float` of every cell.
+    Cells in [1e-4, 1) are formatted together with numpy (see above);
+    the rest are %-formatted one by one and spliced in."""
+    scales, quads, trailing, masks, lengths, lead = _frame_tables()
+    width = table.shape[1]
+    x = table.ravel()
+    fast = (x >= 1e-4) & (x < 1.0)
+    x_fast = np.where(fast, x, 0.5)
+    decade = (x_fast >= 1e-3).astype(np.intp) + (x_fast >= 1e-2) + (x_fast >= 1e-1)
+    y = x_fast * scales[decade]
+    rounded = np.rint(y)
+    fast &= (np.abs(y - rounded) < 0.5 - 1e-6) & (rounded < 10.0**_DIGITS)
+    digits = rounded.astype(np.int32)
+    low = digits % 10000
+    mid = digits // 10000 % 10000
+    kept = _DIGITS - trailing[low] - (low == 0) * trailing[mid]
+    code = np.where(fast, decade * (_DIGITS + 1) + kept, 0)
+
+    frame = np.empty((x.size, 4), np.uint32)
+    frame[:, 0] = lead
+    frame[:, 1] = quads[digits // 100000000]
+    frame[:, 2] = quads[mid]
+    frame[:, 3] = quads[low]
+    frame = frame.view(np.uint8)
+    frame[::width, 1] = ord("\n")
+    text = frame[np.take(masks, code, axis=0)].tobytes().decode("ascii")
+
+    slow = np.flatnonzero(~fast)
+    cuts = [0, *np.cumsum(lengths[code])[slow].tolist(), len(text)]
+    pieces = [""] * (2 * slow.size + 1)
+    pieces[::2] = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    pieces[1::2] = map(_FORMAT.__mod__, x[slow].tolist())
+    return "".join(pieces)
 
 
 def grid_to_text(
@@ -94,10 +174,16 @@ def grid_to_text(
     rows, cols = grid.amplitudes.shape
     lines = _provenance_lines(config_hash, extra)
     lines.append(f"# sweep_kind={grid.sweep_kind}, rows={rows}, cols={cols}")
+    parts = ["\n".join(lines)]
     if cols:
-        lines.extend(_format_rows(grid.probe_frequencies[np.newaxis]))
-    lines.extend(_format_rows(grid.magnitudes, lead=grid.sweep_values))
-    return "\n".join(lines) + "\n"
+        parts.append(_format_rows(grid.probe_frequencies[np.newaxis]))
+    for block in _row_blocks(rows, cols + 1):
+        cells = np.empty((block.stop - block.start, cols + 1))
+        cells[:, 0] = grid.sweep_values[block]
+        np.abs(grid.amplitudes[block], out=cells[:, 1:])
+        parts.append(_format_rows(cells))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_grid(
@@ -229,8 +315,11 @@ def write_table(
         raise ValueError("all columns must have equal length")
     lines = _provenance_lines(config_hash, extra)
     lines.append("# columns=" + ",".join(names))
-    lines.extend(_format_rows(np.column_stack(arrays)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack(arrays)
+    parts = ["\n".join(lines)]
+    parts.extend(_format_rows(table[block]) for block in _row_blocks(*table.shape))
+    parts.append("\n")
+    atomic_write_text(path, "".join(parts))
 
 
 def write_fit_json(path, result: FitResult, config_hash: str | None = None) -> None:

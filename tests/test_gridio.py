@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitybus import __version__
-from cavitybus.config import format_float
+from cavitybus import __version__, gridio
+from cavitybus.config import FLOAT_SPEC, format_float
 from cavitybus.dispersive import PumpProbeSignal
 from cavitybus.errors import GridFormatError
 from cavitybus.fitting import FitResult
@@ -317,3 +317,96 @@ def test_table_and_signal_match_per_value_reference(tmp_path):
     write_signal(path, PumpProbeSignal(first, second))
     expected = reference_text("# columns=pump_mhz,shift_mhz", zip(first, second))
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the vectorized fast path (1e-4 <= x < 1) against the per-value reference
+
+
+def ulps_around(centres, n=3000):
+    """n doubles on either side of each centre, one ulp apart."""
+    bits = np.array(centres)[:, None].view(np.int64) + np.arange(-n, n + 1)
+    return bits.view(np.float64).ravel()
+
+
+FAST_PATH_VALUES = {
+    "dense": 10 ** np.random.default_rng(11).uniform(-4.5, 0.1, size=60000),
+    # rounding to 9 digits carries into the next decade, or leaves the range
+    "carry-edges": ulps_around([0.09999999995, 0.9999999995, 1e-4, 0.00999999995, 1e-3]),
+    # exact decimals; those in [0.1, 1) with odd k are ties at the 10th digit
+    "decimals": np.arange(200000, 2000000000, 29989) * 5e-10,
+    # long fallback strings between fast cells, wider than the 16-byte frame
+    "mixed": np.tile(
+        [0.5, -1.23456789e-100, 0.000123456789, 1.0, 0.25, -0.0, math.nan, 0.1, 1e-5, 5e-324],
+        30,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_VALUES))
+@pytest.mark.parametrize("width", [1, 7, 300])
+def test_fast_path_matches_per_value_reference(tmp_path, name, width):
+    values = FAST_PATH_VALUES[name]
+    values = values[: values.size // width * width].reshape(-1, width)
+    rows = values.shape[0]
+    grid = SpectrumGrid(np.arange(1.0, width + 1.0), np.arange(rows) * 0.5, values, "angle")
+    expected = reference_text(
+        f"# sweep_kind=angle, rows={rows}, cols={width}",
+        [grid.probe_frequencies, *([s, *m] for s, m in zip(grid.sweep_values, np.abs(values)))],
+    )
+    # compared as lists of lines, so that a failure names its first line quickly
+    assert grid_to_text(grid).splitlines(True) == expected.splitlines(True)
+
+    path = tmp_path / "table.csv"
+    write_table(path, {f"c{k}": values[:, k] for k in range(width)})
+    expected = reference_text("# columns=" + ",".join(f"c{k}" for k in range(width)), values)
+    assert path.read_bytes().splitlines(True) == expected.encode("utf-8").splitlines(True)
+
+
+def test_fast_path_implements_the_float_spec():
+    # The frame holds at most 9 digits: three 4-digit groups whose
+    # three pad zeros double as the decimal zeros of x < 1e-3.
+    assert FLOAT_SPEC == ".9g"
+
+
+def test_write_grid_peak_memory_stays_near_two_texts(tmp_path):
+    # the default sweep-angle grid, complex as `sweep` makes it
+    rows, cols = 901, 1201
+    rng = np.random.default_rng(4)
+    amplitudes = rng.uniform(size=(rows, cols)) * np.exp(1j * rng.uniform(0, 6, (rows, cols)))
+    grid = SpectrumGrid(
+        np.linspace(2719.1, 2779.1, cols), np.linspace(0.0, 90.0, rows), amplitudes, "angle"
+    )
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        write_grid(path, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the joined text and its encoded bytes while writing
+    assert peak <= 2.25 * path.stat().st_size
+
+
+def test_write_grid_formats_then_writes_one_str(tmp_path, monkeypatch):
+    # perfbench's tracer times these two calls by name as the format and
+    # write spans, and takes len() of the text.
+    calls = []
+
+    def spy(name, function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(gridio, name, wrapper)
+
+    spy("grid_to_text", gridio.grid_to_text)
+    spy("atomic_write_text", gridio.atomic_write_text)
+    path = tmp_path / "grid.csv"
+    write_grid(path, sample_grid(), "abc")
+    (format_name, _, text), (write_name, write_args, _) = calls
+    assert (format_name, write_name) == ("grid_to_text", "atomic_write_text")
+    assert type(text) is str
+    assert write_args == (path, text)
+    assert path.read_text() == text
