@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.8"
+__version__ = "0.1.9"
 
 from .coupled import (
     CavitySpec,
@@ -27,7 +27,6 @@ from .fitting import (
     fit_lorentzian,
     fit_polariton_width,
     jacobian_check,
-    lorentzian,
 )
 from .spin import (
     AxisClass,
@@ -68,7 +67,6 @@ __all__ = [
     "fit_lorentzian",
     "fit_polariton_width",
     "jacobian_check",
-    "lorentzian",
     "nv_axis_vectors",
     "peak_positions",
     "peak_splitting",

@@ -156,6 +156,9 @@ def _sweep_axis(args, config, kind) -> tuple:
         fixed = args.b_mag if args.b_mag is not None else config.get("field.magnitude_mt")
     else:
         values = _range_from(args.b_mags, config, "sweep.magnitudes_mt")
+        if values[0] < 0:
+            name = "--b-mags" if args.b_mags else "sweep.magnitudes_mt"
+            raise ValidationError(f"{name} must be >= 0, got start {values[0]:g}")
         fixed = args.angle
     return values, fixed, {_FIXED_KEY[kind]: format_float(fixed)}
 
@@ -290,6 +293,13 @@ def _cmd_fit(args, config) -> int:
             grid, tuning, other_tuning, prominence=prominence, max_iter=max_iter
         )
     else:
+        # the full model ties the external width to the total width
+        cavity = config.cavity()
+        if cavity.external_hwhm != cavity.total_hwhm:
+            raise ValidationError(
+                "fit full needs cavity.external_hwhm_mhz equal to cavity.total_hwhm_mhz, "
+                f"got {cavity.external_hwhm:g} and {cavity.total_hwhm:g}"
+            )
         tun_i, tun_ii = _tunings(config, grid, meta, ("i", "ii"))
         result = fit_full_transmission(
             grid, tun_i, tun_ii, prominence=prominence, max_iter=max_iter

@@ -4,8 +4,9 @@ One file fully determines a run.  Lines are ``key = value`` with ``#``
 comments; keys carry their unit in the suffix (``cavity.center_mhz``)
 and a few alternate unit suffixes are converted on load.  Unknown keys,
 missing required keys and bad unit suffixes are all rejected with the
-offending line number.  Defaults applied for optional keys are echoed
-to the log.
+offending line number.  An optional key a file leaves out takes its
+value from the shipped default.cfg, or None if that file leaves it out
+too; each such default is echoed to the log.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from importlib import resources
 import numpy as np
 
 from .coupled import CavitySpec, EnsembleSpec
-from .dispersive import DEFAULT_FLOOR
 from .errors import ConfigError
-from .fitting import MAX_ITERATIONS
 from .spin import AxisClass, CrystalOrientation, NVParameters
-from .transmission import DEFAULT_PROMINENCE
 
 __all__ = [
     "ExperimentConfig",
@@ -66,61 +64,44 @@ _UNIT_FAMILIES = {
 class _KeySpec:
     kind: str  # "float" | "int" | "sign" | "range"
     required: bool = False
-    default: object = None
     minimum: float | None = None
     maximum: float | None = None
 
 
-def _ensemble_keys(prefix: str, hwhm: float, azimuth: float) -> dict:
+def _ensemble_keys(prefix: str) -> dict:
     return {
-        f"{prefix}.d_splitting_mhz": _KeySpec("float", default=2870.0, minimum=1e-9),
-        f"{prefix}.e_strain_mhz": _KeySpec("float", default=13.0, minimum=0.0),
-        f"{prefix}.gyromagnetic_mhz_per_mt": _KeySpec(
-            "float", default=28.03, minimum=1e-9
-        ),
-        f"{prefix}.azimuth_deg": _KeySpec("float", default=azimuth),
-        f"{prefix}.axis_class": _KeySpec("int", default=0, minimum=0, maximum=3),
+        f"{prefix}.d_splitting_mhz": _KeySpec("float", minimum=1e-9),
+        f"{prefix}.e_strain_mhz": _KeySpec("float", minimum=0.0),
+        f"{prefix}.gyromagnetic_mhz_per_mt": _KeySpec("float", minimum=1e-9),
+        f"{prefix}.azimuth_deg": _KeySpec("float"),
+        f"{prefix}.axis_class": _KeySpec("int", minimum=0, maximum=3),
         f"{prefix}.coupling_mhz": _KeySpec("float", required=True, minimum=1e-9),
-        f"{prefix}.spin_hwhm_mhz": _KeySpec("float", default=hwhm, minimum=1e-9),
+        f"{prefix}.spin_hwhm_mhz": _KeySpec("float", minimum=1e-9),
     }
 
 
-# Calibrated geometry: the azimuths and field magnitudes below, which
-# the shipped default.cfg repeats, are the output of the `calibrate`
-# subcommand run on that file (resonance angles 79 and 23 deg, relative
-# azimuth 24.2 deg, both placed on the cavity frequency at one field
-# magnitude; dispersive magnitude chosen so the smaller spin-cavity
-# detuning at the 23 deg resonance angle is 14 MHz).  Values carry 9
-# significant digits so config dumps round-trip bit-exactly.
-_CALIBRATED_AZIMUTH_I = 173.9
-_CALIBRATED_AZIMUTH_II = 198.1
-_CALIBRATED_MAGNITUDE_MT = 7.69336558
-_CALIBRATED_DISPERSIVE_MT = 8.74222984
-
+# Kinds and bounds only: an optional key a file leaves out takes its
+# value from the shipped default.cfg.
 SCHEMA: dict = {
-    **_ensemble_keys("ensemble_i", 4.58, _CALIBRATED_AZIMUTH_I),
-    **_ensemble_keys("ensemble_ii", 4.24, _CALIBRATED_AZIMUTH_II),
+    **_ensemble_keys("ensemble_i"),
+    **_ensemble_keys("ensemble_ii"),
     "cavity.center_mhz": _KeySpec("float", required=True, minimum=1e-9),
     "cavity.total_hwhm_mhz": _KeySpec("float", required=True, minimum=1e-12),
-    "cavity.external_hwhm_mhz": _KeySpec("float", default=None, minimum=1e-12),
-    "cavity.antinode_sign_i": _KeySpec("sign", default=1),
-    "cavity.antinode_sign_ii": _KeySpec("sign", default=-1),
-    "field.magnitude_mt": _KeySpec(
-        "float", default=_CALIBRATED_MAGNITUDE_MT, minimum=0.0
-    ),
-    "field.dispersive_magnitude_mt": _KeySpec(
-        "float", default=_CALIBRATED_DISPERSIVE_MT, minimum=0.0
-    ),
-    "calibration.resonance_angle_i_deg": _KeySpec("float", default=79.0),
-    "calibration.resonance_angle_ii_deg": _KeySpec("float", default=23.0),
-    "calibration.relative_azimuth_deg": _KeySpec("float", default=24.2),
-    "calibration.dispersive_margin_mhz": _KeySpec("float", default=14.0, minimum=0.0),
-    "dispersive.floor_mhz": _KeySpec("float", default=DEFAULT_FLOOR, minimum=0.0),
-    "fit.peak_prominence": _KeySpec("float", default=DEFAULT_PROMINENCE, minimum=0.0, maximum=1.0),
-    "fit.max_iterations": _KeySpec("int", default=MAX_ITERATIONS, minimum=1),
-    "sweep.angles_deg": _KeySpec("range", default="0:90:0.1"),
-    "sweep.magnitudes_mt": _KeySpec("range", default="0:12:0.02"),
-    "sweep.probe_mhz": _KeySpec("range", default="2720:2780:0.05"),
+    "cavity.external_hwhm_mhz": _KeySpec("float", minimum=1e-12),
+    "cavity.antinode_sign_i": _KeySpec("sign"),
+    "cavity.antinode_sign_ii": _KeySpec("sign"),
+    "field.magnitude_mt": _KeySpec("float", minimum=0.0),
+    "field.dispersive_magnitude_mt": _KeySpec("float", minimum=0.0),
+    "calibration.resonance_angle_i_deg": _KeySpec("float"),
+    "calibration.resonance_angle_ii_deg": _KeySpec("float"),
+    "calibration.relative_azimuth_deg": _KeySpec("float"),
+    "calibration.dispersive_margin_mhz": _KeySpec("float", minimum=0.0),
+    "dispersive.floor_mhz": _KeySpec("float", minimum=0.0),
+    "fit.peak_prominence": _KeySpec("float", minimum=0.0, maximum=1.0),
+    "fit.max_iterations": _KeySpec("int", minimum=1),
+    "sweep.angles_deg": _KeySpec("range"),
+    "sweep.magnitudes_mt": _KeySpec("range"),
+    "sweep.probe_mhz": _KeySpec("range"),
 }
 
 # alternate-unit lookup: file key -> (canonical key, conversion factor)
@@ -316,8 +297,8 @@ def _finalize(values: dict, applied_defaults: tuple, source: str) -> ExperimentC
     )
 
 
-def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
-    """Parse and validate a config from text (see module docstring)."""
+def _read_values(text: str, source: str) -> dict:
+    """The checked values of the keys a config text sets."""
     seen: dict = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -344,7 +325,13 @@ def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
                 f"{source}: line {line_no}: duplicate key {canonical!r}"
             )
         seen[canonical] = _parse_value(canonical, SCHEMA[canonical], raw_value, line_no, factor)
+    return seen
 
+
+def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
+    """Parse and validate a config from text (see module docstring)."""
+    seen = _read_values(text, source)
+    shipped = _read_values(_shipped_text(), "<default>")
     values = {}
     applied = []
     for key, spec in SCHEMA.items():
@@ -353,9 +340,9 @@ def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
         elif spec.required:
             raise ConfigError(f"{source}: missing required key {key!r}")
         else:
-            values[key] = spec.default
+            values[key] = shipped.get(key)
             applied.append(key)
-            log.info("%s: default applied: %s = %r", source, key, spec.default)
+            log.info("%s: default applied: %s = %r", source, key, values[key])
     return _finalize(values, applied_defaults=tuple(applied), source=source)
 
 
@@ -376,8 +363,11 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text, source=str(path))
 
 
+def _shipped_text() -> str:
+    return resources.files(__package__).joinpath("default.cfg").read_text(encoding="utf-8")
+
+
 def default_config() -> ExperimentConfig:
     """The built-in default configuration: the default.cfg shipped in
     the package."""
-    text = resources.files(__package__).joinpath("default.cfg").read_text(encoding="utf-8")
-    return parse_config_text(text, source="<default>")
+    return parse_config_text(_shipped_text(), source="<default>")

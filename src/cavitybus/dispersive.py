@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_RANGE_POINTS
 from .coupled import CavitySpec, EnsembleSpec, collective_modes
 from .errors import DispersiveRangeError, ValidationError
 from .spin import FieldSetting
@@ -75,8 +76,8 @@ class DispersiveModel:
     u_coupling: float
     g_i: float
     g_ii: float
-    antinode_signs: tuple = (1, -1)
-    center: float = 0.0
+    antinode_signs: tuple
+    center: float
 
     @property
     def detuning_i(self) -> float:
@@ -221,8 +222,6 @@ def pump_probe_signal(
 def derived_pump_range(modes) -> np.ndarray:
     """The (bright, dark) `dispersive_spin_modes` frequencies +- 40 MHz
     at 0.02 MHz; ValidationError rather than over MAX_RANGE_POINTS."""
-    from .config import MAX_RANGE_POINTS  # config imports this module
-
     (f_bright, _, _), (f_dark, _, _) = modes
     lo, hi = min(f_bright, f_dark) - 40.0, max(f_bright, f_dark) + 40.0
     if not (hi - lo) / 0.02 <= MAX_RANGE_POINTS - 1:  # floor 0: chi can be huge

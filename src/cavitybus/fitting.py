@@ -47,7 +47,6 @@ __all__ = [
     "FitResult",
     "SpinTuning",
     "levenberg_marquardt",
-    "lorentzian",
     "lorentzian_model",
     "fit_lorentzian",
     "fit_polariton_width",
@@ -236,15 +235,10 @@ def jacobian_check(model, theta, scales=None) -> float:
 # ---------------------------------------------------------------------------
 # Lorentzian peak model
 
-def lorentzian(x, amplitude, center, hwhm, offset):
-    """Power-Lorentzian peak A*w^2/((x-x0)^2 + w^2) + b."""
-    x = np.asarray(x, dtype=float)
-    return amplitude * hwhm**2 / ((x - center) ** 2 + hwhm**2) + offset
-
-
 def lorentzian_model(xs):
-    """Model closure over sample positions for theta = (amplitude,
-    center, hwhm, offset): model(theta) -> (values, Jacobian),
+    """Power-Lorentzian peak A*w^2/((x-x0)^2 + w^2) + b as a model
+    closure over sample positions for theta = (amplitude, center = x0,
+    hwhm = w, offset = b): model(theta) -> (values, Jacobian),
     model(theta, data) -> (values, Gram matrix)."""
     xs = np.asarray(xs, dtype=float)
 

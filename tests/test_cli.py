@@ -541,6 +541,27 @@ def _edited_grid(old, new, row=None):
     return setup
 
 
+def _added_config(line):
+    """Setup: the default config with one line added."""
+
+    def setup(tmp_path):
+        path = tmp_path / "added.cfg"
+        path.write_text(DEFAULT_TEXT + line + "\n", encoding="utf-8")
+        return ["--config", str(path)]
+
+    return setup
+
+
+def _external_width_grid(tmp_path):
+    """Setup: a config whose external width is half the total width,
+    and a 37 x 161 sweep-angle grid made with it."""
+    config = _added_config("cavity.external_hwhm_mhz = 0.160")(tmp_path)
+    path = tmp_path / "grid.csv"
+    argv = ["sweep-angle", "--angles", "70:88:0.5", "--probe", "2730:2770:0.25"]
+    assert main(argv + config + ["--out", str(path)]) == 0
+    return config + ["--in", str(path)]
+
+
 def _default_config(tmp_path):
     return ["--config", str(DEFAULT_CFG)]
 
@@ -574,8 +595,31 @@ INVALID_INPUTS = {
         "ensemble_i.coupling_mhz: value 0.0 below minimum",
     ),
     "config-external-above-total": (
-        SPECTRUM, _edited_config("cavity.external_hwhm_mhz", "0.5"),
+        SPECTRUM, _added_config("cavity.external_hwhm_mhz = 0.5"),
         "cavity.external_hwhm_mhz: value 0.5 above cavity.total_hwhm_mhz 0.32",
+    ),
+    # negative field magnitudes, from the flag or the config
+    "transitions-b-mags-negative": (
+        ["transitions", "--angle", "79", "--b-mags=-1:1:1"], _default_config,
+        "--b-mags must be >= 0, got start -1",
+    ),
+    "sweep-field-b-mags-negative": (
+        ["sweep-field", "--angle", "79", "--b-mags=-1:1:1"], _default_config,
+        "--b-mags must be >= 0, got start -1",
+    ),
+    "config-transitions-magnitudes-negative": (
+        ["transitions", "--angle", "79"], _edited_config("sweep.magnitudes_mt", "-1:1:1"),
+        "sweep.magnitudes_mt must be >= 0, got start -1",
+    ),
+    "config-sweep-field-magnitudes-negative": (
+        ["sweep-field", "--angle", "79"], _edited_config("sweep.magnitudes_mt", "-1:1:1"),
+        "sweep.magnitudes_mt must be >= 0, got start -1",
+    ),
+    # the full model has one cavity width
+    "fit-full-external-width": (
+        ["fit", "full"], _external_width_grid,
+        "fit full needs cavity.external_hwhm_mhz equal to cavity.total_hwhm_mhz, "
+        "got 0.16 and 0.32",
     ),
     # field flags
     "spectrum-b-mag-negative": (

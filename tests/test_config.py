@@ -47,15 +47,20 @@ def test_load_from_file():
     assert config.values == default_config().values
 
 
-def test_schema_defaults_match_the_shipped_file(config):
-    # A key left out of a config file falls back to its schema default,
-    # so the schema must carry the shipped (calibrated) values.
+def test_required_keys_alone_load_to_the_default_config(config):
+    # every optional key a file leaves out takes the shipped file's value
     required = [key for key, spec in SCHEMA.items() if spec.required]
     minimal = parse_config_text("".join(f"{key} = {config.get(key)!r}\n" for key in required))
-    differing = {key for key in SCHEMA if minimal.get(key) != config.get(key)}
-    # external_hwhm defaults to None, which means "equal to total_hwhm"
-    assert differing == {"cavity.external_hwhm_mhz"}
-    assert minimal.cavity() == config.cavity()
+    assert minimal.values == default_config().values
+    assert minimal.hash == config.hash
+
+
+def test_shipped_file_names_every_optional_key_but_the_external_width():
+    lines = (line.split("#", 1)[0] for line in DEFAULT_TEXT.splitlines())
+    named = {line.split("=", 1)[0].strip() for line in lines if "=" in line}
+    optional = {key for key, spec in SCHEMA.items() if not spec.required}
+    # an external width left out equals the total width
+    assert optional - named == {"cavity.external_hwhm_mhz"}
 
 
 def test_missing_required_key_names_it():
@@ -156,28 +161,33 @@ def test_with_updates_applies_the_schema_checks(config, key, value, message):
     assert key in str(info.value)
 
 
+def _with_external(value: str) -> str:
+    """The shipped config text with an external width added."""
+    return DEFAULT_TEXT + f"cavity.external_hwhm_mhz = {value}\n"
+
+
 def test_external_hwhm_defaults_to_total():
-    text = DEFAULT_TEXT.replace("cavity.external_hwhm_mhz = 0.320\n", "")
-    cavity = parse_config_text(text).cavity()
+    config = parse_config_text(DEFAULT_TEXT)
+    assert config.get("cavity.external_hwhm_mhz") is None
+    cavity = config.cavity()
     assert cavity.external_hwhm == cavity.total_hwhm
 
 
 @pytest.mark.parametrize("external", ["0.5", "0.320000001"])
 def test_external_hwhm_above_total_rejected(external):
-    text = DEFAULT_TEXT.replace(
-        "cavity.external_hwhm_mhz = 0.320", f"cavity.external_hwhm_mhz = {external}"
-    )
+    text = _with_external(external)
     with pytest.raises(ConfigError, match="cavity.external_hwhm_mhz: value .* above "
                        r"cavity.total_hwhm_mhz 0.32"):
         parse_config_text(text)
 
 
 def test_external_hwhm_equal_to_total_accepted():
-    cavity = parse_config_text(DEFAULT_TEXT).cavity()
+    cavity = parse_config_text(_with_external("0.320")).cavity()
     assert cavity.external_hwhm == cavity.total_hwhm == 0.320
 
 
-def test_with_updates_checks_the_cavity_widths(config):
+def test_with_updates_checks_the_cavity_widths():
+    config = parse_config_text(_with_external("0.320"))
     with pytest.raises(ConfigError, match="cavity.external_hwhm_mhz"):
         config.with_updates({"cavity.total_hwhm_mhz": 0.2})
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -100,6 +101,35 @@ def test_exported_names_resolve():
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def _module_tree(name):
+    path = Path(cavitybus.__file__).with_name(f"{name}.py")
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_config_imports_no_model_module():
+    # default values live in default.cfg, so config needs no model constants
+    imported = set()
+    for node in ast.walk(_module_tree("config")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not imported & {"dispersive", "fitting", "transmission"}
+
+
+def test_dispersive_imports_at_module_level():
+    functions = [
+        node for node in ast.walk(_module_tree("dispersive"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    local = [
+        node.lineno for function in functions for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
 
 
 def _benchmark_tracer():
