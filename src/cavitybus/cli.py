@@ -123,9 +123,12 @@ def _load(args) -> ExperimentConfig:
     return default_config()
 
 
-def _range_from(args_value, config, key):
-    text = args_value if args_value else config.get(key)
-    return range_values(text, key=key)
+def _range_from(flag_text, flag, config, key, nonnegative=False):
+    name, text = (flag, flag_text) if flag_text else (key, config.get(key))
+    values = range_values(text, key=name)
+    if nonnegative and values[0] < 0:
+        raise ValidationError(f"{name} must be >= 0, got start {values[0]:g}")
+    return values
 
 
 # Float flags a subcommand may take -> (argparse dest, requirement, check).
@@ -152,13 +155,10 @@ def _sweep_axis(args, config, kind) -> tuple:
     """(values, fixed, extra) of an angle or magnitude sweep: the swept
     range, the coordinate held fixed, and its provenance entry."""
     if kind == "angle":
-        values = _range_from(args.angles, config, "sweep.angles_deg")
+        values = _range_from(args.angles, "--angles", config, "sweep.angles_deg")
         fixed = args.b_mag if args.b_mag is not None else config.get("field.magnitude_mt")
     else:
-        values = _range_from(args.b_mags, config, "sweep.magnitudes_mt")
-        if values[0] < 0:
-            name = "--b-mags" if args.b_mags else "sweep.magnitudes_mt"
-            raise ValidationError(f"{name} must be >= 0, got start {values[0]:g}")
+        values = _range_from(args.b_mags, "--b-mags", config, "sweep.magnitudes_mt", nonnegative=True)
         fixed = args.angle
     return values, fixed, {_FIXED_KEY[kind]: format_float(fixed)}
 
@@ -194,7 +194,7 @@ def _cmd_transitions(args, config) -> int:
 
 
 def _cmd_spectrum(args, config) -> int:
-    probe = _range_from(args.probe, config, "sweep.probe_mhz")
+    probe = _range_from(args.probe, "--probe", config, "sweep.probe_mhz")
     field, extra = _field_point(args, config, "field.magnitude_mt")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
     grid = sweep(config.cavity(), ensembles, [field], probe, "none")
@@ -203,7 +203,7 @@ def _cmd_spectrum(args, config) -> int:
 
 
 def _cmd_sweep(args, config, kind) -> int:
-    probe = _range_from(args.probe, config, "sweep.probe_mhz")
+    probe = _range_from(args.probe, "--probe", config, "sweep.probe_mhz")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
     values, fixed, extra = _sweep_axis(args, config, kind)
     fields = [FieldSetting(m, a) for m, a in zip(*sweep_fields(kind, values, fixed))]

@@ -52,11 +52,11 @@ _FREQ_ALTERNATES = {"ghz": 1e3, "khz": 1e-3, "hz": 1e-6}
 _FIELD_ALTERNATES = {"t": 1e3, "ut": 1e-3}
 
 _UNIT_FAMILIES = {
-    # canonical suffix -> alternates {suffix: factor to canonical}
+    # canonical suffix -> alternates {suffix: factor to canonical}, longest first
+    "mhz_per_mt": {},
     "mhz": _FREQ_ALTERNATES,
     "mt": _FIELD_ALTERNATES,
     "deg": {},
-    "mhz_per_mt": {},
 }
 
 

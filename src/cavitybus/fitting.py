@@ -455,10 +455,9 @@ def fit_avoided_crossing(
 
     An ensemble whose transition never enters the probe window is left
     out of the model, theta and init (DegenerateDataError if it is
-    `tuning`).  A row with N + 1 peaks matches them to the modes in
-    order; other rows' peaks go to their nearest eigenvalues, rematched
-    as the parameters move.  Without an init, at least two rows need
-    two or more peaks.
+    `tuning`).  Each peak goes to its nearest eigenvalue, rematched
+    between LM passes as the parameters move.  Without an init, at
+    least two rows need two or more peaks.
     """
     _require_cells(grid)
     tunings = [t for t in (tuning, other) if t is not None and _enters_window(grid, t)]
@@ -478,8 +477,7 @@ def fit_avoided_crossing(
         )
     if not rows:
         raise DegenerateDataError("no peaks above the prominence threshold")
-    points = [(s, nu, j, p.size == n + 1) for s, p in rows for j, nu in enumerate(p)]
-    svals, nuhat, rank, in_order = map(np.array, zip(*points))
+    svals, nuhat = np.hstack([(np.full(p.size, s), p) for s, p in rows])
 
     if init is None:
         g0 = 0.5 * min(float(p[-1] - p[0]) for p in split_rows) / math.sqrt(n)
@@ -490,7 +488,7 @@ def fit_avoided_crossing(
 
     def match(theta_now):
         lam = _branch_modes(distinct, theta_now, tunings)[0][row_of]
-        return np.where(in_order, rank, np.argmin(np.abs(lam - nuhat[:, None]), axis=1))
+        return np.argmin(np.abs(lam - nuhat[:, None]), axis=1)
 
     modes = match(theta)
     for _ in range(4):

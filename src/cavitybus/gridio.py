@@ -243,11 +243,12 @@ def read_grid(path) -> tuple:
             if table is None:
                 handle.seek(start)
                 table = _parse_table(handle.read().splitlines(), rows, cols + 1, source)
+        # the amplitudes are a view of the table, the sweep values a contiguous copy
+        return SpectrumGrid(probe, table[:, 0].copy(), table[:, 1:], header.group("kind")), meta
     except OSError as exc:
         raise GridFormatError(f"cannot read grid {source}: {exc}") from exc
-
-    # the amplitudes are a view of the table, the sweep values a contiguous copy
-    return SpectrumGrid(probe, table[:, 0].copy(), table[:, 1:], header.group("kind")), meta
+    except ValueError as exc:  # a byte that is not UTF-8, or an unknown sweep kind
+        raise GridFormatError(f"{source}: {exc}") from exc
 
 
 def _load_table(handle, shape):

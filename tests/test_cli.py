@@ -338,6 +338,15 @@ def test_dispersive_report_and_signal(default_cfg, tmp_path):
     assert np.min(rows[:, 1]) < 0  # depolarization reduces the pull
 
 
+def test_dispersive_without_report_writes_it_to_stdout(default_cfg, tmp_path, capsys):
+    argv = ["dispersive", "--config", str(default_cfg), "--angle", "23"]
+    report = tmp_path / "report.json"
+    assert main(argv + ["--out", str(tmp_path / "a.csv"), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr().out == report.read_text()
+
+
 def test_dispersive_weighs_each_mode_once(tmp_path, monkeypatch):
     from cavitybus import dispersive
 
@@ -518,9 +527,9 @@ def _edited_config(key, value):
     return setup
 
 
-def _edited_grid(old, new, row=None):
+def _edited_grid(old="", new="", row=None):
     """Setup: a 37 x 161 sweep-angle grid with `old` replaced by `new`,
-    in the given data row or in the whole file."""
+    in the given data row or in the whole file (unedited by default)."""
 
     def setup(tmp_path):
         path = tmp_path / "grid.csv"
@@ -615,6 +624,18 @@ INVALID_INPUTS = {
         ["sweep-field", "--angle", "79"], _edited_config("sweep.magnitudes_mt", "-1:1:1"),
         "sweep.magnitudes_mt must be >= 0, got start -1",
     ),
+    # range flags: errors name the flag, not the config key
+    "transitions-b-mags-nan": (
+        ["transitions", "--angle", "79", "--b-mags", "0:1:nan"], _default_config,
+        "error: --b-mags: start, stop and step must be finite in '0:1:nan'",
+    ),
+    "sweep-angle-probe-reversed": (
+        ["sweep-angle", "--probe", "1:0:1"], _default_config,
+        "error: --probe: need stop >= start and step > 0 in '1:0:1'",
+    ),
+    "transitions-b-mags-without-angle": (
+        ["transitions", "--b-mags", "0:1:0.5"], _default_config, "--b-mags sweeps need --angle"
+    ),
     # the full model has one cavity width
     "fit-full-external-width": (
         ["fit", "full"], _external_width_grid,
@@ -659,6 +680,17 @@ INVALID_INPUTS = {
     "grid-fixed-nan": (
         ["fit", "full"], _edited_grid("fixed_magnitude_mt=7.69336558", "fixed_magnitude_mt=nan"),
         "grid lacks a finite fixed_magnitude_mt comment",
+    ),
+    "grid-fixed-missing": (
+        ["fit", "full"], _edited_grid("fixed_magnitude_mt=7.69336558", ""),
+        "grid lacks a finite fixed_magnitude_mt comment",
+    ),
+    "grid-sweep-kind-unknown": (
+        ["fit", "full"], _edited_grid("sweep_kind=angle", "sweep_kind=foo"),
+        "grid.csv: unknown sweep_kind 'foo'",
+    ),
+    "fit-lorentzian-row-past-end": (
+        ["fit", "lorentzian", "--row", "37"], _edited_grid(), "row 37 outside grid with 37 rows"
     ),
 }
 

@@ -81,6 +81,20 @@ def test_bad_unit_suffix_reports_line_number():
         parse_config_text(text)
 
 
+def test_per_tesla_gyromagnetic_key_is_a_bad_unit_suffix():
+    # "_mhz_per_t" is no field alternate of "_mhz_per_mt": only frequency
+    # and field keys take alternates
+    text = DEFAULT_TEXT.replace(
+        "ensemble_i.gyromagnetic_mhz_per_mt = 28.03", "ensemble_i.gyromagnetic_mhz_per_t = 28030"
+    )
+    message = (
+        "line 10: bad unit suffix on 'ensemble_i.gyromagnetic_mhz_per_t' "
+        "(canonical key is 'ensemble_i.gyromagnetic_mhz_per_mt')"
+    )
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
 def test_ghz_suffix_converts_exactly():
     text = DEFAULT_TEXT.replace(
         "cavity.center_mhz = 2749.1", "cavity.center_ghz = 2.5"

@@ -316,6 +316,19 @@ def test_avoided_crossing_noisy_monte_carlo(crossing_grid, tunings):
     assert np.percentile(errors, 95) < 0.02
 
 
+def test_avoided_crossing_split_peak_goes_to_its_nearest_mode(crossing_grid, tunings):
+    # In this realization noise splits the narrow cavity-like peak at
+    # 84.75 deg into two peaks 0.24 MHz apart.  Both belong to the mode
+    # near 2745.8 MHz; sending one of them to the upper mode, 20 MHz
+    # away, puts g 3.1% low with converged=True.
+    grid = with_noise(crossing_grid, [1001, 50, 0])
+    row = dict(extract_branches(grid))[84.75]
+    assert row.size == 2 and row[1] - row[0] < 0.3
+    result = fit_avoided_crossing(grid, tunings[0])
+    assert result.converged
+    assert result.parameters["g"] == pytest.approx(7.5, rel=0.02)
+
+
 def test_avoided_crossing_needs_split_rows(config, cavity, tunings):
     ens = config.ensemble("i")
     silent = type(ens)(ens.nv, ens.orientation, 1e-9, ens.spin_hwhm)

@@ -150,6 +150,13 @@ def test_missing_header_rejected(tmp_path):
         read_grid(path)
 
 
+def test_bytes_that_are_not_utf8_rejected(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"# sweep_kind=angle, rows=1, cols=2\n2740,2741\n20,\xff,1\n")
+    with pytest.raises(GridFormatError, match="can't decode byte 0xff"):
+        read_grid(path)
+
+
 def test_nonnumeric_value_rejected(tmp_path):
     grid = sample_grid()
     path = tmp_path / "grid.csv"
