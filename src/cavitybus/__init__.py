@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.10"
+__version__ = "0.1.11"
 
 from .coupled import (
     CavitySpec,
@@ -33,7 +33,6 @@ from .spin import (
     CrystalOrientation,
     FieldSetting,
     NVParameters,
-    SpinLevels,
     nv_axis_vectors,
     spin_hamiltonian,
     thermal_polarization,
@@ -53,7 +52,6 @@ __all__ = [
     "NVParameters",
     "PumpProbeSignal",
     "SpectrumGrid",
-    "SpinLevels",
     "SpinTuning",
     "build_dispersive_model",
     "collective_coupling",

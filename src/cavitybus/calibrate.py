@@ -130,13 +130,21 @@ def _transition_nodes(config, which, azimuths, magnitudes, angle):
     return transition_batch(config.nv(which), orientation, magnitudes, angle - azimuths)
 
 
+def _magnitude_ends(config, which, azimuths, angle, target):
+    """Residuals of ensemble `which` against `target` at field `angle`
+    at both ends of the magnitude scan range, per crystal azimuth, and
+    where they bracket a crossing."""
+    lo, hi = _MAGNITUDE_RANGE
+    ends = _transition_nodes(config, which, azimuths, np.array([[lo], [hi]]), angle) - target
+    return ends, ends[0] * ends[1] <= 0
+
+
 def _magnitudes(config, which, azimuths, angle, target):
     """Field magnitude at which ensemble `which` meets `target` at field
     `angle`, per crystal azimuth; NaN where no crossing exists in the
     scan range."""
     lo, hi = _MAGNITUDE_RANGE
-    ends = _transition_nodes(config, which, azimuths, np.array([[lo], [hi]]), angle) - target
-    found = ends[0] * ends[1] <= 0
+    ends, found = _magnitude_ends(config, which, azimuths, angle, target)
     mags = np.full(azimuths.shape, np.nan)
     mags[found] = _find_root(
         lambda m: _transition_nodes(config, which, azimuths[found], m, angle) - target,
@@ -161,6 +169,26 @@ def _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target):
     return residuals
 
 
+def _edge_brackets(residuals, solvable, azimuths, scan, xtol):
+    """Brackets beside the scan's NaN nodes, which bracket nothing.
+    Where a finite node borders a NaN node, bisect towards the NaN one
+    for the last azimuth (within xtol) that is `solvable`, i.e. has a
+    residual; returns (lo, hi, f(lo), f(hi)) arrays with the finite node
+    and that azimuth where their residuals differ in sign."""
+    nan = np.isnan(scan)
+    k = np.flatnonzero(nan[:-1] != nan[1:])
+    node = np.where(nan[k], k + 1, k)
+    good = azimuths[node]
+    bad = azimuths[np.where(nan[k], k, k + 1)]
+    while np.any(np.abs(bad - good) > xtol):
+        mid = 0.5 * (good + bad)
+        found = solvable(mid)
+        good, bad = np.where(found, mid, good), np.where(found, bad, mid)
+    f_good = residuals(good)
+    flip = scan[node] * f_good <= 0
+    return azimuths[node][flip], good[flip], scan[node][flip], f_good[flip]
+
+
 def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> CalibrationResult:
     """Brute-force scan of the crystal-I azimuth with the magnitude
     solved per azimuth from the ensemble-I resonance; azimuth roots are
@@ -179,18 +207,27 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
     def residuals(azimuths):
         return _scan_residuals(config, azimuths, angle_i, angle_ii, relative, target)
 
+    def solvable(azimuths):
+        return _magnitude_ends(config, "i", azimuths, angle_i, target)[1]
+
     # Half a turn of the crystals reverses b_par only, so the residual
     # has period 180 deg: node 180 closes the circle with node 0's
     # residual, and roots fold back into [0, 180).
     azimuths = np.append(np.arange(0.0, 180.0, scan_step), 180.0)
     scan = residuals(azimuths[:-1])
     scan = np.append(scan, scan[0])
-    # NaN nodes compare False, so they bracket nothing.  The refinement
-    # starts from the scan's own residuals at the flagged nodes, so
-    # every flagged interval is a bracket for it.
+    # NaN nodes compare False, so they bracket nothing; the intervals
+    # beside them are bisected instead.  The refinement starts from the
+    # residuals already known at the bracket ends, so every flagged
+    # interval is a bracket for it.
     k = np.flatnonzero(scan[:-1] * scan[1:] <= 0)
+    lo, hi, f_lo, f_hi = _edge_brackets(residuals, solvable, azimuths, scan, xtol=1e-8)
     roots = _find_root(
-        residuals, azimuths[k], azimuths[k + 1], xtol=1e-8, _ends=(scan[k], scan[k + 1])
+        residuals,
+        np.append(azimuths[k], lo),
+        np.append(azimuths[k + 1], hi),
+        xtol=1e-8,
+        _ends=(np.append(scan[k], f_lo), np.append(scan[k + 1], f_hi)),
     )
     # A root on a node (or on 0 = 180) ends both intervals beside it.
     roots = np.sort(roots % 180.0)

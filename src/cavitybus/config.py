@@ -202,7 +202,6 @@ class ExperimentConfig:
 
     values: dict
     hash: str
-    applied_defaults: tuple
 
     def get(self, key: str):
         return self.values[key]
@@ -255,7 +254,7 @@ class ExperimentConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown key {key!r} in update")
             merged[key] = _check_value(key, SCHEMA[key], value, f"update: {key}")
-        return _finalize(merged, applied_defaults=(), source="update")
+        return _finalize(merged, source="update")
 
     def dump(self) -> str:
         """Canonical text form; load(dump()) reproduces the config."""
@@ -281,7 +280,7 @@ def _config_hash(values: dict) -> str:
     return hashlib.sha256("\n".join(blob).encode("utf-8")).hexdigest()
 
 
-def _finalize(values: dict, applied_defaults: tuple, source: str) -> ExperimentConfig:
+def _finalize(values: dict, source: str) -> ExperimentConfig:
     # the one cross-key bound: CavitySpec needs external <= total width
     external = values["cavity.external_hwhm_mhz"]
     total = values["cavity.total_hwhm_mhz"]
@@ -290,11 +289,7 @@ def _finalize(values: dict, applied_defaults: tuple, source: str) -> ExperimentC
             f"{source}: cavity.external_hwhm_mhz: value {external!r} above "
             f"cavity.total_hwhm_mhz {total!r}"
         )
-    return ExperimentConfig(
-        values=dict(values),
-        hash=_config_hash(values),
-        applied_defaults=tuple(applied_defaults),
-    )
+    return ExperimentConfig(values=dict(values), hash=_config_hash(values))
 
 
 def _read_values(text: str, source: str) -> dict:
@@ -333,7 +328,6 @@ def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
     seen = _read_values(text, source)
     shipped = _read_values(_shipped_text(), "<default>")
     values = {}
-    applied = []
     for key, spec in SCHEMA.items():
         if key in seen:
             values[key] = seen[key]
@@ -341,9 +335,8 @@ def parse_config_text(text: str, source: str = "<text>") -> ExperimentConfig:
             raise ConfigError(f"{source}: missing required key {key!r}")
         else:
             values[key] = shipped.get(key)
-            applied.append(key)
             log.info("%s: default applied: %s = %r", source, key, values[key])
-    return _finalize(values, applied_defaults=tuple(applied), source=source)
+    return _finalize(values, source=source)
 
 
 def _match_base(key: str):

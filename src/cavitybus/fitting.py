@@ -67,7 +67,7 @@ class FitResult:
     """Converged parameter set with linearized standard errors.
 
     `history` records the residual norm after every accepted step;
-    `provenance` carries run metadata such as noise seeds.
+    `provenance` carries run metadata such as the input file.
     """
 
     parameters: dict
@@ -201,23 +201,15 @@ def _standard_errors(jtj, cost, m):
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
-def jacobian_check(model, theta, scales=None) -> float:
+def jacobian_check(model, theta) -> float:
     """Worst relative deviation between the model's own Jacobian and a
-    central finite difference with per-parameter step 1e-6*scale_i.
-
-    scales defaults to max(|theta_i|, 1); pass explicit characteristic
-    scales when a parameter's magnitude (an absolute frequency, say) is
-    much larger than the scale over which the model varies.
-    """
+    central finite difference with step 1e-6 in every parameter."""
     theta = np.asarray(theta, dtype=float)
-    if scales is None:
-        scales = np.maximum(np.abs(theta), 1.0)
-    scales = np.asarray(scales, dtype=float)
     _, jac = model(theta)
     jac = np.asarray(jac, dtype=float)
     fd = np.empty_like(jac)
+    h = 1e-6
     for i in range(theta.size):
-        h = 1e-6 * scales[i]
         up = theta.copy()
         up[i] += h
         down = theta.copy()
@@ -313,12 +305,7 @@ def _half_power_crossings(xs, power, peak_index):
     return left, right
 
 
-def fit_polariton_width(
-    probe,
-    magnitudes,
-    which: str = "upper",
-    prominence: float = DEFAULT_PROMINENCE,
-) -> FitResult:
+def fit_polariton_width(probe, magnitudes, which: str = "upper") -> FitResult:
     """Lorentzian HWHM of one polariton peak of an |S21| row.
 
     The fit runs on power (|S21|^2) over the half-power region of the
@@ -328,7 +315,7 @@ def fit_polariton_width(
     xs = np.asarray(probe, dtype=float)
     amp = np.abs(np.asarray(magnitudes))
     power = amp**2
-    peaks = peak_positions(xs, amp, prominence)
+    peaks = peak_positions(xs, amp)
     if peaks.size == 0:
         raise DegenerateDataError("no peak above the prominence threshold")
     center = float(peaks[-1] if which == "upper" else peaks[0])
@@ -586,12 +573,16 @@ def transmission_model(
     return model
 
 
-def initial_guess_full(grid, tuning_i, tuning_ii, prominence=DEFAULT_PROMINENCE):
+def initial_guess_full(
+    grid, tuning_i, tuning_ii, prominence=DEFAULT_PROMINENCE, max_iter=MAX_ITERATIONS
+):
     """Starting point from the grid itself: couplings, nu_c and offset
     from the branch fit of both ensembles (g_ii starts at g_i when the
     fit leaves ensemble II out), kappa from the half-power HWHM of the
     tallest row's peak, and both spin widths at GAMMA_SEED."""
-    branch = fit_avoided_crossing(grid, tuning_i, tuning_ii, prominence=prominence)
+    branch = fit_avoided_crossing(
+        grid, tuning_i, tuning_ii, prominence=prominence, max_iter=max_iter
+    )
     if not branch.converged:
         raise DegenerateDataError("the branch fit that seeds the full fit did not converge")
     p = branch.parameters
@@ -619,11 +610,12 @@ def fit_full_transmission(
     """Joint least squares of |S21| over the whole grid against the
     input-output forward model."""
     _require_cells(grid)
-    theta0 = initial_guess_full(grid, tuning_i, tuning_ii, prominence) if init is None else init
+    if init is None:
+        init = initial_guess_full(grid, tuning_i, tuning_ii, prominence, max_iter)
     return levenberg_marquardt(
         transmission_model(grid.probe_frequencies, grid.sweep_values, tuning_i, tuning_ii),
         grid.magnitudes.ravel(),
-        theta0,
+        init,
         names=_FULL_NAMES,
         positive=(True, True, True, True, True, False, False),
         max_iter=max_iter,

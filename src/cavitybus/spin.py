@@ -42,7 +42,6 @@ __all__ = [
     "NVParameters",
     "CrystalOrientation",
     "FieldSetting",
-    "SpinLevels",
     "nv_axis_vectors",
     "spin_hamiltonian",
     "transition_frequencies",
@@ -131,16 +130,6 @@ class FieldSetting:
     def __post_init__(self):
         if self.magnitude < 0:
             raise ValueError("field magnitude must be non-negative")
-
-
-@dataclass(frozen=True)
-class SpinLevels:
-    """Eigenfrequencies relative to the m_s=0-dominated level, plus the
-    two ground-to-excited transition frequencies (MHz)."""
-
-    eigenfrequencies: tuple
-    transition_minus: float
-    transition_plus: float
 
 
 def nv_axis_vectors(orientation: CrystalOrientation) -> np.ndarray:
@@ -270,22 +259,17 @@ def _solve(
 
 def transition_frequencies(
     params: NVParameters, orientation: CrystalOrientation, field: FieldSetting
-) -> SpinLevels:
-    """Levels and transitions at one field, counted from the m_s=0
-    level (lower transition = m_s=-1-like)."""
-    levels = _solve(params, orientation, field.magnitude, field.angle)
-    return SpinLevels(
-        eigenfrequencies=tuple(float(x) for x in levels),
-        transition_minus=float(levels[1]),
-        transition_plus=float(levels[2]),
-    )
+) -> tuple:
+    """Levels at one field counted from the m_s=0 level, (0, minus,
+    plus) in MHz: the lower transition is the m_s=-1-like one."""
+    return tuple(float(x) for x in _solve(params, orientation, field.magnitude, field.angle))
 
 
 def transition_minus(
     params: NVParameters, orientation: CrystalOrientation, field: FieldSetting
 ) -> float:
     """The m_s=0 -> m_s=-1-like transition frequency (MHz)."""
-    return transition_frequencies(params, orientation, field).transition_minus
+    return transition_frequencies(params, orientation, field)[1]
 
 
 def transition_batch(

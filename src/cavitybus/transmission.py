@@ -97,7 +97,7 @@ def s21_denominator(probe, center, kappa, lines) -> tuple:
     return den, qs
 
 
-def s21(probe, cavity: CavitySpec, ensembles) -> complex | np.ndarray:
+def s21(probe, cavity: CavitySpec, ensembles) -> np.ndarray:
     """Transmission amplitude at the probe frequency (scalar or array).
 
     `ensembles` is an iterable of (EnsembleSpec, transition_mhz) pairs;
@@ -107,10 +107,7 @@ def s21(probe, cavity: CavitySpec, ensembles) -> complex | np.ndarray:
     nu = np.asarray(probe, dtype=float)
     lines = [(ens.coupling, transition, ens.spin_hwhm) for ens, transition in ensembles]
     den = s21_denominator(nu, cavity.center, cavity.total_hwhm, lines)[0]
-    out = cavity.external_hwhm / den
-    if np.isscalar(probe) or np.ndim(probe) == 0:
-        return complex(out)
-    return out
+    return cavity.external_hwhm / den
 
 
 def sweep(

@@ -1,11 +1,18 @@
 import pytest
 
+from cavitybus import acceptance
 from cavitybus.config import default_config
 
 
 @pytest.fixture(scope="session")
 def config():
     return default_config()
+
+
+@pytest.fixture(scope="session")
+def selftest_results(config):
+    """Every acceptance criterion on the default config, evaluated once."""
+    return acceptance.run_all(config)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from cavitybus import acceptance
+from cavitybus import acceptance, gridio
 from cavitybus.calibrate import calibrate_geometry
 from cavitybus.config import default_config
 from cavitybus.spin import CrystalOrientation, FieldSetting, transition_minus
@@ -139,7 +139,7 @@ def test_criterion_9_detail_prints_the_bound_not_the_deviation(cfg, monkeypatch,
     monkeypatch.setattr(
         acceptance,
         "fit_roundtrip_errors",
-        lambda config: ([0.001], {"g_i": [0.001], "g_ii": [0.001], "kappa": [0.001]}, []),
+        lambda config: ([0.001], {"g_i": [0.001], "g_ii": [0.001], "kappa": [0.001]}),
     )
     monkeypatch.setattr(
         acceptance, "shipped_model_jacobian_deviations", lambda config: {"a": 1e-9, "b": worst}
@@ -154,12 +154,14 @@ def test_criterion_10_determinism(cfg):
     run_criterion(acceptance.criterion_determinism, cfg, 10.0)
 
 
-def test_run_all_evaluates_every_criterion(cfg):
-    results = acceptance.run_all(cfg)
-    assert [r.index for r in results] == list(range(1, 11))
-    assert all(isinstance(r.detail, str) and r.detail for r in results)
+def test_criterion_10_detail_does_not_depend_on_the_version_string(cfg, monkeypatch):
+    # The grid text leads with a "# cavitybus <version>" line, so a byte
+    # count of it would move with every version string of another length.
+    detail = acceptance.criterion_determinism(cfg).detail
+    monkeypatch.setattr(gridio, "__version__", gridio.__version__ + ".post1-longer")
+    assert acceptance.criterion_determinism(cfg).detail == detail
 
 
-def test_noise_harness_records_seeds(cfg):
-    _, _, results = acceptance.fit_roundtrip_errors(cfg, seeds=range(2))
-    assert {r.provenance["noise_seed"] for r in results} == {0, 1, 10_000, 10_001}
+def test_run_all_evaluates_every_criterion(selftest_results):
+    assert [r.index for r in selftest_results] == list(range(1, 11))
+    assert all(isinstance(r.detail, str) and r.detail for r in selftest_results)

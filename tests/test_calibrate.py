@@ -178,17 +178,33 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     # The magnitude solves and the azimuth refinement start from end
     # residuals the scan already holds.  Evaluating them again took the
     # default scan to 6,484 batched spin points.
-    points = []
+    # The bisection beside the scan's NaN nodes is counted apart: for the
+    # default scan's two such edges, 25 halvings of 0.25 deg down to
+    # 1e-8, each one solve of both edges at both magnitude-range ends,
+    # then one residual per edge.
+    points, edge_points = [], []
     original = calibrate.transition_batch
+    original_edges = calibrate._edge_brackets
+    counts = [points]
 
     def counting(*args):
         values = original(*args)
-        points.append(values.size)
+        counts[-1].append(values.size)
         return values
 
+    def edges(*args, **kwargs):
+        counts.append(edge_points)
+        try:
+            return original_edges(*args, **kwargs)
+        finally:
+            counts.pop()
+
     monkeypatch.setattr(calibrate, "transition_batch", counting)
+    monkeypatch.setattr(calibrate, "_edge_brackets", edges)
     calibrate_geometry(config)
     assert sum(points) <= 5532
+    assert edge_points[:25] == [4] * 25
+    assert sum(edge_points) <= 122
 
 
 def _with_targets(config, angle_i, angle_ii, relative):
@@ -199,6 +215,27 @@ def _with_targets(config, angle_i, angle_ii, relative):
             "calibration.relative_azimuth_deg": relative,
         }
     )
+
+
+@pytest.mark.parametrize(
+    "targets, root, side, expected",
+    [
+        ((55.0, 45.0, 60.0), 65.0, 0.25, [65.0, 155.0]),
+        ((45.0, 55.0, -60.0), 125.0, -0.25, [35.0, 125.0]),
+    ],
+)
+def test_scan_finds_a_root_beside_a_node_without_a_magnitude(config, targets, root, side, expected):
+    # For these targets the residual crosses zero on a scan node, and at
+    # the next 0.25 deg node on one side no field magnitude puts
+    # ensemble I on the target, so that node brackets nothing.
+    cfg = _with_targets(config, *targets)
+    nodes = np.array([root - side, root, root + side])
+    away, at, nan = _scan_residuals(cfg, nodes, *targets, 2749.1)
+    assert away > 0 and abs(at) < 1e-9 and np.isnan(nan)
+
+    result = calibrate_geometry(cfg)
+    azimuths = [dict(c)["azimuth_i"] for c in result.candidates]
+    assert azimuths == pytest.approx(expected, abs=1e-6)
 
 
 def test_scan_finds_the_root_between_the_last_node_and_180_deg(config):

@@ -267,15 +267,32 @@ def test_fit_avoided_crossing_fits_either_ensemble_of_two(
 
 
 def test_fit_full_out_of_iterations_exits_3(two_crossing_grid, tmp_path, capsys):
-    config = _edited_config("fit.max_iterations", "1")(tmp_path)
+    # Half the clean grid's |S21|, as a cavity with kappa_ext = kappa/2
+    # transmits.  The branch fit that seeds the full fit converges in 6
+    # iterations; the full fit, which ties kappa_ext to kappa, needs 13.
+    grid, meta = read_grid(two_crossing_grid)
+    half = SpectrumGrid(grid.probe_frequencies, grid.sweep_values, 0.5 * grid.amplitudes, "angle")
+    grid_path = tmp_path / "half.csv"
+    write_grid(grid_path, half, meta.config_hash, meta.extra)
+    config = _edited_config("fit.max_iterations", "9")(tmp_path)
     fit_path = tmp_path / "fit.json"
     capsys.readouterr()
-    code = main(["fit", "full", *config, "--in", str(two_crossing_grid), "--out", str(fit_path)])
+    code = main(["fit", "full", *config, "--in", str(grid_path), "--out", str(fit_path)])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
     payload = json.loads(fit_path.read_text())
     assert payload["converged"] is False
     assert payload["standard_errors"] is None
+
+
+def test_fit_full_seed_uses_the_iteration_budget(two_crossing_grid, tmp_path, capsys):
+    config = _edited_config("fit.max_iterations", "1")(tmp_path)
+    fit_path = tmp_path / "fit.json"
+    capsys.readouterr()
+    code = main(["fit", "full", *config, "--in", str(two_crossing_grid), "--out", str(fit_path)])
+    assert code == 3
+    assert "the branch fit that seeds the full fit did not converge" in capsys.readouterr().err
+    assert not fit_path.exists()
 
 
 def test_fit_full_seed_uses_the_peak_prominence(two_crossing_grid, tmp_path, capsys):
@@ -713,13 +730,14 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, setup, mess
 # ---------------------------------------------------------------------------
 # selftest
 
-def test_selftest_deterministic_and_reports_geometry_failure(default_cfg, capsys):
-    code_a = main(["selftest", "--config", str(default_cfg)])
-    out_a = capsys.readouterr().out
-    code_b = main(["selftest", "--config", str(default_cfg)])
-    out_b = capsys.readouterr().out
-    assert out_a == out_b
-    assert code_a == code_b == 3
-    assert "9/10 criteria passed" in out_a
-    assert "criterion  3 geometry-degeneracy: FAIL" in out_a
-    assert out_a.count("PASS") == 9
+def test_selftest_deterministic_and_reports_geometry_failure(
+    default_cfg, capsys, selftest_results
+):
+    # The CLI run and the session's own run_all print the same bytes.
+    code = main(["selftest", "--config", str(default_cfg)])
+    out = capsys.readouterr().out
+    lines = [result.line() + "\n" for result in selftest_results]
+    assert out == "".join(lines) + "9/10 criteria passed\n"
+    assert code == 3
+    assert "criterion  3 geometry-degeneracy: FAIL" in out
+    assert out.count("PASS") == 9

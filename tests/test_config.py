@@ -140,9 +140,10 @@ def test_defaults_are_echoed(caplog):
         ]
     )
     with caplog.at_level(logging.INFO, logger="cavitybus.config"):
-        config = parse_config_text(minimal)
-    assert "ensemble_i.spin_hwhm_mhz" in config.applied_defaults
-    assert any("default applied" in record.message for record in caplog.records)
+        parse_config_text(minimal)
+    messages = [record.getMessage() for record in caplog.records]
+    assert "<text>: default applied: ensemble_i.spin_hwhm_mhz = 4.58" in messages
+    assert not any("coupling_mhz" in message for message in messages)
 
 
 def test_with_updates_rejects_unknown_key(config):

@@ -27,7 +27,7 @@ from cavitybus.fitting import (
     lorentzian_model,
     transmission_model,
 )
-from cavitybus import transmission
+from cavitybus import fitting, transmission
 from cavitybus.spin import FieldSetting, transition_batch, transition_minus_derivative
 from cavitybus.transmission import SpectrumGrid, _row_blocks, sweep
 
@@ -174,18 +174,6 @@ def test_jacobian_check_lorentzian_generic_point():
     assert dev < 1e-6
 
 
-def test_jacobian_check_quadratic_exact():
-    xs = np.linspace(-3.0, 3.0, 13)
-
-    def quadratic(theta):
-        a, b, c = theta
-        values = a * xs**2 + b * xs + c
-        jac = np.stack([xs**2, xs, np.ones_like(xs)], axis=1)
-        return values, jac
-
-    assert jacobian_check(quadratic, [2.0, 3.0, 1.0], scales=[2e3, 3e3, 1e3]) < 1e-10
-
-
 def test_jacobian_check_reports_kink():
     xs = np.array([0.0, 1.0, 2.0])
 
@@ -201,8 +189,7 @@ def test_jacobian_check_shipped_grid_models(tunings):
     tun_i, tun_ii = tunings
     sv = np.linspace(71.0, 87.0, 17)
     dev_branch = jacobian_check(
-        avoided_crossing_model(sv, np.arange(17) % 2, [tun_i]), [7.5, CENTER, 0.3],
-        scales=np.ones(3),
+        avoided_crossing_model(sv, np.arange(17) % 2, [tun_i]), [7.5, CENTER, 0.3]
     )
     assert dev_branch < 1e-6
     # N = 2, ending on the ensemble-ensemble degeneracy: its middle mode
@@ -217,12 +204,11 @@ def test_jacobian_check_shipped_grid_models(tunings):
     two = avoided_crossing_model(sv_wide, modes, tunings)
     theta = [7.5, 5.6, CENTER, 0.0]
     assert abs(two(theta)[1][-1, 2]) < 1e-12  # v_0^2 of the dark mode
-    assert jacobian_check(two, theta, scales=np.ones(4)) < 1e-6
+    assert jacobian_check(two, theta) < 1e-6
     probe = np.linspace(CENTER - 20.0, CENTER + 20.0, 41)
     dev_full = jacobian_check(
         transmission_model(probe, sv, tun_i, tun_ii),
         [7.5, 5.6, 0.32, 4.58, 4.24, CENTER, 0.2],
-        scales=np.ones(7),
     )
     assert dev_full < 1e-6
 
@@ -391,6 +377,19 @@ def test_full_transmission_default_init(full_grid, tunings):
     assert result.converged
     assert result.parameters["g_i"] == pytest.approx(7.5, rel=0.03)
     assert result.parameters["g_ii"] == pytest.approx(5.6, rel=0.03)
+
+
+def test_full_fit_seed_runs_under_the_same_iteration_budget(full_grid, tunings, monkeypatch):
+    budgets = []
+    original = fitting.levenberg_marquardt
+
+    def spy(*args, **kwargs):
+        budgets.append(kwargs["max_iter"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "levenberg_marquardt", spy)
+    fit_full_transmission(full_grid, *tunings, max_iter=17)
+    assert len(budgets) >= 2 and set(budgets) == {17}
 
 
 @pytest.mark.parametrize("seed", range(3))

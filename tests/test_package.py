@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -88,6 +89,19 @@ def test_default_config_ships_as_package_data():
         package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
     assert "default.cfg" in package_data["cavitybus"]
     assert (Path(cavitybus.__file__).parent / "default.cfg").is_file()
+
+
+def test_library_defaults_repeat_the_shipped_ones(config):
+    # Keyword defaults that repeat a default.cfg value or a CLI default;
+    # a change to one copy alone fails here.
+    from cavitybus import cli, dispersive, fitting, transmission
+    from cavitybus.calibrate import calibrate_geometry
+
+    assert transmission.DEFAULT_PROMINENCE == config.get("fit.peak_prominence")
+    assert fitting.MAX_ITERATIONS == config.get("fit.max_iterations")
+    assert dispersive.DEFAULT_FLOOR == config.get("dispersive.floor_mhz")
+    scan_step = inspect.signature(calibrate_geometry).parameters["scan_step"].default
+    assert scan_step == cli._build_parser().parse_args(["calibrate", "--out", "x"]).scan_step
 
 
 def test_exported_names_resolve():
