@@ -413,7 +413,7 @@ def criterion_determinism(config) -> CriterionResult:
     text_b = grid_to_text(sweep(cavity, ensembles, fields, probe, "angle"), config.hash)
     # per-row reference: one s21 call per field, one scalar solve per point
     rows = np.vstack(
-        [s21(probe, cavity, [(ens, ens.transition(f)) for ens in ensembles]) for f in fields]
+        [np.abs(s21(probe, cavity, [(e, e.transition(f)) for e in ensembles])) for f in fields]
     )
 
     repeat_ok = text_a == text_b

@@ -15,8 +15,6 @@ import logging
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .calibrate import calibrate_geometry
 from .config import ExperimentConfig, default_config, format_float, load_config, range_values
@@ -175,11 +173,13 @@ def _field_point(args, config, magnitude_key) -> tuple:
 
 
 def _cmd_transitions(args, config) -> int:
-    kind = "angle"
-    if args.b_mags is not None or args.angle is not None:
-        if args.angle is None:
-            raise ValidationError("--b-mags sweeps need --angle")
-        kind = "magnitude"
+    by_angle = [f for f, v in (("--angles", args.angles), ("--b-mag", args.b_mag)) if v is not None]
+    by_mag = [f for f, v in (("--b-mags", args.b_mags), ("--angle", args.angle)) if v is not None]
+    if by_angle and by_mag:
+        raise ValidationError(f"{by_angle[0]} (angle sweep) cannot be combined with {by_mag[0]}")
+    if by_mag and args.angle is None:
+        raise ValidationError("--b-mags sweeps need --angle")
+    kind = "magnitude" if by_mag else "angle"
     values, fixed, extra = _sweep_axis(args, config, kind)
     mags, angles = sweep_fields(kind, values, fixed)
 
@@ -284,7 +284,7 @@ def _cmd_fit(args, config) -> int:
     if args.mode == "lorentzian":
         if not 0 <= args.row < grid.sweep_values.size:
             raise ValidationError(f"row {args.row} outside grid with {grid.sweep_values.size} rows")
-        power = np.abs(grid.amplitudes[args.row]) ** 2
+        power = grid.amplitudes[args.row] ** 2
         result = fit_lorentzian(grid.probe_frequencies, power, max_iter=max_iter)
     elif args.mode == "avoided-crossing":
         other = "ii" if args.ensemble == "i" else "i"

@@ -312,10 +312,11 @@ def fit_polariton_width(probe, magnitudes, which: str = "upper") -> FitResult:
     selected peak padded by one direct half-width on each side, which
     keeps the estimate insensitive to the other polariton's tail.
     """
+    if which not in ("upper", "lower"):
+        raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
     xs = np.asarray(probe, dtype=float)
-    amp = np.abs(np.asarray(magnitudes))
-    power = amp**2
-    peaks = peak_positions(xs, amp)
+    power = np.abs(magnitudes) ** 2
+    peaks = peak_positions(xs, magnitudes)
     if peaks.size == 0:
         raise DegenerateDataError("no peak above the prominence threshold")
     center = float(peaks[-1] if which == "upper" else peaks[0])
@@ -586,14 +587,9 @@ def initial_guess_full(
     if not branch.converged:
         raise DegenerateDataError("the branch fit that seeds the full fit did not converge")
     p = branch.parameters
-    # the first cell of the largest |S21|, from the row maxima block by
-    # block, so that no grid-sized |S21| copy is made
-    amps = grid.amplitudes
-    tops = [np.abs(amps[rows]).max(axis=1) for rows in _row_blocks(*amps.shape)]
-    row = int(np.argmax(np.concatenate(tops)))
-    mags = np.abs(amps[row])
-    col = int(np.argmax(mags))
-    left, right = _half_power_crossings(grid.probe_frequencies, mags**2, col)
+    # the first cell of the largest |S21|
+    row, col = np.unravel_index(np.argmax(grid.amplitudes), grid.amplitudes.shape)
+    left, right = _half_power_crossings(grid.probe_frequencies, grid.amplitudes[row] ** 2, col)
     kappa0 = 0.5 * (right - left)
     g_ii = p.get("g_other", p["g"])
     return np.array([p["g"], g_ii, kappa0, GAMMA_SEED, GAMMA_SEED, p["nu_c"], p["offset"]])
@@ -614,7 +610,7 @@ def fit_full_transmission(
         init = initial_guess_full(grid, tuning_i, tuning_ii, prominence, max_iter)
     return levenberg_marquardt(
         transmission_model(grid.probe_frequencies, grid.sweep_values, tuning_i, tuning_ii),
-        grid.magnitudes.ravel(),
+        grid.amplitudes.ravel(),
         init,
         names=_FULL_NAMES,
         positive=(True, True, True, True, True, False, False),

@@ -178,9 +178,7 @@ def grid_to_text(
     if cols:
         parts.append(_format_rows(grid.probe_frequencies[np.newaxis]))
     for block in _row_blocks(rows, cols + 1):
-        cells = np.empty((block.stop - block.start, cols + 1))
-        cells[:, 0] = grid.sweep_values[block]
-        np.abs(grid.amplitudes[block], out=cells[:, 1:])
+        cells = np.column_stack((grid.sweep_values[block], grid.amplitudes[block]))
         parts.append(_format_rows(cells))
     parts.append("\n")
     return "".join(parts)

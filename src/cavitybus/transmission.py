@@ -1,4 +1,4 @@
-"""Complex S21 transmission synthesis and field sweeps.
+"""Complex S21 transmission synthesis and |S21| field sweeps.
 
 The steady-state linear-response transmission through the cavity with a
 set of Lorentzian spin lines attached is
@@ -54,9 +54,8 @@ _PEAK_POINTS = 65536
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Probe frequency x sweep parameter grid, rows following sweep_values:
-    complex128 S21 from `sweep`, float64 |S21| from files and noise models.
-    Float64 amplitudes are held without a copy; writes to them show here."""
+    """Probe frequency x sweep parameter grid of float64 |S21|, rows following
+    sweep_values.  Float64 input is held without a copy; writes to it show here."""
 
     probe_frequencies: np.ndarray
     sweep_values: np.ndarray
@@ -66,7 +65,9 @@ class SpectrumGrid:
     def __post_init__(self):
         probe = np.asarray(self.probe_frequencies, dtype=float)
         sweep_vals = np.asarray(self.sweep_values, dtype=float)
-        amps = np.asarray(self.amplitudes, complex if np.iscomplexobj(self.amplitudes) else float)
+        if np.iscomplexobj(self.amplitudes):
+            raise ValueError("amplitudes must be real |S21|, got complex values (pass np.abs(S21))")
+        amps = np.asarray(self.amplitudes, dtype=float)
         if self.sweep_kind not in ("angle", "magnitude", "none"):
             raise ValueError(f"unknown sweep_kind {self.sweep_kind!r}")
         if amps.shape != (sweep_vals.size, probe.size):
@@ -74,13 +75,16 @@ class SpectrumGrid:
                 f"amplitudes shape {amps.shape} does not match "
                 f"{sweep_vals.size} sweep values x {probe.size} probes"
             )
+        if (amps < 0.0).any():
+            row, col = np.argwhere(amps < 0.0)[0]
+            raise ValueError(f"negative |S21| {amps[row, col]:g} in row {row}, column {col}")
         object.__setattr__(self, "probe_frequencies", probe)
         object.__setattr__(self, "sweep_values", sweep_vals)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def magnitudes(self) -> np.ndarray:
-        return np.abs(self.amplitudes)
+        return self.amplitudes
 
 
 def s21_denominator(probe, center, kappa, lines) -> tuple:
@@ -117,9 +121,9 @@ def sweep(
     probe_frequencies,
     sweep_kind: str = "none",
 ) -> SpectrumGrid:
-    """Evaluate S21 rows along a path of field settings: one batched
+    """Evaluate |S21| rows along a path of field settings: one batched
     transition solve per ensemble, then S21 broadcast over the (field,
-    probe) grid."""
+    probe) grid and its modulus taken block by block."""
     field_path = list(field_path)
     probe = np.asarray(probe_frequencies, dtype=float)
     if probe.size == 0 or not field_path:
@@ -138,9 +142,9 @@ def sweep(
         (ens, transition_batch(ens.nv, ens.orientation, magnitudes, angles)[:, None])
         for ens in ensembles
     ]
-    amplitudes = np.empty((len(field_path), probe.size), dtype=complex)
+    amplitudes = np.empty((len(field_path), probe.size))
     for rows in _row_blocks(len(field_path), probe.size):
-        amplitudes[rows] = s21(probe, cavity, [(ens, t[rows]) for ens, t in transitions])
+        np.abs(s21(probe, cavity, [(ens, t[rows]) for ens, t in transitions]), out=amplitudes[rows])
     return SpectrumGrid(probe, values, amplitudes, sweep_kind)
 
 

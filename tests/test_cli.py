@@ -653,6 +653,15 @@ INVALID_INPUTS = {
     "transitions-b-mags-without-angle": (
         ["transitions", "--b-mags", "0:1:0.5"], _default_config, "--b-mags sweeps need --angle"
     ),
+    # one sweep kind per call: angle-sweep flags exclude magnitude-sweep flags
+    "transitions-angle-with-angles": (
+        ["transitions", "--angle", "79", "--angles", "0:90:1"], _default_config,
+        "--angles (angle sweep) cannot be combined with --angle",
+    ),
+    "transitions-b-mag-with-b-mags": (
+        ["transitions", "--b-mags", "0:1:0.5", "--angle", "79", "--b-mag", "5"], _default_config,
+        "--b-mag (angle sweep) cannot be combined with --b-mags",
+    ),
     # the full model has one cavity width
     "fit-full-external-width": (
         ["fit", "full"], _external_width_grid,
@@ -693,6 +702,11 @@ INVALID_INPUTS = {
     "grid-cell-inf": (
         ["fit", "avoided-crossing"], _edited_grid(50, "inf", row=10),
         "non-finite value in data row 10",
+    ),
+    # |S21| is never negative
+    "grid-cell-negative": (
+        ["fit", "full"], _edited_grid(50, "-0.25", row=10),
+        "grid.csv: negative |S21| -0.25 in row 10, column 49",
     ),
     "grid-fixed-nan": (
         ["fit", "full"], _edited_grid("fixed_magnitude_mt=7.69336558", "fixed_magnitude_mt=nan"),

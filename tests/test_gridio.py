@@ -270,12 +270,14 @@ def parsed_cells(text):
 
 
 def awkward_grids(values=AWKWARD):
+    # the signed values go through the probe and sweep columns, their
+    # moduli through the |S21| cells
     values = np.array(values)
-    square = np.array([np.roll(values, k) for k in range(len(values))])
+    square = np.abs([np.roll(values, k) for k in range(len(values))])
     return {
         "full": SpectrumGrid(values, values, square, "angle"),
         "no-columns": SpectrumGrid(np.array([]), values, np.zeros((values.size, 0)), "none"),
-        "one-row": SpectrumGrid(values, values[:1], values[np.newaxis], "magnitude"),
+        "one-row": SpectrumGrid(values, values[:1], square[:1], "magnitude"),
     }
 
 
@@ -356,10 +358,11 @@ def test_fast_path_matches_per_value_reference(tmp_path, name, width):
     values = FAST_PATH_VALUES[name]
     values = values[: values.size // width * width].reshape(-1, width)
     rows = values.shape[0]
-    grid = SpectrumGrid(np.arange(1.0, width + 1.0), np.arange(rows) * 0.5, values, "angle")
+    # a grid holds |S21|, so the signed cells go through the sweep column
+    grid = SpectrumGrid(np.arange(1.0, width + 1.0), values[:, 0], np.abs(values), "angle")
     expected = reference_text(
         f"# sweep_kind=angle, rows={rows}, cols={width}",
-        [grid.probe_frequencies, *([s, *m] for s, m in zip(grid.sweep_values, np.abs(values)))],
+        [grid.probe_frequencies, *([s, *m] for s, m in zip(values[:, 0], grid.amplitudes))],
     )
     # compared as lists of lines, so that a failure names its first line quickly
     assert grid_to_text(grid).splitlines(True) == expected.splitlines(True)
@@ -377,10 +380,9 @@ def test_fast_path_implements_the_float_spec():
 
 
 def test_write_grid_peak_memory_stays_near_two_texts(tmp_path):
-    # the default sweep-angle grid, complex as `sweep` makes it
+    # the default sweep-angle grid of float64 |S21|, as `sweep` makes it
     rows, cols = 901, 1201
-    rng = np.random.default_rng(4)
-    amplitudes = rng.uniform(size=(rows, cols)) * np.exp(1j * rng.uniform(0, 6, (rows, cols)))
+    amplitudes = np.random.default_rng(4).uniform(size=(rows, cols))
     grid = SpectrumGrid(
         np.linspace(2719.1, 2779.1, cols), np.linspace(0.0, 90.0, rows), amplitudes, "angle"
     )

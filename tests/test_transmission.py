@@ -302,7 +302,7 @@ def test_sweep_rows_follow_field_path(config, cavity, ens_i, ens_ii, resonant_ma
     np.testing.assert_allclose(grid.sweep_values, angles)
     for k, field in enumerate(fields):
         pairs = [(ens_i, ens_i.transition(field)), (ens_ii, ens_ii.transition(field))]
-        np.testing.assert_allclose(grid.amplitudes[k], s21(probe, cavity, pairs))
+        np.testing.assert_allclose(grid.amplitudes[k], np.abs(s21(probe, cavity, pairs)))
 
 
 def test_sweep_rows_split_only_near_crossings(cavity, ens_i, ens_ii, resonant_magnitude):
@@ -325,7 +325,7 @@ def test_zero_coupling_sweep_is_flat(config, cavity, resonant_magnitude):
     probe = probe_grid(half=5.0, step=0.05)
     fields = [FieldSetting(resonant_magnitude, a) for a in (10.0, 40.0, 79.0)]
     grid = sweep(cavity, [weak], fields, probe, "angle")
-    bare = s21(probe, cavity, [])
+    bare = np.abs(s21(probe, cavity, []))
     for row in grid.amplitudes:
         np.testing.assert_allclose(row, bare, atol=1e-9)
 
@@ -348,7 +348,7 @@ def test_sweep_continuity_under_step_halving(cavity, ens_i, ens_ii, resonant_mag
 def test_broadcast_sweep_is_bit_identical_to_per_row_s21(
     kind, cavity, ens_i, ens_ii, resonant_magnitude
 ):
-    # reference: one s21 call per row, one scalar spin solve per point
+    # reference: |S21| of one s21 call per row, one scalar spin solve per point
     probe = probe_grid(half=15.0, step=0.05)
     if kind == "angle":
         fields = [FieldSetting(resonant_magnitude, a) for a in np.arange(0.0, 90.0, 0.7)]
@@ -356,9 +356,11 @@ def test_broadcast_sweep_is_bit_identical_to_per_row_s21(
         fields = [FieldSetting(m, 79.0) for m in np.arange(0.0, 12.0, 0.13)]
     assert len(list(_row_blocks(len(fields), probe.size))) > 2  # crosses block edges
     grid = sweep(cavity, [ens_i, ens_ii], fields, probe, kind)
+    ensembles = (ens_i, ens_ii)
     rows = np.vstack(
-        [s21(probe, cavity, [(e, e.transition(f)) for e in (ens_i, ens_ii)]) for f in fields]
+        [np.abs(s21(probe, cavity, [(e, e.transition(f)) for e in ensembles])) for f in fields]
     )
+    assert grid.amplitudes.dtype == np.float64
     assert grid.amplitudes.tobytes() == rows.tobytes()
 
 
@@ -368,7 +370,7 @@ def test_bare_cavity_sweep_repeats_the_bare_row(cavity):
     grid = sweep(cavity, [], fields, probe, "angle")
     assert grid.amplitudes.shape == (2, probe.size)
     for row in grid.amplitudes:
-        assert row.tobytes() == s21(probe, cavity, []).tobytes()
+        assert row.tobytes() == np.abs(s21(probe, cavity, [])).tobytes()
 
 
 def test_grid_shape_validation():
@@ -386,20 +388,40 @@ def test_grid_keeps_float64_input_without_a_copy():
 
 
 @pytest.mark.parametrize(
-    "amplitudes, dtype",
-    [
-        (np.full((2, 3), 0.5 + 0.5j), np.complex128),
-        (np.full((2, 3), 0.5 + 0.5j, dtype=np.complex64), np.complex128),
-        (np.ones((2, 3), dtype=int), np.float64),
-        (np.ones((2, 3), dtype=np.float32), np.float64),
-        ([[1, 2, 3], [4, 5, 6]], np.float64),
-        ([[1j, 2, 3], [4, 5, 6]], np.complex128),
-    ],
+    "amplitudes",
+    [np.ones((2, 3), dtype=int), np.ones((2, 3), dtype=np.float32), [[1, 2, 3], [4, 5, 6]]],
+    ids=["int", "float32", "list"],
 )
-def test_grid_value_type_is_complex128_or_float64(amplitudes, dtype):
+def test_grid_value_type_is_float64(amplitudes):
     grid = SpectrumGrid(np.arange(3.0), np.arange(2.0), amplitudes)
-    assert grid.amplitudes.dtype == dtype
+    assert grid.amplitudes.dtype == np.float64
     np.testing.assert_array_equal(grid.amplitudes, np.asarray(amplitudes))
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        np.full((2, 3), 0.5 + 0.5j),
+        np.full((2, 3), 0.5 + 0.5j, dtype=np.complex64),
+        np.ones((2, 3), dtype=complex),
+        [[1j, 2, 3], [4, 5, 6]],
+    ],
+    ids=["complex128", "complex64", "zero-imaginary", "list"],
+)
+def test_grid_rejects_complex_amplitudes(amplitudes):
+    # numpy would keep only the real part of a complex -> float cast
+    with pytest.raises(ValueError, match="complex"):
+        SpectrumGrid(np.arange(3.0), np.arange(2.0), amplitudes)
+
+
+def test_grid_rejects_a_negative_cell_and_names_it():
+    amplitudes = np.full((2, 3), 0.5)
+    amplitudes[1, 2] = -1e-3
+    amplitudes[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"negative \|S21\| -0.001 in row 1, column 2"):
+        SpectrumGrid(np.arange(3.0), np.arange(2.0), amplitudes)
+    amplitudes[1, 2] = -0.0  # the sign bit of a zero is no negative cell
+    SpectrumGrid(np.arange(3.0), np.arange(2.0), amplitudes)
 
 
 def test_grid_rejects_non_numeric_amplitudes():
@@ -423,6 +445,14 @@ def test_polariton_width_second_ensemble(cavity, ens_ii):
     row = np.abs(s21(probe, cavity, [(ens_ii, CENTER)]))
     width = fit_polariton_width(probe, row, which="lower").parameters["hwhm"]
     assert width == pytest.approx(0.5 * (cavity.total_hwhm + ens_ii.spin_hwhm), abs=0.1)
+
+
+@pytest.mark.parametrize("which", ["Upper", ""])
+def test_polariton_width_rejects_an_unknown_peak(cavity, ens_i, which):
+    probe = probe_grid(half=25.0, step=0.01)
+    row = np.abs(s21(probe, cavity, [(ens_i, CENTER)]))
+    with pytest.raises(ValueError, match="which must be 'upper' or 'lower'"):
+        fit_polariton_width(probe, row, which=which)
 
 
 def test_collective_row_width_recorded(cavity, ens_i, ens_ii):
