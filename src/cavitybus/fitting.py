@@ -515,54 +515,71 @@ def transmission_model(
     Jacobian column is the log-derivative d|S|/dtheta = -|S| Re(u dD/dtheta)
     (plus |S|/kappa for kappa) and nothing divides by |S|.
 
-    The grid is evaluated in cache-sized blocks of rows, each written
-    straight into the preallocated values.  model(theta) writes the
-    Jacobian columns into one contiguous array per column; the (m, 7)
-    Jacobian is the transpose of that (7, m) array, so it comes back
-    column-major.  model(theta, data) writes them, with the block's
-    residuals as an eighth row, into one (8, block) buffer and adds its
-    Gram matrix to the 8x8 G.  No grid-sized complex temporary is
-    formed, and every element is computed by the same formula whatever
-    the block size and call form.
+    The grid is evaluated in blocks of rows, each written straight into
+    the preallocated values.  model(theta) writes the Jacobian columns
+    into one contiguous array per column; the (m, 7) Jacobian is the
+    transpose of that (7, m) array, so it comes back column-major.
+    model(theta, data) writes them, with the block's residuals as an
+    eighth row, into one (8, block) buffer and adds its Gram matrix to
+    the 8x8 G.  Every block's complex and real temporaries live in one
+    workspace that the closure allocates once, so a call allocates
+    little beyond its values and Jacobian, which are fresh arrays each
+    time.  Every element is computed by the same formula whatever the
+    block size and call form.
     """
     probe = np.asarray(probe, dtype=float)
     sweep_values = np.asarray(sweep_values, dtype=float)
+    blocks = list(_row_blocks(sweep_values.size, probe.size))
+    # sized to the first block, the largest: D, q_i, q_ii, u = 1/D and
+    # the products u q and u q^2; a real scratch array; and the Gram
+    # form's buffer, whose rows 0-6 take the Jacobian columns and row 7
+    # the residual
+    shape = (blocks[0].stop if blocks else 0, probe.size)
+    work = np.empty((6,) + shape, dtype=complex)
+    work_real = np.empty(shape)
+    work_gram = np.empty((8,) + shape)
 
     def model(theta, data=None):
         g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset = theta
         nu_i, dnu_i = tuning_i.frequencies_and_derivative(sweep_values, offset)
         nu_ii, dnu_ii = tuning_ii.frequencies_and_derivative(sweep_values, offset)
         values = np.empty((sweep_values.size, probe.size))
-        blocks = list(_row_blocks(*values.shape))
         if data is None:
             cols = np.empty((7,) + values.shape)
         else:
-            # rows 0-6 of the buffer take the Jacobian columns, row 7 the
-            # residual; the first block is the largest
             data = np.reshape(data, values.shape)
-            buf = np.empty((8, blocks[0].stop if blocks else 0, probe.size))
             gram = np.zeros((8, 8))
         for rows in blocks:
-            den, qs = s21_denominator(
+            n = rows.stop - rows.start
+            den, q_i, q_ii, u, a, b = work[:, :n]
+            scratch = work_real[:n]
+            s21_denominator(
                 probe[None, :],
                 nu_c,
                 kappa,
                 [(g_i, nu_i[rows, None], gamma_i), (g_ii, nu_ii[rows, None], gamma_ii)],
+                out=(den, [q_i, q_ii], scratch, a),
             )
-            u = 1.0 / den
+            np.divide(1.0, den, out=u)
             absval = values[rows]
-            absval[...] = kappa * np.abs(u)
-            block = cols[:, rows] if data is None else buf[:, : rows.stop - rows.start]
-            block[2] = absval * (1.0 / kappa - u.real)
-            block[5] = absval * u.imag
-            d_off = 0.0
-            for k, (g, q, dnu_s) in enumerate(zip((g_i, g_ii), qs, (dnu_i, dnu_ii))):
-                a = u * q
-                b = a * q
-                block[k] = (-2.0 * g) * absval * a.real
-                block[3 + k] = g**2 * absval * b.real
-                d_off = d_off - (g**2 * dnu_s[rows, None]) * b.imag
-            block[6] = absval * d_off
+            np.abs(u, out=absval)
+            np.multiply(kappa, absval, out=absval)
+            block = cols[:, rows] if data is None else work_gram[:, :n]
+            np.subtract(1.0 / kappa, u.real, out=block[2])
+            np.multiply(absval, block[2], out=block[2])
+            np.multiply(absval, u.imag, out=block[5])
+            d_off = block[6]
+            d_off[...] = 0.0
+            for k, (g, q, dnu_s) in enumerate(zip((g_i, g_ii), (q_i, q_ii), (dnu_i, dnu_ii))):
+                np.multiply(u, q, out=a)
+                np.multiply(a, q, out=b)
+                np.multiply(-2.0 * g, absval, out=block[k])
+                np.multiply(block[k], a.real, out=block[k])
+                np.multiply(g**2, absval, out=block[3 + k])
+                np.multiply(block[3 + k], b.real, out=block[3 + k])
+                np.multiply(g**2 * dnu_s[rows, None], b.imag, out=scratch)
+                np.subtract(d_off, scratch, out=d_off)
+            np.multiply(absval, d_off, out=d_off)
             if data is not None:
                 np.subtract(absval, data[rows], out=block[7])
                 flat = block.reshape(8, -1)

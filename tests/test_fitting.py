@@ -616,6 +616,53 @@ def test_transmission_model_gram_form_matches_its_jacobian(kind, tunings):
         assert np.all(np.abs(gram - ref) <= 1e-12 * scale)
 
 
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("kind", ["ragged", "long-probe", "one-row"])
+def test_warm_transmission_model_equals_a_fresh_one(kind, cold_grid, tunings):
+    # The closure's block workspace outlives a call: nothing may carry
+    # over from an earlier block, call or call form, and no output may
+    # alias the workspace or an earlier output.
+    probe, angles = _block_grid(kind)
+    warm = transmission_model(probe, angles, *tunings)
+    rng = np.random.default_rng(3)
+    data = warm(TRUTH)[0] * (1.0 + 0.01 * rng.standard_normal(probe.size * angles.size))
+    thetas = [
+        perturbed_start(),
+        initial_guess_full(cold_grid, *tunings),
+        np.array([7.5, 1e-9, 0.32, 4.58, 4.24, CENTER, 0.2]),
+        TRUTH,
+    ]
+    outputs = []
+    for theta in thetas:
+        for args in ((theta,), (theta, data)):
+            got = warm(*args)
+            fresh = transmission_model(probe, angles, *tunings)(*args)
+            assert _bits(got) == _bits(fresh)
+            outputs.extend(got)
+    for k, a in enumerate(outputs):
+        assert not any(np.shares_memory(a, b) for b in outputs[k + 1 :])
+
+
+def test_warm_transmission_model_allocates_little_beyond_its_values(full_grid, tunings):
+    # criterion 9's 81x241 grid: the block temporaries live in the
+    # closure's workspace, so a warm Gram-form call allocates its values
+    # and small arrays only (about 3 MB of temporaries before).
+    model = transmission_model(full_grid.probe_frequencies, full_grid.sweep_values, *tunings)
+    data = with_noise(full_grid, 1).amplitudes.ravel()
+    theta = perturbed_start()
+    model(theta, data)
+    tracemalloc.start()
+    try:
+        values, _ = model(theta, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + 512 * 1024
+
+
 def test_small_models_return_the_gram_matrix_of_their_jacobian(tunings):
     xs = np.linspace(0.0, 20.0, 41)
     sv = np.linspace(71.0, 87.0, 17)

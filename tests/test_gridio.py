@@ -328,6 +328,32 @@ def test_table_and_signal_match_per_value_reference(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+def mostly_slow_table(slow_share, width):
+    """A table whose cells outside [1e-4, 1) are `slow_share` of all,
+    with fast-range cells that round to ties and carries among them."""
+    rng = np.random.default_rng(13)
+    slow = np.concatenate([AWKWARD, random_doubles(400), rng.uniform(2000.0, 3800.0, 400)])
+    fast = np.concatenate([
+        [0.09999999995, 0.9999999995, 0.00999999995, 0.12345678950, 1e-4],
+        10 ** rng.uniform(-4.0, -1e-9, 800),
+    ])
+    shape = (60, width)
+    return np.where(rng.random(shape) < slow_share, rng.choice(slow, shape), rng.choice(fast, shape))
+
+
+@pytest.mark.parametrize("slow_share", [1.0, 0.6])
+@pytest.mark.parametrize("width", [1, 5, 300])
+def test_mostly_slow_tables_match_per_value_reference(tmp_path, slow_share, width):
+    # Tables of frequencies are %-formatted a row at a time; the bytes
+    # are the per-value reference's.
+    table = mostly_slow_table(slow_share, width)
+    assert 2 * np.count_nonzero((table >= 1e-4) & (table < 1.0)) < table.size
+    path = tmp_path / "table.csv"
+    write_table(path, {f"c{k}": table[:, k] for k in range(width)})
+    expected = reference_text("# columns=" + ",".join(f"c{k}" for k in range(width)), table)
+    assert path.read_bytes().splitlines(True) == expected.encode("utf-8").splitlines(True)
+
+
 # ---------------------------------------------------------------------------
 # the vectorized fast path (1e-4 <= x < 1) against the per-value reference
 

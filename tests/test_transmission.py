@@ -15,6 +15,7 @@ from cavitybus.transmission import (
     peak_splitting,
     row_peaks,
     s21,
+    s21_denominator,
     sweep,
 )
 
@@ -104,6 +105,30 @@ def test_bare_cavity_is_unsplit(cavity):
     probe = probe_grid(step=0.02)
     with pytest.raises(UnsplitError):
         peak_splitting(probe, np.abs(s21(probe, cavity, [])))
+
+
+def test_scalar_s21_equals_its_element_of_a_row(cavity, ens_i, ens_ii):
+    pairs = [(ens_i, 2745.0), (ens_ii, 2751.5)]
+    probe = probe_grid(step=0.25)
+    row = s21(probe, cavity, pairs)
+    for k in (0, 37, probe.size - 1):
+        assert s21(probe[k], cavity, pairs) == row[k]
+        assert s21(float(probe[k]), cavity, pairs) == row[k]
+
+
+def test_denominator_workspace_holds_the_same_bits():
+    # the fit model passes a workspace; s21 and sweep allocate
+    probe = probe_grid(step=0.25)[None, :]
+    lines = [(7.5, np.array([[2740.0], [2749.1], [2760.5]]), 4.58),
+             (5.6, np.array([[2751.0], [2749.1], [2735.2]]), 4.24)]
+    den, qs = s21_denominator(probe, CENTER, 0.32, lines)
+    work = np.full((4, 3, probe.size), np.nan + 0j)
+    detuning = np.full((3, probe.size), np.nan)
+    out = (work[0], [work[1], work[2]], detuning, work[3])
+    den_w, qs_w = s21_denominator(probe, CENTER, 0.32, lines, out=out)
+    for got, want, buf in zip([den_w, *qs_w], [den, *qs], work):
+        assert np.shares_memory(got, buf)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
