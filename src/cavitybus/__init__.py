@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.12"
+__version__ = "0.1.13"
 
 from .coupled import (
     CavitySpec,

@@ -270,7 +270,7 @@ def criterion_thermal_polarization(config) -> CriterionResult:
 
 def _noisy(grid, seed, level=0.01):
     rng = np.random.default_rng(seed)
-    noisy = grid.magnitudes * (1.0 + level * rng.standard_normal(grid.amplitudes.shape))
+    noisy = grid.amplitudes * (1.0 + level * rng.standard_normal(grid.amplitudes.shape))
     return SpectrumGrid(grid.probe_frequencies, grid.sweep_values, noisy, grid.sweep_kind)
 
 

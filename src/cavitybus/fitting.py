@@ -372,19 +372,12 @@ def _require_cells(grid: SpectrumGrid):
         raise DegenerateDataError(f"non-finite grid cell in row {row}, column {col}")
 
 
-def extract_branches(grid: SpectrumGrid, prominence: float = DEFAULT_PROMINENCE, max_peaks=2):
-    """Per-row polariton positions: list of (sweep_value, sorted array
-    of the at most `max_peaks` most prominent maxima), for the rows
-    with a peak; one peak search over the whole grid.  The branch model
-    of N ensembles has N + 1 modes."""
-    rows, positions = _refined_peaks(
-        grid.probe_frequencies, grid.amplitudes, prominence, max_peaks
-    )
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    stops = np.append(starts[1:], rows.size)
-    return [
-        (float(grid.sweep_values[rows[a]]), positions[a:b]) for a, b in zip(starts, stops)
-    ]
+def extract_branches(grid: SpectrumGrid, prominence: float, max_peaks):
+    """Polariton positions as (row index, position) arrays ordered by
+    row and position: the at most `max_peaks` most prominent maxima of
+    each grid row; one peak search over the whole grid.  The branch
+    model of N ensembles has N + 1 modes."""
+    return _refined_peaks(grid.probe_frequencies, grid.amplitudes, prominence, max_peaks)
 
 
 def _branch_modes(sweep_values, theta, tunings):
@@ -433,7 +426,6 @@ def fit_avoided_crossing(
     tuning: SpinTuning,
     other: SpinTuning | None = None,
     *,
-    init=None,
     prominence: float = DEFAULT_PROMINENCE,
     max_iter: int = MAX_ITERATIONS,
 ) -> FitResult:
@@ -442,10 +434,11 @@ def fit_avoided_crossing(
     (g, [g_other], nu_c, offset), g being the coupling of `tuning`.
 
     An ensemble whose transition never enters the probe window is left
-    out of the model, theta and init (DegenerateDataError if it is
-    `tuning`).  Each peak goes to its nearest eigenvalue, rematched
-    between LM passes as the parameters move.  Without an init, at
-    least two rows need two or more peaks.
+    out of the model and theta (DegenerateDataError if it is `tuning`).
+    At least two grid rows need two or more peaks; the smallest
+    outer-peak gap among them seeds the couplings.  Each peak goes to
+    its nearest eigenvalue, rematched between LM passes as the
+    parameters move.
     """
     _require_cells(grid)
     tunings = [t for t in (tuning, other) if t is not None and _enters_window(grid, t)]
@@ -453,25 +446,20 @@ def fit_avoided_crossing(
         raise DegenerateDataError("the fitted ensemble never enters the probe window")
     n = len(tunings)
     names = ["g", "g_other"][:n] + ["nu_c", "offset"]
-    if other is not None and n == 1 and init is not None:
-        init = np.delete(init, 1)
 
-    rows = extract_branches(grid, prominence, max_peaks=n + 1)
-    split_rows = [p for _, p in rows if p.size >= 2]
-    if init is None and len(split_rows) < 2:
+    rows, nuhat = extract_branches(grid, prominence, n + 1)
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    split = counts >= 2
+    if np.count_nonzero(split) < 2:
         raise DegenerateDataError(
             "insufficient branch coverage: need at least two rows with a "
-            "resolved polariton pair (or an explicit init)"
+            "resolved polariton pair"
         )
-    if not rows:
-        raise DegenerateDataError("no peaks above the prominence threshold")
-    svals, nuhat = np.hstack([(np.full(p.size, s), p) for s, p in rows])
+    spans = nuhat[first + counts - 1] - nuhat[first]
+    g0 = 0.5 * float(np.min(spans[split])) / math.sqrt(n)
+    theta = np.array([g0] * n + [float(np.median(nuhat)), 0.0])
 
-    if init is None:
-        g0 = 0.5 * min(float(p[-1] - p[0]) for p in split_rows) / math.sqrt(n)
-        init = [g0] * n + [float(np.median(nuhat)), 0.0]
-    theta = np.asarray(init, dtype=float)
-
+    svals = grid.sweep_values[rows]
     distinct, row_of = np.unique(svals, return_inverse=True)
 
     def match(theta_now):

@@ -29,7 +29,7 @@ from cavitybus.fitting import (
 )
 from cavitybus import fitting, transmission
 from cavitybus.spin import FieldSetting, transition_batch, transition_minus_derivative
-from cavitybus.transmission import SpectrumGrid, _row_blocks, sweep
+from cavitybus.transmission import DEFAULT_PROMINENCE, SpectrumGrid, _row_blocks, sweep
 
 CENTER = 2749.1
 
@@ -250,9 +250,12 @@ def test_branch_model_minimum_gap_is_2g(tunings):
 
 
 def test_extract_branches_keeps_two_peaks(crossing_grid):
-    rows = extract_branches(crossing_grid)
-    assert all(peaks.size <= 2 for _, peaks in rows)
-    split_rows = [s for s, peaks in rows if peaks.size == 2]
+    rows, positions = extract_branches(crossing_grid, DEFAULT_PROMINENCE, 2)
+    assert rows.shape == positions.shape
+    assert np.all(np.diff(rows) >= 0)
+    counts = np.bincount(rows)
+    assert counts.max() <= 2
+    split_rows = crossing_grid.sweep_values[np.flatnonzero(counts == 2)]
     assert 75.0 < np.median(split_rows) < 83.0
 
 
@@ -270,15 +273,6 @@ def test_avoided_crossing_leaves_out_an_ensemble_outside_the_probe_window(crossi
     assert fit_avoided_crossing(crossing_grid, *tunings).parameters == alone.parameters
     with pytest.raises(DegenerateDataError, match="probe window"):
         fit_avoided_crossing(crossing_grid, tunings[1], tunings[0])
-
-
-def test_avoided_crossing_drops_the_left_out_ensemble_from_init(crossing_grid, tunings):
-    # ensemble II never enters this grid's probe window, so its entry of
-    # a two-ensemble init is dropped
-    both = fit_avoided_crossing(crossing_grid, *tunings, init=[7.0, 5.0, CENTER, 0.0])
-    alone = fit_avoided_crossing(crossing_grid, tunings[0], init=[7.0, CENTER, 0.0])
-    assert both.converged
-    assert both == alone
 
 
 def test_avoided_crossing_magnitude_sweep(config, cavity, ens_i):
@@ -308,7 +302,8 @@ def test_avoided_crossing_split_peak_goes_to_its_nearest_mode(crossing_grid, tun
     # near 2745.8 MHz; sending one of them to the upper mode, 20 MHz
     # away, puts g 3.1% low with converged=True.
     grid = with_noise(crossing_grid, [1001, 50, 0])
-    row = dict(extract_branches(grid))[84.75]
+    rows, positions = extract_branches(grid, DEFAULT_PROMINENCE, 2)
+    row = positions[rows == np.flatnonzero(grid.sweep_values == 84.75)[0]]
     assert row.size == 2 and row[1] - row[0] < 0.3
     result = fit_avoided_crossing(grid, tunings[0])
     assert result.converged
@@ -326,18 +321,22 @@ def test_avoided_crossing_needs_split_rows(config, cavity, tunings):
         fit_avoided_crossing(grid, tunings[0])
 
 
-def test_avoided_crossing_zero_coupling_with_explicit_init(config, cavity, tunings):
-    ens = config.ensemble("i")
-    silent = type(ens)(ens.nv, ens.orientation, 1e-9, ens.spin_hwhm)
-    magnitude = config.get("field.magnitude_mt")
-    angles = np.arange(71.0, 87.0 + 1e-9, 0.5)
-    probe = np.arange(CENTER - 20.0, CENTER + 20.0 + 1e-9, 0.05)
-    grid = sweep(cavity, [silent], [FieldSetting(magnitude, a) for a in angles], probe, "angle")
-    result = fit_avoided_crossing(with_noise(grid, 0), tunings[0], init=[0.5, CENTER, 0.0])
-    assert result.converged
-    g = result.parameters["g"]
-    assert g < 0.05
-    assert g <= 3.0 * result.standard_errors["g"]
+def test_avoided_crossing_coverage_counts_rows_not_sweep_values(tunings):
+    # Rows 0 and 1 repeat the sweep value 80.0 with one peak each; only
+    # row 2 holds a pair.  Merged by sweep value, rows 0 and 1 would
+    # pass for a second row with a pair.
+    nu = tunings[0].frequencies_and_derivative([80.0, 81.0])[0]
+    probe = np.arange(nu.min() - 20.0, nu.max() + 20.0 + 1e-9, 0.1)
+
+    def bumps(*centers):
+        return sum(1.0 / (1.0 + ((probe - c) / 0.5) ** 2) for c in centers)
+
+    amps = np.vstack([bumps(nu[0] - 8.0), bumps(nu[0] + 8.0), bumps(nu[1] - 8.0, nu[1] + 8.0)])
+    grid = SpectrumGrid(probe, [80.0, 80.0, 81.0], 0.01 + amps, "angle")
+    rows, _ = extract_branches(grid, DEFAULT_PROMINENCE, 2)
+    assert rows.tolist() == [0, 1, 2, 2]
+    with pytest.raises(DegenerateDataError, match="insufficient branch coverage"):
+        fit_avoided_crossing(grid, tunings[0])
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +683,7 @@ def test_small_models_return_the_gram_matrix_of_their_jacobian(tunings):
 def test_branch_modes_per_distinct_row_match_one_solve_per_peak(crossing_grid, tunings):
     # fit_avoided_crossing matches peaks to modes from one solve per
     # distinct sweep value; every peak of a row sees the same modes.
-    svals = np.array([s for s, peaks in extract_branches(crossing_grid) for _ in peaks])
+    svals = crossing_grid.sweep_values[extract_branches(crossing_grid, DEFAULT_PROMINENCE, 2)[0]]
     distinct, row_of = np.unique(svals, return_inverse=True)
     assert distinct.size < svals.size
     for tun, theta in ((tunings[:1], [7.4, CENTER + 0.2, 0.1]),

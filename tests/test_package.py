@@ -197,4 +197,5 @@ def test_benchmark_tracer_reads_every_model_call_of_both_grid_fits():
     metrics = tracer.metrics()
     assert metrics["fitting.model_evals"] > 0
     assert metrics["fitting.fits"] >= 2
+    assert metrics["fitting.branches_s"] > 0
     assert 0 < metrics["fitting.model_bytes"] < 2 * grid.amplitudes.size * 8

@@ -269,16 +269,12 @@ def test_extract_branches_across_block_edges_equals_per_row_peak_positions():
     amps[70] = 0.5  # a flat row has no peak and is left out
     grid = SpectrumGrid(xs, np.arange(amps.shape[0], dtype=float), amps, "angle")
     for max_peaks in (None, 1, 2, 3):
-        rows = extract_branches(grid, 0.05, max_peaks)
-        want = [
-            (float(s), peaks)
-            for s, row in zip(grid.sweep_values, amps)
-            if (peaks := peak_positions(xs, row, 0.05, max_peaks)).size
-        ]
-        assert [s for s, _ in rows] == [s for s, _ in want]
-        assert 70.0 not in [s for s, _ in rows]
-        for (_, got), (_, exp) in zip(rows, want):
-            assert got.tobytes() == exp.tobytes()
+        rows, positions = extract_branches(grid, 0.05, max_peaks)
+        by_row = [peak_positions(xs, row, 0.05, max_peaks) for row in amps]
+        want = np.concatenate([np.full(p.size, k) for k, p in enumerate(by_row)])
+        assert np.array_equal(rows, want)
+        assert 70 not in rows
+        assert positions.tobytes() == np.concatenate(by_row).tobytes()
 
 
 def test_max_peaks_ties_resolve_toward_lower_frequency_in_every_row():
@@ -296,8 +292,8 @@ def test_max_peaks_ties_resolve_toward_lower_frequency_in_every_row():
     }
     grid = SpectrumGrid(xs, np.arange(3.0), rows)
     for max_peaks, want in kept.items():
-        branches = extract_branches(grid, 0.05, max_peaks)
-        assert [peaks.tolist() for _, peaks in branches] == want
+        peak_rows, positions = extract_branches(grid, 0.05, max_peaks)
+        assert [positions[peak_rows == k].tolist() for k in range(3)] == want
         for row, peaks in zip(rows, want):
             assert peak_positions(xs, row, 0.05, max_peaks).tolist() == peaks
 
