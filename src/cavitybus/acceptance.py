@@ -245,7 +245,7 @@ def criterion_linewidth(config) -> CriterionResult:
     ens_i = config.ensemble("i")
     probe = np.arange(cavity.center - 25.0, cavity.center + 25.0 + 1e-9, 0.01)
     row = np.abs(s21(probe, cavity, [(ens_i, cavity.center)]))
-    result = fit_polariton_width(probe, row, which="upper")
+    result = fit_polariton_width(probe, row)
     width = result.parameters["hwhm"]
     passed = abs(width - 2.45) <= 0.05
     return CriterionResult(

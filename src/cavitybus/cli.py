@@ -8,9 +8,7 @@ validation error, 3 numerical failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import logging
 import math
 import sys
@@ -26,7 +24,9 @@ from .dispersive import (
 )
 from .errors import NumericalError, ValidationError
 from .fitting import SpinTuning, fit_avoided_crossing, fit_full_transmission, fit_lorentzian
-from .gridio import atomic_write_text, read_grid, write_fit_json, write_grid, write_signal, write_table
+from .gridio import (
+    atomic_write_text, json_document, read_grid, write_fit_json, write_grid, write_signal, write_table,
+)
 from .spin import FieldSetting, _solve, sweep_fields
 from .transmission import sweep
 from . import acceptance
@@ -234,7 +234,6 @@ def _cmd_dispersive(args, config) -> int:
         "detuning_i_mhz": model.detuning_i,
         "detuning_ii_mhz": model.detuning_ii,
         "u_coupling_mhz": model.u_coupling,
-        "meta": {"tool": "cavitybus", "version": __version__, "config_hash": config.hash},
     }
     for label, (frequency, vector, weight) in zip(("bright", "dark"), modes):
         report[label] = {
@@ -242,7 +241,7 @@ def _cmd_dispersive(args, config) -> int:
             "vector": [float(x) for x in vector],
             "drive_weight": weight,
         }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json_document(report, config.hash)
     if args.report:
         atomic_write_text(args.report, text)
     else:
@@ -305,8 +304,7 @@ def _cmd_fit(args, config) -> int:
             grid, tun_i, tun_ii, prominence=prominence, max_iter=max_iter
         )
 
-    result = dataclasses.replace(result, provenance={"input": str(args.infile), "mode": args.mode})
-    write_fit_json(args.out, result, config.hash)
+    write_fit_json(args.out, result, config.hash, {"input": str(args.infile), "mode": args.mode})
     if not result.converged:
         log.warning("fit did not converge after %d iterations", result.iterations)
         return EXIT_NUMERICAL
@@ -364,11 +362,9 @@ _COMMANDS = {
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # the level is set on every call: basicConfig acts only on the first
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("cavitybus").setLevel(logging.INFO if args.verbose else logging.WARNING)
     if args.command is None:
         raise UsageError("missing subcommand")
     _check_float_flags(args)

@@ -171,8 +171,9 @@ def _parse_value(key: str, spec: _KeySpec, raw: str, line_no: int, factor: float
 
 
 def _check_value(key: str, spec: _KeySpec, value, where: str, shown=None):
-    """Kind and min/max check of a typed value from a file or `with_updates`;
-    errors name `where` and quote `shown` (the file text) or the value."""
+    """Kind and min/max check of a typed value from a file or `with_updates`,
+    returned as a Python float for a float key; errors name `where` and
+    quote `shown` (the file text) or the value."""
     got = repr(value if shown is None else shown)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     integer = number and isinstance(value, int)
@@ -193,7 +194,7 @@ def _check_value(key: str, spec: _KeySpec, value, where: str, shown=None):
         raise ConfigError(f"{where}: value {value!r} below minimum {spec.minimum}")
     if spec.maximum is not None and value > spec.maximum:
         raise ConfigError(f"{where}: value {value!r} above maximum {spec.maximum}")
-    return value
+    return float(value) if spec.kind == "float" else value
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ Jacobian; its only grid-sized arrays are the values and the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,7 @@ GAMMA_SEED = 3.0  # MHz, where a full fit without init starts both spin widths
 class FitResult:
     """Converged parameter set with linearized standard errors.
 
-    `history` records the residual norm after every accepted step;
-    `provenance` carries run metadata such as the input file.
+    `history` records the residual norm after every accepted step.
     """
 
     parameters: dict
@@ -76,7 +75,6 @@ class FitResult:
     iterations: int
     converged: bool
     history: tuple = ()
-    provenance: dict = dataclass_field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +288,32 @@ def _half_power_crossings(xs, power, peak_index):
     """Interpolated positions left/right of the peak where the power
     drops to half its peak value."""
     half = 0.5 * power[peak_index]
-    i = peak_index
-    while i + 1 < power.size and power[i] > half:
-        i += 1
-    if power[i] > half:
-        raise DegenerateDataError("peak has no right half-power crossing in range")
-    right = float(np.interp(half, [power[i], power[i - 1]], [xs[i], xs[i - 1]]))
-    i = peak_index
-    while i - 1 >= 0 and power[i] > half:
-        i -= 1
-    if power[i] > half:
-        raise DegenerateDataError("peak has no left half-power crossing in range")
-    left = float(np.interp(half, [power[i], power[i + 1]], [xs[i], xs[i + 1]]))
-    return left, right
+
+    def crossing(step, side):
+        i = peak_index
+        while 0 <= i + step < power.size and power[i] > half:
+            i += step
+        if power[i] > half:
+            raise DegenerateDataError(f"peak has no {side} half-power crossing in range")
+        return float(np.interp(half, [power[i], power[i - step]], [xs[i], xs[i - step]]))
+
+    right = crossing(1, "right")
+    return crossing(-1, "left"), right
 
 
-def fit_polariton_width(probe, magnitudes, which: str = "upper") -> FitResult:
-    """Lorentzian HWHM of one polariton peak of an |S21| row.
+def fit_polariton_width(probe, magnitudes) -> FitResult:
+    """Lorentzian HWHM of the upper polariton peak of an |S21| row.
 
-    The fit runs on power (|S21|^2) over the half-power region of the
-    selected peak padded by one direct half-width on each side, which
-    keeps the estimate insensitive to the other polariton's tail.
+    The fit runs on power (|S21|^2) over the peak's half-power region
+    padded by one direct half-width on each side, which keeps the
+    estimate insensitive to the other polariton's tail.
     """
-    if which not in ("upper", "lower"):
-        raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
     xs = np.asarray(probe, dtype=float)
     power = np.abs(magnitudes) ** 2
     peaks = peak_positions(xs, magnitudes)
     if peaks.size == 0:
         raise DegenerateDataError("no peak above the prominence threshold")
-    center = float(peaks[-1] if which == "upper" else peaks[0])
+    center = float(peaks[-1])
     idx = int(np.argmin(np.abs(xs - center)))
     left, right = _half_power_crossings(xs, power, idx)
     width = 0.5 * (right - left)

@@ -1,4 +1,4 @@
-"""File formats: CSV spectrum grids and tables, JSON fit results.
+"""File formats: CSV spectrum grids and tables, JSON fit results and reports.
 
 Grid files are UTF-8 CSV with comment lines carrying provenance (tool
 version, config hash, fixed sweep coordinates), a header line
@@ -9,6 +9,8 @@ then one line of probe frequencies and one line per sweep value holding
 the sweep value followed by the |S21| row.  Floats are written with 9
 significant digits, so read(write(grid)) reproduces |S21| to 1e-8
 relative, as float64.  All writes go through a temp file plus rename.
+A JSON document (a fit result, the mode report) comes from `json_document`,
+whose `meta` object carries the version and config hash.
 
 The writers format a block of rows at a time.  Cells in [1e-4, 1),
 nearly every |S21| cell, are converted together by numpy arithmetic;
@@ -242,6 +244,8 @@ def read_grid(path) -> tuple:
                 if line is None:
                     raise GridFormatError(f"{source}: missing probe-frequency line")
                 probe = _parse_row(line.rstrip("\n"), cols, source, "probe line")
+                if np.any(np.diff(probe) <= 0):
+                    raise GridFormatError(f"{source}: probe frequencies are not strictly increasing")
             start = handle.tell()
             table = _load_table(handle, (rows, cols + 1))
             if table is None:
@@ -327,14 +331,18 @@ def write_table(
     atomic_write_text(path, "".join(parts))
 
 
-def write_fit_json(path, result: FitResult, config_hash: str | None = None) -> None:
-    """Serialize a FitResult; tool version and config hash ride along in
-    the meta object (JSON carries no comments)."""
+def json_document(payload: dict, config_hash: str | None = None) -> str:
+    """JSON text of `payload` plus `meta`: indent 2, sorted keys, final newline."""
+    meta = {"tool": "cavitybus", "version": __version__, "config_hash": config_hash or "none"}
+    return json.dumps({**payload, "meta": meta}, indent=2, sort_keys=True) + "\n"
+
+
+def write_fit_json(
+    path, result: FitResult, config_hash: str | None = None, provenance: dict | None = None
+) -> None:
+    """Serialize a FitResult without its history; `provenance` (run
+    metadata such as the input file) is written alongside it."""
     payload = asdict(result)
     del payload["history"]
-    payload["meta"] = {
-        "tool": "cavitybus",
-        "version": __version__,
-        "config_hash": config_hash if config_hash else "none",
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload["provenance"] = provenance or {}
+    atomic_write_text(path, json_document(payload, config_hash))

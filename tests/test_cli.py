@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,27 @@ def test_unreadable_config_is_validation_error(tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_verbose_flag_holds_for_each_call_in_one_interpreter(tmp_path):
+    # A fresh interpreter, because pytest's log handlers would make the
+    # CLI's logging.basicConfig a no-op here.
+    script = (
+        "import sys\n"
+        "from cavitybus.cli import main\n"
+        "for flags in ([], ['-v'], []):\n"
+        "    print('--', file=sys.stderr, flush=True)\n"
+        "    main(flags + ['transitions', '--angles', '0:2:1', '--out', sys.argv[1]])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cavitybus.__file__).resolve().parents[1])
+    err = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "levels.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stderr
+    quiet, verbose, quiet_again = err.split("--\n")[1:]
+    assert quiet == quiet_again == ""
+    assert "INFO cavitybus.cli: wrote " in verbose
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +591,25 @@ def _edited_grid(old="", new="", row=None):
     return setup
 
 
+def _reordered_grid(order):
+    """Setup: the unedited grid with its 161 probe columns, in the probe
+    line and in every data row, put in the given order."""
+
+    def setup(tmp_path):
+        argv = _edited_grid()(tmp_path)
+        path = tmp_path / "grid.csv"
+        lines = path.read_text().splitlines()
+        for k, line in enumerate(lines):
+            if not line.startswith("#"):
+                cells = line.split(",")
+                lead, probe = cells[:-161], cells[-161:]
+                lines[k] = ",".join(lead + [probe[j] for j in order])
+        path.write_text("\n".join(lines) + "\n")
+        return argv
+
+    return setup
+
+
 def _added_config(line):
     """Setup: the default config with one line added."""
 
@@ -715,6 +758,17 @@ INVALID_INPUTS = {
     "grid-fixed-missing": (
         ["fit", "full"], _edited_grid("fixed_magnitude_mt=7.69336558", ""),
         "grid lacks a finite fixed_magnitude_mt comment",
+    ),
+    # the peak search and the half-power walk take file neighbours for
+    # frequency neighbours
+    "grid-probe-descending": (
+        ["fit", "full"], _reordered_grid(range(160, -1, -1)),
+        "grid.csv: probe frequencies are not strictly increasing",
+    ),
+    "grid-probe-shuffled": (
+        ["fit", "lorentzian", "--row", "20"],
+        _reordered_grid(np.random.default_rng(1).permutation(161)),
+        "grid.csv: probe frequencies are not strictly increasing",
     ),
     "grid-sweep-kind-unknown": (
         ["fit", "full"], _edited_grid("sweep_kind=angle", "sweep_kind=foo"),

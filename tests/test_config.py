@@ -2,6 +2,7 @@ import logging
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavitybus
@@ -155,6 +156,14 @@ def test_with_updates_changes_hash(config):
     updated = config.with_updates({"field.magnitude_mt": 5.0})
     assert updated.hash != config.hash
     assert updated.get("field.magnitude_mt") == 5.0
+
+
+@pytest.mark.parametrize("value", [2749, np.float64(2749.0)])
+def test_with_updates_stores_a_float_key_as_a_python_float(config, value):
+    # an equal value gives the same hash as the parsed dump
+    updated = config.with_updates({"cavity.center_mhz": value})
+    assert type(updated.get("cavity.center_mhz")) is float
+    assert updated.hash == parse_config_text(updated.dump(), source="<dump>").hash
 
 
 @pytest.mark.parametrize(

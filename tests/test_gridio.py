@@ -219,10 +219,9 @@ def test_fit_json(tmp_path):
         residual_norm=0.1,
         iterations=9,
         converged=True,
-        provenance={"seed": 3},
     )
     path = tmp_path / "fit.json"
-    write_fit_json(path, result, config_hash="beef")
+    write_fit_json(path, result, config_hash="beef", provenance={"seed": 3})
     payload = json.loads(path.read_text())
     assert payload["parameters"]["g"] == 7.5
     assert payload["standard_errors"]["g"] == 0.01

@@ -456,7 +456,7 @@ def test_grid_rejects_non_numeric_amplitudes():
 def test_polariton_width_matched_resonance(cavity, ens_i):
     probe = probe_grid(half=25.0, step=0.01)
     row = np.abs(s21(probe, cavity, [(ens_i, CENTER)]))
-    width = fit_polariton_width(probe, row, which="upper").parameters["hwhm"]
+    width = fit_polariton_width(probe, row).parameters["hwhm"]
     assert width == pytest.approx(0.5 * (cavity.total_hwhm + ens_i.spin_hwhm), abs=0.05)
     assert width == pytest.approx(2.45, abs=0.05)
 
@@ -464,16 +464,8 @@ def test_polariton_width_matched_resonance(cavity, ens_i):
 def test_polariton_width_second_ensemble(cavity, ens_ii):
     probe = probe_grid(half=25.0, step=0.01)
     row = np.abs(s21(probe, cavity, [(ens_ii, CENTER)]))
-    width = fit_polariton_width(probe, row, which="lower").parameters["hwhm"]
+    width = fit_polariton_width(probe, row).parameters["hwhm"]
     assert width == pytest.approx(0.5 * (cavity.total_hwhm + ens_ii.spin_hwhm), abs=0.1)
-
-
-@pytest.mark.parametrize("which", ["Upper", ""])
-def test_polariton_width_rejects_an_unknown_peak(cavity, ens_i, which):
-    probe = probe_grid(half=25.0, step=0.01)
-    row = np.abs(s21(probe, cavity, [(ens_i, CENTER)]))
-    with pytest.raises(ValueError, match="which must be 'upper' or 'lower'"):
-        fit_polariton_width(probe, row, which=which)
 
 
 def test_collective_row_width_recorded(cavity, ens_i, ens_ii):
@@ -482,5 +474,5 @@ def test_collective_row_width_recorded(cavity, ens_i, ens_ii):
     # narrowing that this model intentionally does not include.
     probe = probe_grid(half=25.0, step=0.01)
     row = np.abs(s21(probe, cavity, [(ens_i, CENTER), (ens_ii, CENTER)]))
-    width = fit_polariton_width(probe, row, which="upper").parameters["hwhm"]
+    width = fit_polariton_width(probe, row).parameters["hwhm"]
     assert 2.0 < width < 3.0
