@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.14"
+__version__ = "0.1.15"
 
 from .coupled import (
     CavitySpec,
@@ -11,7 +11,6 @@ from .coupled import (
 )
 from .dispersive import (
     DispersiveModel,
-    PumpProbeSignal,
     build_dispersive_model,
     dispersive_shift,
     dispersive_spin_modes,
@@ -50,7 +49,6 @@ __all__ = [
     "FieldSetting",
     "FitResult",
     "NVParameters",
-    "PumpProbeSignal",
     "SpectrumGrid",
     "SpinTuning",
     "build_dispersive_model",

@@ -30,6 +30,7 @@ from .dispersive import (
     pump_probe_signal,
 )
 from .fitting import (
+    _FULL_NAMES,
     SpinTuning,
     fit_avoided_crossing,
     fit_full_transmission,
@@ -181,8 +182,8 @@ def _count_pump_peaks(config, angle, signs, threshold=0.10):
     field = FieldSetting(config.get("field.dispersive_magnitude_mt"), angle)
     model = build_dispersive_model(cavity, ens_i, ens_ii, field)
     pump = derived_pump_range(dispersive_spin_modes(model))
-    signal = pump_probe_signal(model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump)
-    return peak_positions(pump, -signal.shift, threshold).size
+    shift = pump_probe_signal(model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump)
+    return peak_positions(pump, -shift, threshold).size
 
 
 def criterion_selection_rule(config) -> CriterionResult:
@@ -274,69 +275,58 @@ def _noisy(grid, seed, level=0.01):
     return SpectrumGrid(grid.probe_frequencies, grid.sweep_values, noisy, grid.sweep_kind)
 
 
-def fit_roundtrip_errors(config):
-    """Monte-Carlo round-trip errors for both grid fits under 1%
-    multiplicative noise; returns (avoided g errors, full-fit error
-    dict), the errors as arrays over 100 noise seeds."""
+def _fit_system(config):
+    """Criterion 9's system: the cavity, both ensembles, their angle
+    tunings at the configured field magnitude, and the true full-fit
+    parameters keyed by `fitting._FULL_NAMES` (offset 0)."""
     cavity = config.cavity()
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
     magnitude = config.get("field.magnitude_mt")
-    tun_i = SpinTuning.from_ensemble(ens_i, "angle", magnitude)
-    tun_ii = SpinTuning.from_ensemble(ens_ii, "angle", magnitude)
+    tunings = tuple(SpinTuning.from_ensemble(e, "angle", magnitude) for e in (ens_i, ens_ii))
+    true_values = (
+        ens_i.coupling, ens_ii.coupling, cavity.total_hwhm,
+        ens_i.spin_hwhm, ens_ii.spin_hwhm, cavity.center, 0.0,
+    )
+    return cavity, (ens_i, ens_ii), tunings, dict(zip(_FULL_NAMES, true_values))
+
+
+def fit_roundtrip_errors(config):
+    """Monte-Carlo round-trip errors for both grid fits under 1%
+    multiplicative noise; returns (avoided g errors, full-fit error
+    dict), the errors as arrays over 100 noise seeds."""
+    cavity, ensembles, (tun_i, tun_ii), truth = _fit_system(config)
 
     angles = np.arange(71.0, 87.0 + 1e-9, 0.25)
     probe = np.arange(cavity.center - 20.0, cavity.center + 20.0 + 1e-9, 0.1)
-    fields = [FieldSetting(magnitude, a) for a in angles]
-    crossing_grid = sweep(cavity, [ens_i], fields, probe, "angle")
+    fields = [FieldSetting(tun_i.fixed, a) for a in angles]
+    crossing_grid = sweep(cavity, ensembles[:1], fields, probe, "angle")
 
     angles_full = np.arange(10.0, 90.0 + 1e-9, 1.0)
     probe_full = np.arange(cavity.center - 30.0, cavity.center + 30.0 + 1e-9, 0.25)
-    fields_full = [FieldSetting(magnitude, a) for a in angles_full]
-    full_grid = sweep(cavity, [ens_i, ens_ii], fields_full, probe_full, "angle")
-    truth = np.array(
-        [
-            ens_i.coupling,
-            ens_ii.coupling,
-            cavity.total_hwhm,
-            ens_i.spin_hwhm,
-            ens_ii.spin_hwhm,
-            cavity.center,
-            0.0,
-        ]
-    )
-    init = truth * np.array([1.2, 0.8, 1.2, 0.8, 1.2, 1.0, 1.0])
+    fields_full = [FieldSetting(tun_i.fixed, a) for a in angles_full]
+    full_grid = sweep(cavity, ensembles, fields_full, probe_full, "angle")
+    init = np.array(list(truth.values())) * [1.2, 0.8, 1.2, 0.8, 1.2, 1.0, 1.0]
     init[6] = 0.3
 
     g_errors = []
     full_errors = {"g_i": [], "g_ii": [], "kappa": []}
     for seed in range(100):
         res = fit_avoided_crossing(_noisy(crossing_grid, seed), tun_i)
-        g_errors.append(abs(res.parameters["g"] - ens_i.coupling) / ens_i.coupling)
+        g_errors.append(abs(res.parameters["g"] - truth["g_i"]) / truth["g_i"])
 
         res_full = fit_full_transmission(
             _noisy(full_grid, 10_000 + seed), tun_i, tun_ii, init=init
         )
-        for key, true_value in (
-            ("g_i", ens_i.coupling),
-            ("g_ii", ens_ii.coupling),
-            ("kappa", cavity.total_hwhm),
-        ):
-            full_errors[key].append(
-                abs(res_full.parameters[key] - true_value) / true_value
-            )
+        for key, errors in full_errors.items():
+            errors.append(abs(res_full.parameters[key] - truth[key]) / truth[key])
     return np.asarray(g_errors), {k: np.asarray(v) for k, v in full_errors.items()}
 
 
 def shipped_model_jacobian_deviations(config):
     """jacobian_check on every model shipped with an analytic Jacobian,
     evaluated at physical operating points with 1e-6 MHz steps."""
-    cavity = config.cavity()
-    ens_i = config.ensemble("i")
-    ens_ii = config.ensemble("ii")
-    magnitude = config.get("field.magnitude_mt")
-    tun_i = SpinTuning.from_ensemble(ens_i, "angle", magnitude)
-    tun_ii = SpinTuning.from_ensemble(ens_ii, "angle", magnitude)
+    cavity, _, (tun_i, tun_ii), truth = _fit_system(config)
 
     xs = np.linspace(cavity.center - 10.0, cavity.center + 10.0, 81)
     sv = np.linspace(71.0, 87.0, 17)
@@ -357,23 +347,15 @@ def shipped_model_jacobian_deviations(config):
         ),
         "avoided_crossing": jacobian_check(
             avoided_crossing_model(sv, np.arange(17) % 2, [tun_i]),
-            [ens_i.coupling, cavity.center, 0.3],
+            [truth["g_i"], truth["nu_c"], 0.3],
         ),
         "avoided_crossing_two": jacobian_check(
             avoided_crossing_model(sv_wide, np.append(np.arange(17) % 3, 1), [tun_i, tun_ii]),
-            [ens_i.coupling, ens_ii.coupling, cavity.center, 0.0],
+            [truth["g_i"], truth["g_ii"], truth["nu_c"], 0.0],
         ),
         "transmission": jacobian_check(
             transmission_model(probe, sv, tun_i, tun_ii),
-            [
-                ens_i.coupling,
-                ens_ii.coupling,
-                cavity.total_hwhm,
-                ens_i.spin_hwhm,
-                ens_ii.spin_hwhm,
-                cavity.center,
-                0.2,
-            ],
+            list({**truth, "offset": 0.2}.values()),
         ),
     }
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, format_float
 from .errors import BracketError, NumericalError, ValidationError
 from .spin import CrystalOrientation, transition_batch
 
@@ -63,10 +63,8 @@ class CalibrationResult:
         return {
             "ensemble_i.azimuth_deg": round(self.azimuth_i, 6) % 360.0,
             "ensemble_ii.azimuth_deg": round(self.azimuth_ii, 6) % 360.0,
-            "field.magnitude_mt": float(f"{self.magnitude:.9g}"),
-            "field.dispersive_magnitude_mt": float(
-                f"{self.dispersive_magnitude:.9g}"
-            ),
+            "field.magnitude_mt": float(format_float(self.magnitude)),
+            "field.dispersive_magnitude_mt": float(format_float(self.dispersive_magnitude)),
         }
 
 

@@ -221,10 +221,8 @@ def _cmd_dispersive(args, config) -> int:
     model = build_dispersive_model(config.cavity(), ens_i, ens_ii, field, floor)
     modes = dispersive_spin_modes(model)
     pump = range_values(args.pump, key="--pump") if args.pump else derived_pump_range(modes)
-    signal = pump_probe_signal(
-        model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump, width=args.width
-    )
-    write_signal(args.out, signal, config.hash, extra)
+    shift = pump_probe_signal(model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump, width=args.width)
+    write_signal(args.out, pump, shift, config.hash, extra)
 
     report = {
         "angle_deg": field.angle,

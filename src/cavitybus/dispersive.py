@@ -46,7 +46,6 @@ from .spin import FieldSetting
 __all__ = [
     "DEFAULT_FLOOR",
     "DispersiveModel",
-    "PumpProbeSignal",
     "dispersive_shift",
     "ensemble_ensemble_coupling",
     "build_dispersive_model",
@@ -94,14 +93,6 @@ class DispersiveModel:
         u_block = -s_i * s_ii * self.u_coupling
         diag_i, diag_ii = self.transition_i - self.chi_i, self.transition_ii - self.chi_ii
         return np.array([[diag_i, u_block], [u_block, diag_ii]])
-
-
-@dataclass(frozen=True)
-class PumpProbeSignal:
-    """Cavity-pull signal versus pump frequency (equal-length arrays)."""
-
-    pump_frequencies: np.ndarray
-    shift: np.ndarray
 
 
 def dispersive_shift(g: float, delta: float) -> float:
@@ -198,8 +189,8 @@ def dispersive_spin_modes(model: DispersiveModel) -> tuple:
 
 def pump_probe_signal(
     model: DispersiveModel, spin_hwhm: tuple, pump_frequencies, width: float | None = None
-) -> PumpProbeSignal:
-    """Cavity-shift signal of a built model versus pump frequency.
+) -> np.ndarray:
+    """Cavity shift (MHz) of a built model at each pump frequency.
 
     Each dispersive spin mode contributes a unit-peak Lorentzian at its
     frequency, scaled by its drive weight and its chi-weighted mode
@@ -216,7 +207,7 @@ def pump_probe_signal(
         if hwhm is None:
             hwhm = spin_hwhm[0] * vec[0] ** 2 + spin_hwhm[1] * vec[1] ** 2
         shift -= weight * pull * (hwhm**2 / ((pump - freq) ** 2 + hwhm**2))
-    return PumpProbeSignal(pump, shift)
+    return shift
 
 
 def derived_pump_range(modes) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupled import EnsembleSpec, collective_modes
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, ValidationError
 from .spin import CrystalOrientation, NVParameters, _solve, sweep_fields
 from .transmission import (
     DEFAULT_PROMINENCE,
@@ -360,6 +360,8 @@ def _require_cells(grid: SpectrumGrid):
             f"empty grid ({grid.sweep_values.size} rows, "
             f"{grid.probe_frequencies.size} columns): nothing to fit"
         )
+    if np.any(np.diff(grid.probe_frequencies) <= 0):  # the rule read_grid applies to files
+        raise ValidationError("probe frequencies are not strictly increasing")
     finite = np.isfinite(grid.amplitudes)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

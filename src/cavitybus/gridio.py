@@ -8,7 +8,9 @@ version, config hash, fixed sweep coordinates), a header line
 then one line of probe frequencies and one line per sweep value holding
 the sweep value followed by the |S21| row.  Floats are written with 9
 significant digits, so read(write(grid)) reproduces |S21| to 1e-8
-relative, as float64.  All writes go through a temp file plus rename.
+relative, as float64.  A table file has the same comment lines, a
+`# columns=<names>` header and one line per row.  All writes go
+through a temp file plus rename.
 A JSON document (a fit result, the mode report) comes from `json_document`,
 whose `meta` object carries the version and config hash.
 
@@ -23,6 +25,7 @@ bytes are those of `config.format_float`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import re
@@ -34,9 +37,7 @@ import numpy as np
 
 from . import __version__
 from .config import FLOAT_SPEC
-from .dispersive import PumpProbeSignal
-from .errors import GridFormatError
-from .fitting import FitResult
+from .errors import GridFormatError, ValidationError
 from .transmission import SpectrumGrid, _row_blocks
 
 __all__ = [
@@ -65,26 +66,21 @@ class GridMeta:
 
 def atomic_write_text(path, text: str) -> None:
     """Write text via a temporary file in the target directory plus
-    rename, so readers never observe a partial file."""
+    rename, so readers never observe a partial file.  A path that cannot
+    be written raises ValidationError."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cavitybus-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cavitybus-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # gone once renamed
             os.unlink(tmp)
-        raise
-
-
-def _provenance_lines(config_hash: str | None, extra: dict | None) -> list:
-    lines = [f"# cavitybus {__version__}"]
-    lines.append(f"# config_hash={config_hash if config_hash else 'none'}")
-    for key in sorted(extra or {}):
-        lines.append(f"# {key}={extra[key]}")
-    return lines
 
 
 # The vectorized writer.  A cell x in [1e-4, 1) with e = floor(log10 x)
@@ -176,20 +172,30 @@ def _format_rows(table: np.ndarray) -> str:
     return "".join(pieces)
 
 
+def _csv_text(header: str, blocks, config_hash: str | None, extra: dict | None) -> str:
+    """The text of a grid or table file: the provenance comments, the
+    `header` comment, the CSV lines of each 2-D block of `blocks` and a
+    final newline."""
+    lines = [f"# cavitybus {__version__}", f"# config_hash={config_hash or 'none'}"]
+    lines.extend(f"# {key}={extra[key]}" for key in sorted(extra or {}))
+    lines.append(header)
+    parts = ["\n".join(lines)]
+    parts.extend(map(_format_rows, blocks))
+    parts.append("\n")
+    return "".join(parts)
+
+
 def grid_to_text(
     grid: SpectrumGrid, config_hash: str | None = None, extra: dict | None = None
 ) -> str:
     rows, cols = grid.amplitudes.shape
-    lines = _provenance_lines(config_hash, extra)
-    lines.append(f"# sweep_kind={grid.sweep_kind}, rows={rows}, cols={cols}")
-    parts = ["\n".join(lines)]
-    if cols:
-        parts.append(_format_rows(grid.probe_frequencies[np.newaxis]))
-    for block in _row_blocks(rows, cols + 1):
-        cells = np.column_stack((grid.sweep_values[block], grid.amplitudes[block]))
-        parts.append(_format_rows(cells))
-    parts.append("\n")
-    return "".join(parts)
+    probe = [grid.probe_frequencies[np.newaxis]] if cols else []
+    cells = (
+        np.column_stack((grid.sweep_values[block], grid.amplitudes[block]))
+        for block in _row_blocks(rows, cols + 1)
+    )
+    header = f"# sweep_kind={grid.sweep_kind}, rows={rows}, cols={cols}"
+    return _csv_text(header, itertools.chain(probe, cells), config_hash, extra)
 
 
 def write_grid(
@@ -303,11 +309,10 @@ def _parse_row(line, expected, source, label):
 
 
 def write_signal(
-    path, signal: PumpProbeSignal, config_hash: str | None = None, extra: dict | None = None
+    path, pump, shift, config_hash: str | None = None, extra: dict | None = None
 ) -> None:
     """Two-column CSV of a pump-probe cavity-shift trace."""
-    columns = {"pump_mhz": signal.pump_frequencies, "shift_mhz": signal.shift}
-    write_table(path, columns, config_hash, extra)
+    write_table(path, {"pump_mhz": pump, "shift_mhz": shift}, config_hash, extra)
 
 
 def write_table(
@@ -322,13 +327,9 @@ def write_table(
     length = arrays[0].size
     if any(a.size != length for a in arrays):
         raise ValueError("all columns must have equal length")
-    lines = _provenance_lines(config_hash, extra)
-    lines.append("# columns=" + ",".join(names))
     table = np.column_stack(arrays)
-    parts = ["\n".join(lines)]
-    parts.extend(_format_rows(table[block]) for block in _row_blocks(*table.shape))
-    parts.append("\n")
-    atomic_write_text(path, "".join(parts))
+    blocks = (table[block] for block in _row_blocks(*table.shape))
+    atomic_write_text(path, _csv_text("# columns=" + ",".join(names), blocks, config_hash, extra))
 
 
 def json_document(payload: dict, config_hash: str | None = None) -> str:
@@ -338,10 +339,10 @@ def json_document(payload: dict, config_hash: str | None = None) -> str:
 
 
 def write_fit_json(
-    path, result: FitResult, config_hash: str | None = None, provenance: dict | None = None
+    path, result, config_hash: str | None = None, provenance: dict | None = None
 ) -> None:
-    """Serialize a FitResult without its history; `provenance` (run
-    metadata such as the input file) is written alongside it."""
+    """Serialize a `fitting.FitResult` without its history; `provenance`
+    (run metadata such as the input file) is written alongside it."""
     payload = asdict(result)
     del payload["history"]
     payload["provenance"] = provenance or {}

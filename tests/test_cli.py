@@ -795,6 +795,31 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, setup, mess
     assert not out.exists()
 
 
+# each writer, with the flag that names the file it writes
+UNWRITABLE_OUTPUTS = {
+    "sweep": (["sweep-angle", "--angles", "0:2:1", "--probe", "2740:2760:1"], _default_config, "--out"),
+    "table": (["transitions", "--angles", "0:2:1"], _default_config, "--out"),
+    "calibrate": (["calibrate"], _default_config, "--out"),
+    "fit": (["fit", "lorentzian"], _edited_grid(), "--out"),
+    "dispersive-report": (DISPERSIVE, _default_config, "--report"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, setup, flag", UNWRITABLE_OUTPUTS.values(), ids=list(UNWRITABLE_OUTPUTS)
+)
+def test_output_in_a_missing_directory_exits_2_with_one_line(tmp_path, capsys, argv, setup, flag):
+    extra = setup(tmp_path)
+    capsys.readouterr()
+    target = tmp_path / "missing" / "out"
+    outputs = {"--out": str(tmp_path / "out.csv"), flag: str(target)}
+    code = main(argv + extra + [word for pair in outputs.items() for word in pair])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -8,7 +8,7 @@ import pytest
 
 from cavitybus.calibrate import _find_root
 from cavitybus.config import range_values
-from cavitybus.errors import DegenerateDataError
+from cavitybus.errors import DegenerateDataError, ValidationError
 from cavitybus.fitting import (
     _FULL_NAMES,
     SpinTuning,
@@ -410,6 +410,18 @@ def test_grid_fits_reject_a_non_finite_cell(full_grid, tunings, fit, cell):
         bad = dataclasses.replace(grid, amplitudes=amplitudes)
         with pytest.raises(DegenerateDataError, match="non-finite grid cell in row 40, column 17"):
             fit(bad, *tunings)
+
+
+@pytest.mark.parametrize("fit", [fit_avoided_crossing, fit_full_transmission])
+def test_grid_fits_reject_a_descending_probe_axis(full_grid, tunings, fit):
+    # the rule read_grid applies to a file holds for a grid built in memory
+    reversed_grid = dataclasses.replace(
+        full_grid,
+        probe_frequencies=full_grid.probe_frequencies[::-1],
+        amplitudes=full_grid.amplitudes[:, ::-1],
+    )
+    with pytest.raises(ValidationError, match="probe frequencies are not strictly increasing"):
+        fit(reversed_grid, *tunings)
 
 
 def test_cold_full_fit_on_the_default_grid(config, cavity, ens_i, ens_ii, tunings):

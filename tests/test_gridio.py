@@ -7,10 +7,10 @@ import pytest
 
 from cavitybus import __version__, gridio
 from cavitybus.config import FLOAT_SPEC, format_float
-from cavitybus.dispersive import PumpProbeSignal
-from cavitybus.errors import GridFormatError
+from cavitybus.errors import GridFormatError, ValidationError
 from cavitybus.fitting import FitResult
 from cavitybus.gridio import (
+    atomic_write_text,
     grid_to_text,
     read_grid,
     write_fit_json,
@@ -193,13 +193,20 @@ def test_wrong_row_count_rejected(tmp_path):
 
 
 def test_signal_writer(tmp_path):
-    signal = PumpProbeSignal(np.array([2700.0, 2701.0]), np.array([-0.5, -0.25]))
     path = tmp_path / "signal.csv"
-    write_signal(path, signal, config_hash="cafe")
+    write_signal(path, np.array([2700.0, 2701.0]), np.array([-0.5, -0.25]), config_hash="cafe")
     lines = path.read_text().splitlines()
     assert lines[1] == "# config_hash=cafe"
     assert lines[2] == "# columns=pump_mhz,shift_mhz"
     assert lines[3] == "2700,-0.5"
+
+
+def test_unwritable_path_is_a_validation_error_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # renaming a file onto a directory fails
+    with pytest.raises(ValidationError, match=f"cannot write {target}: "):
+        atomic_write_text(target, "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_table_writer(tmp_path):
@@ -322,7 +329,7 @@ def test_table_and_signal_match_per_value_reference(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
     path = tmp_path / "signal.csv"
-    write_signal(path, PumpProbeSignal(first, second))
+    write_signal(path, first, second)
     expected = reference_text("# columns=pump_mhz,shift_mhz", zip(first, second))
     assert path.read_bytes() == expected.encode("utf-8")
 

@@ -122,16 +122,26 @@ def _module_tree(name):
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_config_imports_no_model_module():
-    # default values live in default.cfg, so config needs no model constants
+def _imported_names(module):
+    """Module and alias names the package module's source imports."""
     imported = set()
-    for node in ast.walk(_module_tree("config")):
+    for node in ast.walk(_module_tree(module)):
         if isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").rpartition(".")[2])
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rpartition(".")[2] for alias in node.names)
-    assert not imported & {"dispersive", "fitting", "transmission"}
+    return imported
+
+
+def test_config_imports_no_model_module():
+    # default values live in default.cfg, so config needs no model constants
+    assert not _imported_names("config") & {"dispersive", "fitting", "transmission"}
+
+
+def test_gridio_imports_no_dispersive_or_fitting():
+    # a pump-probe trace is two arrays, and a fit result is written via asdict
+    assert not _imported_names("gridio") & {"dispersive", "fitting"}
 
 
 def test_dispersive_imports_at_module_level():
