@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.15"
+__version__ = "0.1.16"
 
 from .coupled import (
     CavitySpec,

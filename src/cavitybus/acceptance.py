@@ -32,6 +32,7 @@ from .dispersive import (
 from .fitting import (
     _FULL_NAMES,
     SpinTuning,
+    _spin_curves,
     fit_avoided_crossing,
     fit_full_transmission,
     fit_polariton_width,
@@ -332,7 +333,7 @@ def shipped_model_jacobian_deviations(config):
     sv = np.linspace(71.0, 87.0, 17)
 
     def gap(angle):
-        (nu_i, _), (nu_ii, _) = (t.frequencies_and_derivative(angle) for t in (tun_i, tun_ii))
+        nu_i, nu_ii = _spin_curves((tun_i, tun_ii), angle)[0]
         return nu_i - nu_ii
 
     # the wide sweep ends on the ensemble-ensemble degeneracy, whose

@@ -11,7 +11,10 @@ import argparse
 import functools
 import logging
 import math
+import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .calibrate import calibrate_geometry
@@ -183,11 +186,18 @@ def _cmd_transitions(args, config) -> int:
     values, fixed, extra = _sweep_axis(args, config, kind)
     mags, angles = sweep_fields(kind, values, fixed)
 
+    ensembles = ("i", "ii")
+    # one solve for both ensembles, along the fields' leading axis
+    levels = _solve(
+        [config.nv(w) for w in ensembles],
+        [config.orientation(w) for w in ensembles],
+        mags[None],
+        angles[None],
+    )
     columns = {kind: values}
-    for which in ("i", "ii"):
-        levels = _solve(config.nv(which), config.orientation(which), mags, angles)
-        columns[f"{which}_minus_mhz"] = levels[:, 1]
-        columns[f"{which}_plus_mhz"] = levels[:, 2]
+    for which, level in zip(ensembles, levels):
+        columns[f"{which}_minus_mhz"] = level[:, 1]
+        columns[f"{which}_plus_mhz"] = level[:, 2]
     write_table(args.out, columns, config.hash, extra)
     log.info("wrote %s (%d rows)", args.out, values.size)
     return EXIT_OK
@@ -206,7 +216,7 @@ def _cmd_sweep(args, config, kind) -> int:
     probe = _range_from(args.probe, "--probe", config, "sweep.probe_mhz")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
     values, fixed, extra = _sweep_axis(args, config, kind)
-    fields = [FieldSetting(m, a) for m, a in zip(*sweep_fields(kind, values, fixed))]
+    fields = [FieldSetting(m, a) for m, a in np.broadcast(*sweep_fields(kind, values, fixed))]
     grid = sweep(config.cavity(), ensembles, fields, probe, kind)
     write_grid(args.out, grid, config.hash, extra)
     log.info("wrote %s (%d x %d)", args.out, values.size, probe.size)
@@ -222,7 +232,6 @@ def _cmd_dispersive(args, config) -> int:
     modes = dispersive_spin_modes(model)
     pump = range_values(args.pump, key="--pump") if args.pump else derived_pump_range(modes)
     shift = pump_probe_signal(model, (ens_i.spin_hwhm, ens_ii.spin_hwhm), pump, width=args.width)
-    write_signal(args.out, pump, shift, config.hash, extra)
 
     report = {
         "angle_deg": field.angle,
@@ -240,10 +249,15 @@ def _cmd_dispersive(args, config) -> int:
             "drive_weight": weight,
         }
     text = json_document(report, config.hash)
-    if args.report:
-        atomic_write_text(args.report, text)
-    else:
+    write_signal(args.out, pump, shift, config.hash, extra)
+    if not args.report:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        atomic_write_text(args.report, text)
+    except ValidationError:
+        os.remove(args.out)  # an exit-2 run leaves no output file
+        raise
     return EXIT_OK
 
 

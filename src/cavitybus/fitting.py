@@ -345,10 +345,24 @@ class SpinTuning:
     def frequencies_and_derivative(self, sweep_values, offset: float = 0.0) -> tuple:
         """Lower transition frequencies and their slope per sweep unit,
         from one spin solve."""
-        s = np.asarray(sweep_values, dtype=float) + offset
-        mags, angles = sweep_fields(self.sweep_kind, s, self.fixed)
-        levels, slope = _solve(self.nv, self.orientation, mags, angles, self.sweep_kind)
-        return levels[..., 1], slope
+        nu, slope = _spin_curves((self,), sweep_values, offset)
+        return nu[0], slope[0]
+
+
+def _spin_curves(tunings, sweep_values, offset: float = 0.0) -> tuple:
+    """Lower transition frequencies and their slopes per sweep unit at
+    the sweep values plus `offset`, each (len(tunings), n), from one
+    spin solve of all the tunings.  They share a sweep kind, the
+    coordinate the slopes are taken along."""
+    kind = tunings[0].sweep_kind
+    if any(t.sweep_kind != kind for t in tunings):
+        raise ValueError("tuning curves solved together share a sweep kind")
+    s = np.asarray(sweep_values, dtype=float) + offset
+    fixed = np.reshape([t.fixed for t in tunings], (-1,) + (1,) * s.ndim)
+    mags, angles = sweep_fields(kind, s, fixed)
+    nvs, orientations = zip(*((t.nv, t.orientation) for t in tunings))
+    levels, slope = _solve(nvs, orientations, mags, angles, kind)
+    return levels[..., 1], slope
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +396,28 @@ def _branch_modes(sweep_values, theta, tunings):
     nu_k(s + offset) of theta."""
     n = len(tunings)
     g, nu_c, offset = theta[:n], theta[n], theta[n + 1]
-    nus, slopes = zip(*(t.frequencies_and_derivative(sweep_values, offset) for t in tunings))
-    lam, vecs = collective_modes(nu_c, g, np.stack(nus, axis=1))
-    return lam, vecs, np.stack(slopes, axis=1)
+    nus, slopes = _spin_curves(tunings, sweep_values, offset)
+    lam, vecs = collective_modes(nu_c, g, nus.T)
+    return lam, vecs, slopes.T
 
 
-def avoided_crossing_model(sweep_values, modes, tunings):
+def avoided_crossing_model(sweep_values, modes, tunings, _last=None):
     """Model closure for branch positions; theta = (g_1..g_N, nu_c, offset).
 
     Point j is eigenvalue `modes[j]` (an index, ascending) of the
     _branch_modes matrix at s_j.  The Jacobian comes from the same
     eigenvectors v (Hellmann-Feynman): 2 v_0 v_k for g_k, v_0^2 for
-    nu_c and sum_k v_k^2 dnu_k/ds for the offset.
+    nu_c and sum_k v_k^2 dnu_k/ds for the offset.  A caller that passes
+    a dict as `_last` finds in it, after each call, the eigenvalues at
+    every distinct sweep value keyed by the bytes of that call's theta.
     """
     rows, row_of = np.unique(np.asarray(sweep_values, dtype=float), return_inverse=True)
 
     def model(theta, data=None):
         lam, vecs, slopes = _branch_modes(rows, theta, tunings)
+        if _last is not None:
+            _last.clear()
+            _last[np.asarray(theta, dtype=float).tobytes()] = lam
         v = vecs[row_of, :, modes]
         jac = np.empty((row_of.size, len(tunings) + 2))
         jac[:, :-2] = 2.0 * v[:, :1] * v[:, 1:]
@@ -457,15 +476,19 @@ def fit_avoided_crossing(
 
     svals = grid.sweep_values[rows]
     distinct, row_of = np.unique(svals, return_inverse=True)
+    last = {}  # the eigenvalues of the model's last evaluation
 
     def match(theta_now):
-        lam = _branch_modes(distinct, theta_now, tunings)[0][row_of]
-        return np.argmin(np.abs(lam - nuhat[:, None]), axis=1)
+        # an LM pass ends on the theta it evaluated last, mostly
+        lam = last.get(theta_now.tobytes())
+        if lam is None:
+            lam = _branch_modes(distinct, theta_now, tunings)[0]
+        return np.argmin(np.abs(lam[row_of] - nuhat[:, None]), axis=1)
 
     modes = match(theta)
     for _ in range(4):
         result = levenberg_marquardt(
-            avoided_crossing_model(svals, modes, tunings),
+            avoided_crossing_model(svals, modes, tunings, last),
             nuhat,
             theta,
             names=names,
@@ -525,8 +548,7 @@ def transmission_model(
 
     def model(theta, data=None):
         g_i, g_ii, kappa, gamma_i, gamma_ii, nu_c, offset = theta
-        nu_i, dnu_i = tuning_i.frequencies_and_derivative(sweep_values, offset)
-        nu_ii, dnu_ii = tuning_ii.frequencies_and_derivative(sweep_values, offset)
+        (nu_i, nu_ii), (dnu_i, dnu_ii) = _spin_curves((tuning_i, tuning_ii), sweep_values, offset)
         values = np.empty((sweep_values.size, probe.size))
         if data is None:
             cols = np.empty((7,) + values.shape)

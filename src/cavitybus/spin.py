@@ -20,6 +20,13 @@ the lowest level.  Past the ground-state level anticrossing (gamma*B of
 order D) it is not, and every transition function raises
 ValidationError; for an in-plane field and any NV axis this starts at
 147.5 mT at the worst angle with the default parameters.
+
+The levels come from a closed form, not an eigensolver: Smith's
+trigonometric formula for a symmetric 3x3 matrix, with the m_s=0
+weights and the Hellmann-Feynman slopes read from the adjugate of
+H - lambda (see `_solve`).  Its error grows as eps*D**2/gap near a
+degenerate pair of levels; over the default sweeps it stays below
+1e-11 MHz of numpy.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -142,11 +149,12 @@ def nv_axis_vectors(orientation: CrystalOrientation) -> np.ndarray:
 
 
 def sweep_fields(kind: str, values, fixed) -> tuple:
-    """(magnitudes, angles) arrays of the fields a sweep visits: `values`
-    are the swept angles (kind "angle") or magnitudes (kind
-    "magnitude"), and `fixed` is the other coordinate."""
+    """(magnitudes, angles) of the fields a sweep visits, as float arrays
+    that broadcast together: `values` are the swept angles (kind
+    "angle") or magnitudes (kind "magnitude"), and `fixed` is the other
+    coordinate, a scalar or an array of its own shape."""
     values = np.asarray(values, dtype=float)
-    held = np.full_like(values, fixed)
+    held = np.asarray(fixed, dtype=float)
     if kind == "angle":
         return held, values
     if kind == "magnitude":
@@ -160,49 +168,57 @@ def _decompose(axis: np.ndarray, magnitudes, angles, wrt: str | None = None) -> 
     d_perp).  With `wrt` ("angle" or "magnitude") d_par and d_perp are
     the components' derivatives per deg or per mT, otherwise None."""
     ang = np.radians(angles)
-    proj = np.cos(ang) * axis[0] + np.sin(ang) * axis[1]
+    cos, sin = np.cos(ang), np.sin(ang)
+    proj = cos * axis[0] + sin * axis[1]
     b_par = magnitudes * proj
     b_perp = np.sqrt(np.maximum(magnitudes**2 - b_par**2, 0.0))
     if wrt is None:
         return b_par, b_perp, None, None
     if wrt == "angle":
-        d_par = magnitudes * (-np.sin(ang) * axis[0] + np.cos(ang) * axis[1]) * (math.pi / 180.0)
+        d_par = magnitudes * (-sin * axis[0] + cos * axis[1]) * (math.pi / 180.0)
         d_perp_num = -b_par * d_par
     elif wrt == "magnitude":
         d_par = proj
         d_perp_num = magnitudes - b_par * d_par
     else:
         raise ValueError("wrt must be 'angle' or 'magnitude'")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_perp = np.where(b_perp > 1e-12, d_perp_num / b_perp, 0.0)
+    d_perp = np.divide(d_perp_num, b_perp, out=np.zeros(b_perp.shape), where=b_perp > 1e-12)
     return b_par, b_perp, d_par, d_perp
-
-
-def _zeeman(params: NVParameters, b_parallel, b_transverse) -> np.ndarray:
-    """gamma*(b_par*Sz + b_perp*Sx), one matrix per field point.  H is
-    linear in the components, so at component derivatives this is dH."""
-    b_par = np.asarray(b_parallel, dtype=float)[..., None, None]
-    b_perp = np.asarray(b_transverse, dtype=float)[..., None, None]
-    return params.gyromagnetic * (b_par * _SZ + b_perp * _SX)
 
 
 def spin_hamiltonian(params: NVParameters, b_parallel, b_transverse) -> np.ndarray:
     """Spin-1 Hamiltonian (MHz) in the NV frame, basis {+1, 0, -1};
     array components give a stack of matrices."""
+    b_par = np.asarray(b_parallel, dtype=float)[..., None, None]
+    b_perp = np.asarray(b_transverse, dtype=float)[..., None, None]
     return (
         params.d_splitting * _SZ2
         + params.e_strain * _SXX_MINUS_SYY
-        + _zeeman(params, b_parallel, b_transverse)
+        + params.gyromagnetic * (b_par * _SZ + b_perp * _SX)
     )
 
 
-def _selected_axis(orientation: CrystalOrientation) -> np.ndarray:
-    return nv_axis_vectors(orientation)[int(orientation.axis_class)]
+def _axis_in_plane(orientation: CrystalOrientation) -> tuple:
+    """Lab x and y components of the ensemble's NV axis, the only ones
+    an in-plane field projects on."""
+    a = math.radians(orientation.azimuth)
+    c, s = math.cos(a), math.sin(a)
+    x, y, _ = _BASE_AXES[int(orientation.axis_class)].tolist()
+    return c * x - s * y, s * x + c * y
+
+
+def _out_of_range(where, magnitudes, angles, reason: str) -> ValidationError:
+    """The error naming the first field flagged in `where`."""
+    k = int(np.argmax(where))
+    mag, ang = (np.broadcast_to(v, where.shape).flat[k] for v in (magnitudes, angles))
+    return ValidationError(
+        f"field {mag:g} mT at {ang:g} deg is outside the spin model's range: {reason}"
+    )
 
 
 def _solve(
-    params: NVParameters,
-    orientation: CrystalOrientation,
+    params,
+    orientation,
     magnitudes,
     angles,
     wrt: str | None = None,
@@ -213,48 +229,101 @@ def _solve(
     returns the level energies above the m_s=0 level, shape (..., 3)
     with columns (0, minus, plus) in MHz.  With `wrt` ("angle" or
     "magnitude") it returns (levels, slope) instead, where slope is the
-    derivative of the lower transition per deg or per mT, taken by
-    Hellmann-Feynman from the same eigenvectors.
+    derivative of the lower transition per deg or per mT.
+
+    `params` and `orientation` may instead be equal-length sequences,
+    one entry per ensemble.  The fields' leading axis is then the
+    ensemble axis (length 1 broadcasts), and each ensemble's results
+    are the bits that a call for it alone gives.
+
+    H = [[D+z, x, E], [x, 0, x], [E, x, D-z]] with z = gamma*b_par and
+    x = gamma*b_perp/sqrt(2) is solved in closed form, point by point,
+    in units of the power of two above max(D, gamma*|B|), so that the
+    scaling is exact and no square overflows.  Smith's trigonometric
+    formula (Commun. ACM 4, 168, 1961) gives the levels l_k.  The
+    adjugate of H - l_k over P_k = prod_{j != k} (l_j - l_k) is the
+    projector on level k: its middle diagonal entry is the m_s=0
+    weight, and its trace with dH is the level's Hellmann-Feynman
+    slope.  Near a degenerate pair the error of the levels grows as
+    eps*D**2/gap (J. Kopp, Int. J. Mod. Phys. C 19, 523, 2008).  The
+    upper pair is degenerate only at zero field with E = 0; its mean
+    slope is taken there.
 
     Raises ValidationError naming the first field whose angle is not
     finite or whose magnitude is not finite or too large to square, or
     else the first at which the lowest level is not the m_s=0-dominated
-    one (largest |<0|v>|^2).
+    one (largest m_s=0 weight).
     """
-    mags, angs = np.broadcast_arrays(
-        np.asarray(magnitudes, dtype=float), np.asarray(angles, dtype=float)
-    )
-    shape = mags.shape
-    mags, angs = mags.ravel(), angs.ravel()
+    mags = np.asarray(magnitudes, dtype=float)
+    angs = np.asarray(angles, dtype=float)
     # NaN compares False with the bound, so a NaN magnitude is caught too
-    unrepresentable = ~(np.abs(mags) <= _MAX_MAGNITUDE) | ~np.isfinite(angs)
+    unrepresentable = ~((np.abs(mags) <= _MAX_MAGNITUDE) & np.isfinite(angs))
     if unrepresentable.any():
-        k = int(np.argmax(unrepresentable))
-        raise ValidationError(
-            f"field {mags[k]:g} mT at {angs[k]:g} deg is outside the spin "
-            f"model's range: the angle must be finite and the magnitude at "
-            f"most {_MAX_MAGNITUDE:g} mT"
+        raise _out_of_range(
+            unrepresentable, mags, angs,
+            f"the angle must be finite and the magnitude at most {_MAX_MAGNITUDE:g} mT",
         )
-    b_par, b_perp, d_par, d_perp = _decompose(_selected_axis(orientation), mags, angs, wrt)
-    vals, vecs = np.linalg.eigh(spin_hamiltonian(params, b_par, b_perp))
-    # m_s=0 is basis index 1
-    misplaced = np.argmax(np.abs(vecs[:, 1, :]), axis=1) != 0
-    if np.any(misplaced):
-        k = int(np.argmax(misplaced))
-        raise ValidationError(
-            f"field {mags[k]:g} mT at {angs[k]:g} deg is outside the spin "
-            f"model's range: the m_s=0 level is not the lowest there"
-        )
-    levels = (vals - vals[:, :1]).reshape(shape + (3,))
+    if isinstance(params, NVParameters):
+        ensembles, column = [(params, orientation)], ()
+    else:
+        # one entry per ensemble along the fields' leading axis
+        ensembles, column = zip(params, orientation), (-1,) + (1,) * (unrepresentable.ndim - 1)
+    d_split, e_strain, gamma, *axis = np.array(
+        [(p.d_splitting, p.e_strain, p.gyromagnetic, *_axis_in_plane(o)) for p, o in ensembles]
+    ).T.reshape((5,) + column)
+    b_par, b_perp, d_par, d_perp = _decompose(axis, mags, angs, wrt)
+
+    # every quantity from here on is in units of 2**k, the power of two
+    # above max(D, gamma*|B|): the scaling is exact and no square overflows
+    k = np.frexp(np.maximum(d_split, gamma * np.abs(mags)))[1]
+    down = -k
+    d = np.ldexp(d_split, down)
+    e = np.ldexp(e_strain, down)
+    z = np.ldexp(gamma * b_par, down)
+    x = np.ldexp(gamma * b_perp * _SX[0, 1], down)
+    zz_ee = z * z + e * e
+    xx = x * x
+    # B = H - q I with q = tr(H)/3 = 2d/3 is traceless, p^2 = tr(B^2)/6
+    # and cos(3 phi) = det(B)/(2 p^3)
+    q = 2.0 * d / 3.0
+    dd9 = d * d / 9.0
+    p2 = dd9 + (zz_ee + 2.0 * xx) / 3.0
+    p = np.sqrt(p2)
+    det = -q * (dd9 - zz_ee) - 2.0 * xx * (d / 3.0 - e)
+    cos3 = np.minimum(np.maximum(det / (2.0 * p * p2), -1.0), 1.0)
+    phi = np.arccos(cos3) / 3.0
+    # the levels (low, mid, high), each from its own cosine
+    third = np.reshape([2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, 0.0], (3,) + (1,) * phi.ndim)
+    lam = q + 2.0 * p * np.cos(phi + third)
+    low, mid, high = lam
+    below, above, gap = mid - low, high - low, high - mid
+    prod = np.empty_like(lam)
+    np.multiply(below, above, out=prod[0, ...])
+    np.multiply(low - mid, gap, out=prod[1, ...])
+    np.multiply(above, gap, out=prod[2, ...])
+    # P_k is 0 only on an exactly degenerate pair; 1/P_k is taken as 0
+    # there, which makes both weights of the pair 0
+    inv = np.divide(1.0, prod, out=np.zeros_like(prod), where=prod != 0.0)
+    weight = ((d - lam) ** 2 - zz_ee) * inv
+    misplaced = (weight[1] > weight[0]) | (weight[2] > weight[0])
+    if misplaced.any():
+        raise _out_of_range(misplaced, mags, angs, "the m_s=0 level is not the lowest there")
+    levels = np.zeros(phi.shape + (3,))
+    np.ldexp(below, k, out=levels[..., 1])
+    np.ldexp(above, k, out=levels[..., 2])
     if wrt is None:
         return levels
-    # Hellmann-Feynman: d(lambda_k)/dp = <v_k| dH/dp |v_k>
-    dh = _zeeman(params, d_par, d_perp)
-    v0 = vecs[:, :, 0]
-    v1 = vecs[:, :, 1]
-    d0 = np.einsum("ni,nij,nj->n", v0, dh, v0)
-    d1 = np.einsum("ni,nij,nj->n", v1, dh, v1)
-    return levels, (d1 - d0).reshape(shape)
+    # tr(dH adj(H - l)) = gamma*(2 l z d_par + 2 sqrt(2) x d_perp (l + E - D))
+    # with d_par and d_perp the components' derivatives; its units of
+    # 4**k cancel against those of P_k
+    xd = (2.0 * math.sqrt(2.0)) * x * d_perp
+    slopes = gamma * (lam[:2] * (2.0 * z * d_par + xd) + xd * (e - d)) * inv[:2]
+    slope = slopes[1] - slopes[0]
+    if not inv[1].all():
+        # a degenerate upper pair moves by its mean slope, which is -1/2
+        # of the m_s=0 level's because dH is traceless
+        slope = np.where(inv[1] == 0.0, -1.5 * slopes[0], slope)
+    return levels, slope
 
 
 def transition_frequencies(
@@ -291,8 +360,7 @@ def transition_minus_derivative(
     wrt: str = "angle",
 ) -> np.ndarray:
     """Derivative of the lower transition with respect to field angle
-    (MHz/deg) or magnitude (MHz/mT), propagated through the eigensolve
-    via the Hellmann-Feynman theorem."""
+    (MHz/deg) or magnitude (MHz/mT), by the Hellmann-Feynman theorem."""
     return _solve(params, orientation, magnitudes, angles, wrt)[1]
 
 

@@ -178,13 +178,14 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     # The magnitude solves and the azimuth refinement start from end
     # residuals the scan already holds.  Evaluating them again took the
     # default scan to 6,484 batched spin points.
-    # The bisection beside the scan's NaN nodes is counted apart: for the
-    # default scan's two such edges, 25 halvings of 0.25 deg down to
-    # 1e-8, each one solve of both edges at both magnitude-range ends,
-    # then one residual per edge.
-    points, edge_points = [], []
+    # Two stages are counted apart.  The bisection beside the scan's NaN
+    # nodes: for the default scan's two such edges, 25 halvings of 0.25
+    # deg down to 1e-8, each one solve of both edges at both
+    # magnitude-range ends, then one residual per edge.  And each
+    # candidate's degeneracy root, one point per ensemble per residual,
+    # whose step count turns on whether a residual rounds to exactly 0.
+    points, edge_points, root_points = [], [], []
     original = calibrate.transition_batch
-    original_edges = calibrate._edge_brackets
     counts = [points]
 
     def counting(*args):
@@ -192,19 +193,27 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
         counts[-1].append(values.size)
         return values
 
-    def edges(*args, **kwargs):
-        counts.append(edge_points)
-        try:
-            return original_edges(*args, **kwargs)
-        finally:
-            counts.pop()
+    def apart(function, into):
+        def counted(*args, **kwargs):
+            counts.append(into)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                counts.pop()
+
+        return counted
 
     monkeypatch.setattr(calibrate, "transition_batch", counting)
-    monkeypatch.setattr(calibrate, "_edge_brackets", edges)
-    calibrate_geometry(config)
-    assert sum(points) <= 5532
+    monkeypatch.setattr(calibrate, "_edge_brackets", apart(calibrate._edge_brackets, edge_points))
+    monkeypatch.setattr(
+        calibrate, "locate_degeneracy", apart(calibrate.locate_degeneracy, root_points)
+    )
+    result = calibrate_geometry(config)
+    assert sum(points) <= 5516
     assert edge_points[:25] == [4] * 25
     assert sum(edge_points) <= 122
+    assert root_points == [1] * len(root_points)
+    assert len(root_points) <= 9 * len(result.candidates)
 
 
 def _with_targets(config, angle_i, angle_ii, relative):

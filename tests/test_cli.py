@@ -802,6 +802,7 @@ UNWRITABLE_OUTPUTS = {
     "calibrate": (["calibrate"], _default_config, "--out"),
     "fit": (["fit", "lorentzian"], _edited_grid(), "--out"),
     "dispersive-report": (DISPERSIVE, _default_config, "--report"),
+    "dispersive-out": (DISPERSIVE, _default_config, "--out"),
 }
 
 
@@ -811,13 +812,18 @@ UNWRITABLE_OUTPUTS = {
 def test_output_in_a_missing_directory_exits_2_with_one_line(tmp_path, capsys, argv, setup, flag):
     extra = setup(tmp_path)
     capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
     target = tmp_path / "missing" / "out"
     outputs = {"--out": str(tmp_path / "out.csv"), flag: str(target)}
+    if argv[0] == "dispersive":
+        outputs = {"--report": str(tmp_path / "modes.json"), **outputs}
     code = main(argv + extra + [word for pair in outputs.items() for word in pair])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err and err.count("\n") == 1
+    # an exit-2 run leaves none of its outputs behind
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,38 @@ def test_branch_modes_per_distinct_row_match_one_solve_per_peak(crossing_grid, t
             assert np.array_equal(a, b[row_of])
 
 
+def test_branch_fit_rematches_from_the_last_evaluation(crossing_grid, tunings, monkeypatch):
+    # An LM pass ends on the theta it evaluated last, so the rematch
+    # after it reuses that evaluation's eigenvalues: only the seed theta
+    # is solved outside the model, and solving again gives the same fit.
+    grid = with_noise(crossing_grid, 3)
+    solves, evaluations = [], []
+    solve, factory = fitting._branch_modes, fitting.avoided_crossing_model
+
+    def counted_solve(*args):
+        solves.append(args[1])
+        return solve(*args)
+
+    def counted_factory(*args):
+        model = factory(*args)
+
+        def counted_model(theta, data=None):
+            evaluations.append(theta)
+            return model(theta, data)
+
+        return counted_model
+
+    monkeypatch.setattr(fitting, "_branch_modes", counted_solve)
+    monkeypatch.setattr(fitting, "avoided_crossing_model", counted_factory)
+    reused = fit_avoided_crossing(grid, tunings[0])
+    assert reused.converged
+    assert len(solves) == len(evaluations) + 1
+    monkeypatch.setattr(
+        fitting, "avoided_crossing_model", lambda values, modes, tuns, _last: factory(values, modes, tuns)
+    )
+    assert repr(fit_avoided_crossing(grid, tunings[0])) == repr(reused)
+
+
 # ---------------------------------------------------------------------------
 # solver internals
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,96 @@ def test_hellmann_feynman_derivative_matches_finite_difference():
             down = transition_batch(NV, ORI, args[0] - h, args[1])
         fd = (up - down) / (2 * h)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form solve against the eigensolver
+
+def eigh_oracle(nv, orientation, magnitudes, angles, wrt):
+    """Levels above the lowest one, the lower transition's
+    Hellmann-Feynman slope and whether the lowest level is the
+    m_s=0-dominated one, from np.linalg.eigh of spin_hamiltonian."""
+    axis = nv_axis_vectors(orientation)[int(orientation.axis_class)]
+    b_par, b_perp, d_par, d_perp = _decompose(axis, magnitudes, angles, wrt)
+    vals, vecs = np.linalg.eigh(spin_hamiltonian(nv, b_par, b_perp))
+    placed = np.argmax(np.abs(vecs[:, 1, :]), axis=1) == 0
+    if wrt is None:
+        return vals - vals[:, :1], None, placed
+    # H is linear in the field components, so this is dH
+    dh = spin_hamiltonian(nv, d_par, d_perp) - spin_hamiltonian(nv, 0.0, 0.0)
+    level_slopes = np.einsum("nik,nij,njk->nk", vecs, dh, vecs)
+    return vals - vals[:, :1], level_slopes[:, 1] - level_slopes[:, 0], placed
+
+
+def test_closed_form_matches_eigh_on_the_operating_survey(config):
+    # Both ensembles over the default angle sweep at the operating field
+    # and over the default magnitude sweep at both resonance angles:
+    # 4,206 points.
+    magnitude = 7.69336558
+    sweeps = [("angle", np.full(901, magnitude), np.arange(901) * 0.1)]
+    sweeps += [("magnitude", np.arange(601) * 0.02, np.full(601, a)) for a in (79.0, 23.0)]
+    points = 0
+    for which in ("i", "ii"):
+        nv, ori = config.nv(which), config.orientation(which)
+        for wrt, mags, angles in sweeps:
+            levels, slope = _solve(nv, ori, mags, angles, wrt)
+            ref_levels, ref_slope, _ = eigh_oracle(nv, ori, mags, angles, wrt)
+            np.testing.assert_allclose(levels, ref_levels, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(slope, ref_slope, rtol=0.0, atol=1e-10)
+            points += mags.size
+    assert points == 4206
+
+
+@pytest.mark.parametrize("which, angle", [("i", 23.0), ("i", 40.0), ("ii", 40.0), ("ii", 79.0)])
+def test_level_order_check_matches_eigh_past_the_anticrossing(config, which, angle):
+    # The solver rejects a field exactly where eigh's m_s=0-dominated
+    # eigenvector is not the lowest level's.
+    nv, ori = config.nv(which), config.orientation(which)
+    mags = np.arange(0.0, 300.0 + 1e-9, 0.5)
+    _, _, placed = eigh_oracle(nv, ori, mags, np.full_like(mags, angle), None)
+    accepted = []
+    for magnitude in mags:
+        try:
+            _solve(nv, ori, magnitude, angle)
+        except ValidationError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert placed.any() and not placed.all()  # the sweep crosses
+    np.testing.assert_array_equal(accepted, placed)
+
+
+@pytest.mark.parametrize("wrt", ["angle", "magnitude"])
+def test_stacked_ensembles_give_the_bits_of_single_calls(config, wrt):
+    nvs = [config.nv(w) for w in ("i", "ii")]
+    oris = [config.orientation(w) for w in ("i", "ii")]
+    swept = np.linspace(0.5, 89.5, 97) if wrt == "angle" else np.linspace(0.0, 12.0, 97)
+    held = np.array([[7.7], [8.7]]) if wrt == "angle" else np.array([[79.0], [23.0]])
+    stacked = _solve(nvs, oris, *sweep_fields(wrt, swept, held), wrt)
+    for k in range(2):
+        single = _solve(nvs[k], oris[k], *sweep_fields(wrt, swept, held[k, 0]), wrt)
+        for got, expected in zip(stacked, single):
+            assert got[k].tobytes() == expected.tobytes()
+    # a leading field axis of length 1 is shared by the ensembles
+    shared = _solve(nvs, oris, *sweep_fields(wrt, swept, held[:1]), wrt)
+    for got, expected in zip(shared, stacked):
+        assert got[0].tobytes() == expected[0].tobytes()
+
+
+@pytest.mark.parametrize("d", [2870.0, 3077.0])
+def test_degenerate_upper_pair_takes_the_mean_slope(d):
+    # With E = 0 at zero field H = diag(D, 0, D): the upper pair is
+    # exactly degenerate, and its mean slope is -1/2 of the m_s=0
+    # level's, which is 0 there.  For D = 3077 MHz the rounded
+    # cos(3 phi) falls just below -1.
+    nv = NVParameters(d_splitting=d, e_strain=0.0, gyromagnetic=28.03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wrt in ("angle", "magnitude"):
+            levels, slope = _solve(nv, ORI, [0.0, 0.0], [10.0, 55.0], wrt)
+            np.testing.assert_allclose(levels, [[0.0, d, d]] * 2, rtol=0.0, atol=1e-9)
+            np.testing.assert_array_equal(levels[:, 1], levels[:, 2])
+            np.testing.assert_array_equal(slope, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
