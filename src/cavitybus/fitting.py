@@ -528,11 +528,11 @@ def transmission_model(
     transpose of that (7, m) array, so it comes back column-major.
     model(theta, data) writes them, with the block's residuals as an
     eighth row, into one (8, block) buffer and adds its Gram matrix to
-    the 8x8 G.  Every block's complex and real temporaries live in one
-    workspace that the closure allocates once, so a call allocates
-    little beyond its values and Jacobian, which are fresh arrays each
-    time.  Every element is computed by the same formula whatever the
-    block size and call form.
+    the 8x8 G; `data` may be flat or (rows, cols), and strided.  Every
+    block's complex and real temporaries live in one workspace that the
+    closure allocates once, so a call allocates little beyond its values
+    and Jacobian, which are fresh arrays each time.  Every element is
+    computed by the same formula whatever the block size and call form.
     """
     probe = np.asarray(probe, dtype=float)
     sweep_values = np.asarray(sweep_values, dtype=float)
@@ -627,13 +627,15 @@ def fit_full_transmission(
     max_iter: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Joint least squares of |S21| over the whole grid against the
-    input-output forward model."""
+    input-output forward model.  The model reads the grid's amplitudes
+    in place, which for a grid from `read_grid` is a view of the parsed
+    table, so the fit makes no copy of them."""
     _require_cells(grid)
     if init is None:
         init = initial_guess_full(grid, tuning_i, tuning_ii, prominence, max_iter)
     return levenberg_marquardt(
         transmission_model(grid.probe_frequencies, grid.sweep_values, tuning_i, tuning_ii),
-        grid.amplitudes.ravel(),
+        grid.amplitudes,
         init,
         names=_FULL_NAMES,
         positive=(True, True, True, True, True, False, False),

@@ -10,7 +10,10 @@ the sweep value followed by the |S21| row.  Floats are written with 9
 significant digits, so read(write(grid)) reproduces |S21| to 1e-8
 relative, as float64.  A table file has the same comment lines, a
 `# columns=<names>` header and one line per row.  All writes go
-through a temp file plus rename.
+through a temp file in the target directory plus rename, and the file
+gets the mode that `open` would give a new one.  A grid is streamed
+into its temp file one formatted block of rows at a time, so no
+grid-sized text is ever held.
 A JSON document (a fit result, the mode report) comes from `json_document`,
 whose `meta` object carries the version and config hash.
 
@@ -64,23 +67,33 @@ class GridMeta:
     extra: dict = field(default_factory=dict)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text via a temporary file in the target directory plus
-    rename, so readers never observe a partial file.  A path that cannot
-    be written raises ValidationError."""
+def _write_atomic(path, chunks) -> None:
+    """Write the byte strings of the iterable `chunks` via a temporary
+    file in the target directory plus rename, so readers never observe a
+    partial file; if `chunks` raises, the target keeps its old bytes.
+    The file gets mode 0o666 less the umask, as `open` gives a new file.
+    A path that cannot be written raises ValidationError."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cavitybus-", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):  # gone once renamed
             os.unlink(tmp)
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 through `_write_atomic`."""
+    _write_atomic(path, [text.encode("utf-8")])
 
 
 # The vectorized writer.  A cell x in [1e-4, 1) with e = floor(log10 x)
@@ -97,7 +110,7 @@ def atomic_write_text(path, text: str) -> None:
 # zeros (so _DIGITS <= 9).  A boolean mask per (decade, digits kept)
 # picks the bytes to keep, only the separator for a slow cell, whose
 # %-format is then spliced in after it.
-_FORMAT = "%" + FLOAT_SPEC
+_FORMAT = b"%" + FLOAT_SPEC.encode("ascii")
 _DIGITS = int(FLOAT_SPEC.strip(".g"))
 
 
@@ -130,8 +143,8 @@ def _frame_tables() -> tuple:
     return scales, quads, trailing, masks, masks.sum(axis=1), lead
 
 
-def _format_rows(table: np.ndarray) -> str:
-    """The CSV lines of the 2-D float array `table`, each led by a
+def _format_rows(table: np.ndarray) -> bytes:
+    """The ASCII CSV lines of the 2-D float array `table`, each led by a
     newline and byte-equal to joining `format_float` of every cell.
     Cells in [1e-4, 1) are formatted together with numpy (see above);
     the rest are %-formatted one by one and spliced in.  A table whose
@@ -142,8 +155,8 @@ def _format_rows(table: np.ndarray) -> str:
     x = table.ravel()
     fast = (x >= 1e-4) & (x < 1.0)
     if 2 * np.count_nonzero(fast) < x.size:
-        row_format = "\n" + ",".join([_FORMAT] * width)
-        return "".join(row_format % tuple(row) for row in table.tolist())
+        row_format = b"\n" + b",".join([_FORMAT] * width)
+        return b"".join(row_format % tuple(row) for row in table.tolist())
     x_fast = np.where(fast, x, 0.5)
     decade = (x_fast >= 1e-3).astype(np.intp) + (x_fast >= 1e-2) + (x_fast >= 1e-1)
     y = x_fast * scales[decade]
@@ -162,32 +175,36 @@ def _format_rows(table: np.ndarray) -> str:
     frame[:, 3] = quads[low]
     frame = frame.view(np.uint8)
     frame[::width, 1] = ord("\n")
-    text = frame[np.take(masks, code, axis=0)].tobytes().decode("ascii")
+    text = frame[np.take(masks, code, axis=0)].tobytes()
 
     slow = np.flatnonzero(~fast)
     cuts = [0, *np.cumsum(lengths[code])[slow].tolist(), len(text)]
-    pieces = [""] * (2 * slow.size + 1)
+    pieces = [b""] * (2 * slow.size + 1)
     pieces[::2] = [text[a:b] for a, b in zip(cuts, cuts[1:])]
     pieces[1::2] = map(_FORMAT.__mod__, x[slow].tolist())
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
-def _csv_text(header: str, blocks, config_hash: str | None, extra: dict | None) -> str:
-    """The text of a grid or table file: the provenance comments, the
-    `header` comment, the CSV lines of each 2-D block of `blocks` and a
-    final newline."""
+def _csv_chunks(header: str, blocks, config_hash: str | None, extra: dict | None):
+    """The bytes of a grid or table file, one piece at a time: the
+    provenance comments and the `header` comment, the CSV lines of each
+    2-D block of `blocks` and a final newline."""
     lines = [f"# cavitybus {__version__}", f"# config_hash={config_hash or 'none'}"]
     lines.extend(f"# {key}={extra[key]}" for key in sorted(extra or {}))
     lines.append(header)
-    parts = ["\n".join(lines)]
-    parts.extend(map(_format_rows, blocks))
-    parts.append("\n")
-    return "".join(parts)
+    yield "\n".join(lines).encode("utf-8")
+    yield from map(_format_rows, blocks)
+    yield b"\n"
 
 
-def grid_to_text(
-    grid: SpectrumGrid, config_hash: str | None = None, extra: dict | None = None
-) -> str:
+def _csv_text(header: str, blocks, config_hash: str | None, extra: dict | None) -> str:
+    """The text of a grid or table file, the join of `_csv_chunks`."""
+    return b"".join(_csv_chunks(header, blocks, config_hash, extra)).decode("utf-8")
+
+
+def _grid_layout(grid: SpectrumGrid) -> tuple:
+    """The header comment and the 2-D blocks of a grid file: the probe
+    line, then the rows a block at a time, each led by its sweep value."""
     rows, cols = grid.amplitudes.shape
     probe = [grid.probe_frequencies[np.newaxis]] if cols else []
     cells = (
@@ -195,7 +212,14 @@ def grid_to_text(
         for block in _row_blocks(rows, cols + 1)
     )
     header = f"# sweep_kind={grid.sweep_kind}, rows={rows}, cols={cols}"
-    return _csv_text(header, itertools.chain(probe, cells), config_hash, extra)
+    return header, itertools.chain(probe, cells)
+
+
+def grid_to_text(
+    grid: SpectrumGrid, config_hash: str | None = None, extra: dict | None = None
+) -> str:
+    """The text that `write_grid` writes."""
+    return _csv_text(*_grid_layout(grid), config_hash, extra)
 
 
 def write_grid(
@@ -204,7 +228,8 @@ def write_grid(
     config_hash: str | None = None,
     extra: dict | None = None,
 ) -> None:
-    atomic_write_text(path, grid_to_text(grid, config_hash, extra))
+    """Stream the grid file into place, one block of rows at a time."""
+    _write_atomic(path, _csv_chunks(*_grid_layout(grid), config_hash, extra))
 
 
 def _parse_comments(handle, source):

@@ -178,6 +178,12 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     # The magnitude solves and the azimuth refinement start from end
     # residuals the scan already holds.  Evaluating them again took the
     # default scan to 6,484 batched spin points.
+    # Every azimuth that the scan and its refinement evaluate has its
+    # ensemble-I transition solved once at each end of the magnitude
+    # range, so such an end node solved twice is a bracket end of one of
+    # the two root searches evaluated again.  (Interior magnitude nodes
+    # recur by design: the batched root finder evaluates the elements it
+    # holds frozen again.)
     # Two stages are counted apart.  The bisection beside the scan's NaN
     # nodes: for the default scan's two such edges, 25 halvings of 0.25
     # deg down to 1e-8, each one solve of both edges at both
@@ -187,11 +193,21 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     points, edge_points, root_points = [], [], []
     original = calibrate.transition_batch
     counts = [points]
+    end_nodes, scanning = [], []
+    solve = calibrate._transition_nodes
 
     def counting(*args):
         values = original(*args)
         counts[-1].append(values.size)
         return values
+
+    def recording(config, which, azimuths, magnitudes, angle):
+        if scanning and counts[-1] is points:
+            azimuths, magnitudes = np.broadcast_arrays(azimuths, magnitudes)
+            ends = np.isin(magnitudes, calibrate._MAGNITUDE_RANGE)
+            nodes = zip(azimuths[ends].tolist(), magnitudes[ends].tolist())
+            end_nodes.extend((which, angle, *node) for node in nodes)
+        return solve(config, which, azimuths, magnitudes, angle)
 
     def apart(function, into):
         def counted(*args, **kwargs):
@@ -203,12 +219,23 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
 
         return counted
 
+    def scan(*args):
+        scanning.append(True)
+        try:
+            return _scan_residuals(*args)
+        finally:
+            scanning.pop()
+
     monkeypatch.setattr(calibrate, "transition_batch", counting)
+    monkeypatch.setattr(calibrate, "_transition_nodes", recording)
+    monkeypatch.setattr(calibrate, "_scan_residuals", scan)
     monkeypatch.setattr(calibrate, "_edge_brackets", apart(calibrate._edge_brackets, edge_points))
     monkeypatch.setattr(
         calibrate, "locate_degeneracy", apart(calibrate.locate_degeneracy, root_points)
     )
     result = calibrate_geometry(config)
+    assert len(end_nodes) > 2 * 720  # both ends of every scan node, and the refinement's
+    assert len(set(end_nodes)) == len(end_nodes)
     assert sum(points) <= 5516
     assert edge_points[:25] == [4] * 25
     assert sum(edge_points) <= 122

@@ -28,6 +28,7 @@ from cavitybus.fitting import (
     transmission_model,
 )
 from cavitybus import fitting, transmission
+from cavitybus.gridio import read_grid, write_grid
 from cavitybus.spin import FieldSetting, transition_batch, transition_minus_derivative
 from cavitybus.transmission import DEFAULT_PROMINENCE, SpectrumGrid, _row_blocks, sweep
 
@@ -749,9 +750,34 @@ def _full_fit_problem(full_grid, tunings, seed):
     return model, data
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, tunings, seed):
+def forcing_a_rejection(model, trial):
+    """`model`, except that on call number `trial` (call 0 is the start,
+    call 1 the first trial step) the cost entry of G is raised to ten
+    times the start's cost, so that levenberg_marquardt must reject that
+    step whatever the last bits of the model.  None forces nothing."""
+    costs = []
+
+    def forced(theta, data=None):
+        values, gram = model(theta, data)
+        costs.append(gram[-1, -1])
+        if len(costs) - 1 == trial:
+            gram[-1, -1] = 10.0 * costs[0]
+        return values, gram
+
+    return forced
+
+
+# Seeds 0 and 5 reject a step of their own, at the minimum, where the
+# trial's cost differs from the accepted one in the 15th digit.  Seed 1
+# rejects none of its own; its second trial step is rejected by force.
+REJECTIONS = {"0": (0, None), "5": (5, None), "forced": (1, 2)}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, tunings, case):
+    seed, trial = REJECTIONS[case]
     model, data = _full_fit_problem(full_grid, tunings, seed)
+    model = forcing_a_rejection(model, trial)
     calls = []
 
     def traced(theta, data=None):
@@ -780,40 +806,46 @@ def test_lm_evaluates_once_per_trial_step_and_not_after_convergence(full_grid, t
 
 
 def test_lm_frees_rejected_jacobians_before_the_next_trial(full_grid, tunings):
-    # Seed 5 includes rejected steps.  The solver asks the model for the
-    # 8x8 Gram matrix [J r]^T [J r], never for a Jacobian, and keeps
-    # only the products of the accepted point, so at every model call
-    # no earlier grid-sized output is still alive.
-    model, data = _full_fit_problem(full_grid, tunings, 5)
-    outputs = []
-    alive = []
+    # Both paths include rejected steps (see REJECTIONS).  The solver
+    # asks the model for the 8x8 Gram matrix [J r]^T [J r], never for a
+    # Jacobian, and keeps only the products of the accepted point, so at
+    # every model call no earlier grid-sized output is still alive.
+    for seed, trial in (REJECTIONS["5"], REJECTIONS["forced"]):
+        model, data = _full_fit_problem(full_grid, tunings, seed)
+        model = forcing_a_rejection(model, trial)
+        outputs = []
+        alive = []
 
-    def traced(theta, data=None):
-        alive.append(sum(ref() is not None for ref in outputs))
-        values, gram = model(theta, data)
-        assert gram.shape == (8, 8)
-        outputs.append(weakref.ref(values))
-        return values, gram
+        def traced(theta, data=None):
+            alive.append(sum(ref() is not None for ref in outputs))
+            values, gram = model(theta, data)
+            assert gram.shape == (8, 8)
+            outputs.append(weakref.ref(values))
+            return values, gram
 
-    positive = (True, True, True, True, True, False, False)
-    result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
-    assert result.converged
-    assert len(alive) - 1 > len(result.history) - 1  # rejected steps happened
-    assert max(alive) == 0
+        positive = (True, True, True, True, True, False, False)
+        result = levenberg_marquardt(traced, data, perturbed_start(), _FULL_NAMES, positive)
+        assert result.converged
+        assert len(alive) - 1 > len(result.history) - 1  # rejected steps happened
+        assert max(alive) == 0
 
 
-def test_lm_peak_memory_stays_below_two_jacobians(config, cavity, ens_i, ens_ii, tunings):
+@pytest.fixture(scope="module")
+def fine_grid(config, cavity, ens_i, ens_ii):
+    magnitude = config.get("field.magnitude_mt")
+    angles = np.arange(0.0, 90.0 + 1e-9, 0.5)
+    probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.05)
+    return sweep(cavity, [ens_i, ens_ii], [FieldSetting(magnitude, a) for a in angles],
+                 probe, "angle")
+
+
+def test_lm_peak_memory_stays_below_two_jacobians(fine_grid, tunings):
     # The model sums the normal equations block by block, so no Jacobian
     # exists during the fit: the peak is the values (a seventh of a
     # Jacobian) plus a few MB of per-block buffers, about 0.46 of a
     # Jacobian on this grid.  One more grid-sized float array (a residual
     # vector, say) adds another seventh and breaks the bound.
-    magnitude = config.get("field.magnitude_mt")
-    angles = np.arange(0.0, 90.0 + 1e-9, 0.5)
-    probe = np.arange(CENTER - 30.0, CENTER + 30.0 + 1e-9, 0.05)
-    grid = sweep(cavity, [ens_i, ens_ii], [FieldSetting(magnitude, a) for a in angles],
-                 probe, "angle")
-    model, data = _full_fit_problem(grid, tunings, 1)
+    model, data = _full_fit_problem(fine_grid, tunings, 1)
     assert data.size > 200_000
     jac_bytes = 7 * data.nbytes
     calls = []
@@ -833,6 +865,25 @@ def test_lm_peak_memory_stays_below_two_jacobians(config, cavity, ens_i, ens_ii,
     assert result.converged
     assert len(calls) > 2
     assert (peak - before) / jac_bytes < 0.55
+
+
+def test_full_fit_reads_a_parsed_grid_without_copying_it(fine_grid, tunings, tmp_path):
+    # The amplitudes of a grid from read_grid are a strided view of the
+    # parsed table, and the fit reads them in place.  Its peak is then the
+    # model's values (1.0 of the amplitudes' bytes) plus its block
+    # workspace (1.6 on this grid); a copy of the data adds 1.0 more.
+    path = tmp_path / "grid.csv"
+    write_grid(path, with_noise(fine_grid, 1))
+    grid, _ = read_grid(path)
+    assert not grid.amplitudes.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        result = fit_full_transmission(grid, *tunings, init=perturbed_start(), max_iter=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 2
+    assert peak / grid.amplitudes.nbytes < 3.1
 
 
 def test_standard_errors_reuse_the_final_jacobian(full_grid, tunings):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ from cavitybus.gridio import (
     write_signal,
     write_table,
 )
-from cavitybus.transmission import SpectrumGrid
+from cavitybus.transmission import SpectrumGrid, _row_blocks
 
 
 def sample_grid():
@@ -411,7 +414,7 @@ def test_fast_path_implements_the_float_spec():
     assert FLOAT_SPEC == ".9g"
 
 
-def test_write_grid_peak_memory_stays_near_two_texts(tmp_path):
+def test_write_grid_peak_memory_stays_below_a_quarter_of_the_file(tmp_path):
     # the default sweep-angle grid of float64 |S21|, as `sweep` makes it
     rows, cols = 901, 1201
     amplitudes = np.random.default_rng(4).uniform(size=(rows, cols))
@@ -425,29 +428,67 @@ def test_write_grid_peak_memory_stays_near_two_texts(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the joined text and its encoded bytes while writing
-    assert peak <= 2.25 * path.stat().st_size
+    # one block of rows, its frames and its bytes, at a time (about 0.16
+    # of the file); the whole text, held once, would be 1.0
+    assert peak <= 0.25 * path.stat().st_size
 
 
-def test_write_grid_formats_then_writes_one_str(tmp_path, monkeypatch):
-    # perfbench's tracer times these two calls by name as the format and
-    # write spans, and takes len() of the text.
-    calls = []
+def streamed_grids():
+    table = mostly_slow_table(0.3, 300)
+    return {
+        # ties, carries into the next decade and cells outside [1e-4, 1),
+        # over more than one block of rows
+        "slow-cells": SpectrumGrid(np.arange(1.0, 301.0), table[:, 0], np.abs(table), "angle"),
+        "no-columns": awkward_grids()["no-columns"],
+        "one-block": sample_grid(),
+    }
 
-    def spy(name, function):
-        def wrapper(*args, **kwargs):
-            result = function(*args, **kwargs)
-            calls.append((name, args, result))
-            return result
 
-        monkeypatch.setattr(gridio, name, wrapper)
-
-    spy("grid_to_text", gridio.grid_to_text)
-    spy("atomic_write_text", gridio.atomic_write_text)
+@pytest.mark.parametrize("name", ["slow-cells", "no-columns", "one-block"])
+def test_write_grid_writes_the_bytes_of_grid_to_text(tmp_path, name):
+    grid = streamed_grids()[name]
+    rows, cols = grid.amplitudes.shape
+    blocks = len(list(_row_blocks(rows, cols + 1)))
+    assert blocks > 1 if name == "slow-cells" else blocks == 1
     path = tmp_path / "grid.csv"
-    write_grid(path, sample_grid(), "abc")
-    (format_name, _, text), (write_name, write_args, _) = calls
-    assert (format_name, write_name) == ("grid_to_text", "atomic_write_text")
-    assert type(text) is str
-    assert write_args == (path, text)
-    assert path.read_text() == text
+    extra = {"fixed_magnitude_mt": "7.69336558"}
+    write_grid(path, grid, "abc", extra)
+    assert path.read_bytes() == grid_to_text(grid, "abc", extra).encode("utf-8")
+
+
+def test_a_failure_mid_stream_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    # The second block formatted (the first rows, after the probe line)
+    # fails while the temp file is open: the grid is written as it is
+    # formatted, and the failure leaves the directory as it was.
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"old bytes\n")
+    format_rows = gridio._format_rows
+    seen = []
+
+    def failing(table):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        if len(seen) == 2:
+            raise RuntimeError("second block")
+        return format_rows(table)
+
+    monkeypatch.setattr(gridio, "_format_rows", failing)
+    with pytest.raises(RuntimeError, match="second block"):
+        write_grid(path, sample_grid())
+    assert len(seen[1]) == 2 and re.fullmatch(r"\.cavitybus-.*\.tmp", seen[1][0])
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_new_files_get_the_mode_open_gives_them(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        write_grid(tmp_path / "grid.csv", sample_grid())
+        write_table(tmp_path / "table.csv", {"a": [1.0, 2.0]})
+        atomic_write_text(tmp_path / "text.cfg", "text\n")
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["reference", "grid.csv", "table.csv", "text.cfg"], 0o666 & ~umask)
