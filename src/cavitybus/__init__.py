@@ -1,7 +1,7 @@
 """Forward model and parameter extraction for two NV spin ensembles
 coupled through one transmission-line cavity mode."""
 
-__version__ = "0.1.16"
+__version__ = "0.1.17"
 
 from .coupled import (
     CavitySpec,
@@ -32,8 +32,6 @@ from .spin import (
     CrystalOrientation,
     FieldSetting,
     NVParameters,
-    nv_axis_vectors,
-    spin_hamiltonian,
     thermal_polarization,
     transition_frequencies,
 )
@@ -63,12 +61,10 @@ __all__ = [
     "fit_lorentzian",
     "fit_polariton_width",
     "jacobian_check",
-    "nv_axis_vectors",
     "peak_positions",
     "peak_splitting",
     "pump_probe_signal",
     "s21",
-    "spin_hamiltonian",
     "sweep",
     "thermal_polarization",
     "transition_frequencies",

@@ -342,12 +342,6 @@ class SpinTuning:
     def from_ensemble(cls, ensemble: EnsembleSpec, sweep_kind: str, fixed: float):
         return cls(ensemble.nv, ensemble.orientation, sweep_kind, fixed)
 
-    def frequencies_and_derivative(self, sweep_values, offset: float = 0.0) -> tuple:
-        """Lower transition frequencies and their slope per sweep unit,
-        from one spin solve."""
-        nu, slope = _spin_curves((self,), sweep_values, offset)
-        return nu[0], slope[0]
-
 
 def _spin_curves(tunings, sweep_values, offset: float = 0.0) -> tuple:
     """Lower transition frequencies and their slopes per sweep unit at
@@ -401,39 +395,42 @@ def _branch_modes(sweep_values, theta, tunings):
     return lam, vecs, slopes.T
 
 
-def avoided_crossing_model(sweep_values, modes, tunings, _last=None):
+def avoided_crossing_model(sweep_values, modes, tunings):
     """Model closure for branch positions; theta = (g_1..g_N, nu_c, offset).
 
     Point j is eigenvalue `modes[j]` (an index, ascending) of the
-    _branch_modes matrix at s_j.  The Jacobian comes from the same
-    eigenvectors v (Hellmann-Feynman): 2 v_0 v_k for g_k, v_0^2 for
-    nu_c and sum_k v_k^2 dnu_k/ds for the offset.  A caller that passes
-    a dict as `_last` finds in it, after each call, the eigenvalues at
-    every distinct sweep value keyed by the bytes of that call's theta.
+    _branch_modes matrix at s_j.  With modes=None the solver's form,
+    model(theta, data), sends each point to the eigenvalue nearest its
+    data value at that theta, afresh at every call.  The Jacobian comes
+    from the same eigenvectors v (Hellmann-Feynman): 2 v_0 v_k for g_k,
+    v_0^2 for nu_c and sum_k v_k^2 dnu_k/ds for the offset.
     """
     rows, row_of = np.unique(np.asarray(sweep_values, dtype=float), return_inverse=True)
 
     def model(theta, data=None):
         lam, vecs, slopes = _branch_modes(rows, theta, tunings)
-        if _last is not None:
-            _last.clear()
-            _last[np.asarray(theta, dtype=float).tobytes()] = lam
-        v = vecs[row_of, :, modes]
+        picked = modes
+        if picked is None:
+            if data is None:
+                raise ValueError("a branch model without modes needs data to match")
+            picked = np.argmin(np.abs(lam[row_of] - np.reshape(data, (-1, 1))), axis=1)
+        v = vecs[row_of, :, picked]
         jac = np.empty((row_of.size, len(tunings) + 2))
         jac[:, :-2] = 2.0 * v[:, :1] * v[:, 1:]
         jac[:, -2] = v[:, 0] ** 2
         jac[:, -1] = np.sum(v[:, 1:] ** 2 * slopes[row_of], axis=1)
-        values = lam[row_of, modes]
+        values = lam[row_of, picked]
         return values, jac if data is None else _gram(values, jac, data)
 
     return model
 
 
-def _enters_window(grid: SpectrumGrid, tuning: SpinTuning) -> bool:
-    """Whether the transition meets the probe window over the sweep."""
-    nu = tuning.frequencies_and_derivative(grid.sweep_values)[0]
+def _enters_window(grid: SpectrumGrid, tunings) -> np.ndarray:
+    """Whether each transition meets the probe window over the sweep,
+    from one spin solve of all the tunings."""
+    nu = _spin_curves(tunings, grid.sweep_values)[0]
     probe = grid.probe_frequencies
-    return bool(nu.min() <= probe.max() and nu.max() >= probe.min())
+    return (nu.min(axis=1) <= probe.max()) & (nu.max(axis=1) >= probe.min())
 
 
 def fit_avoided_crossing(
@@ -451,12 +448,13 @@ def fit_avoided_crossing(
     An ensemble whose transition never enters the probe window is left
     out of the model and theta (DegenerateDataError if it is `tuning`).
     At least two grid rows need two or more peaks; the smallest
-    outer-peak gap among them seeds the couplings.  Each peak goes to
-    its nearest eigenvalue, rematched between LM passes as the
-    parameters move.
+    outer-peak gap among them seeds the couplings.  One LM run fits the
+    model with modes=None, so each peak goes to its nearest eigenvalue
+    at every evaluation, as the parameters move.
     """
     _require_cells(grid)
-    tunings = [t for t in (tuning, other) if t is not None and _enters_window(grid, t)]
+    given = [t for t in (tuning, other) if t is not None]
+    tunings = [t for t, inside in zip(given, _enters_window(grid, given)) if inside]
     if tuning not in tunings:
         raise DegenerateDataError("the fitted ensemble never enters the probe window")
     n = len(tunings)
@@ -474,34 +472,14 @@ def fit_avoided_crossing(
     g0 = 0.5 * float(np.min(spans[split])) / math.sqrt(n)
     theta = np.array([g0] * n + [float(np.median(nuhat)), 0.0])
 
-    svals = grid.sweep_values[rows]
-    distinct, row_of = np.unique(svals, return_inverse=True)
-    last = {}  # the eigenvalues of the model's last evaluation
-
-    def match(theta_now):
-        # an LM pass ends on the theta it evaluated last, mostly
-        lam = last.get(theta_now.tobytes())
-        if lam is None:
-            lam = _branch_modes(distinct, theta_now, tunings)[0]
-        return np.argmin(np.abs(lam[row_of] - nuhat[:, None]), axis=1)
-
-    modes = match(theta)
-    for _ in range(4):
-        result = levenberg_marquardt(
-            avoided_crossing_model(svals, modes, tunings, last),
-            nuhat,
-            theta,
-            names=names,
-            positive=[True] * n + [False, False],
-            max_iter=max_iter,
-        )
-        if not result.converged:
-            break  # a restart from a failed pass could start on g = 0
-        theta = np.array(list(result.parameters.values()))
-        modes, previous = match(theta), modes
-        if np.array_equal(modes, previous):
-            break
-    return result
+    return levenberg_marquardt(
+        avoided_crossing_model(grid.sweep_values[rows], None, tunings),
+        nuhat,
+        theta,
+        names=names,
+        positive=[True] * n + [False, False],
+        max_iter=max_iter,
+    )
 
 
 # ---------------------------------------------------------------------------

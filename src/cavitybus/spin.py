@@ -49,8 +49,6 @@ __all__ = [
     "NVParameters",
     "CrystalOrientation",
     "FieldSetting",
-    "nv_axis_vectors",
-    "spin_hamiltonian",
     "transition_frequencies",
     "transition_minus",
     "transition_batch",
@@ -58,15 +56,6 @@ __all__ = [
     "sweep_fields",
     "thermal_polarization",
 ]
-
-# Spin-1 operators in the {+1, 0, -1} basis.  All terms of the
-# Hamiltonian are real in this basis, so plain float64 symmetric
-# matrices suffice.
-_SZ = np.diag([1.0, 0.0, -1.0])
-_SZ2 = np.diag([1.0, 0.0, 1.0])
-_SX = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
-# Sx^2 - Sy^2 couples m_s = +1 and m_s = -1 directly.
-_SXX_MINUS_SYY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 # The four <111> NV axis directions of an unrotated cubic crystal.
 _BASE_AXES = np.array(
@@ -139,15 +128,6 @@ class FieldSetting:
             raise ValueError("field magnitude must be non-negative")
 
 
-def nv_axis_vectors(orientation: CrystalOrientation) -> np.ndarray:
-    """Return the four NV symmetry axes as unit rows of a (4, 3) array,
-    rotated about z by the crystal azimuth."""
-    a = math.radians(orientation.azimuth)
-    c, s = math.cos(a), math.sin(a)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return _BASE_AXES @ rot.T
-
-
 def sweep_fields(kind: str, values, fixed) -> tuple:
     """(magnitudes, angles) of the fields a sweep visits, as float arrays
     that broadcast together: `values` are the swept angles (kind
@@ -184,18 +164,6 @@ def _decompose(axis: np.ndarray, magnitudes, angles, wrt: str | None = None) -> 
         raise ValueError("wrt must be 'angle' or 'magnitude'")
     d_perp = np.divide(d_perp_num, b_perp, out=np.zeros(b_perp.shape), where=b_perp > 1e-12)
     return b_par, b_perp, d_par, d_perp
-
-
-def spin_hamiltonian(params: NVParameters, b_parallel, b_transverse) -> np.ndarray:
-    """Spin-1 Hamiltonian (MHz) in the NV frame, basis {+1, 0, -1};
-    array components give a stack of matrices."""
-    b_par = np.asarray(b_parallel, dtype=float)[..., None, None]
-    b_perp = np.asarray(b_transverse, dtype=float)[..., None, None]
-    return (
-        params.d_splitting * _SZ2
-        + params.e_strain * _SXX_MINUS_SYY
-        + params.gyromagnetic * (b_par * _SZ + b_perp * _SX)
-    )
 
 
 def _axis_in_plane(orientation: CrystalOrientation) -> tuple:
@@ -280,7 +248,8 @@ def _solve(
     d = np.ldexp(d_split, down)
     e = np.ldexp(e_strain, down)
     z = np.ldexp(gamma * b_par, down)
-    x = np.ldexp(gamma * b_perp * _SX[0, 1], down)
+    # Sx's off-diagonal entry; math.sqrt(0.5) rounds one ulp higher
+    x = np.ldexp(gamma * b_perp * (1.0 / math.sqrt(2.0)), down)
     zz_ee = z * z + e * e
     xx = x * x
     # B = H - q I with q = tr(H)/3 = 2d/3 is traceless, p^2 = tr(B^2)/6

@@ -15,6 +15,7 @@ from cavitybus.fitting import (
     _branch_modes,
     _gram,
     _sigmoid,
+    _spin_curves,
     _standard_errors,
     avoided_crossing_model,
     extract_branches,
@@ -196,7 +197,7 @@ def test_jacobian_check_shipped_grid_models(tunings):
     # N = 2, ending on the ensemble-ensemble degeneracy: its middle mode
     # is the dark state, with no cavity content
     def gap(angle):
-        (nu_i, _), (nu_ii, _) = (t.frequencies_and_derivative(angle) for t in (tun_i, tun_ii))
+        nu_i, nu_ii = _spin_curves(tunings, angle)[0]
         return nu_i - nu_ii
 
     dark = _find_root(gap, 35.0, 65.0, xtol=1e-12)
@@ -225,7 +226,7 @@ def test_spin_tuning_solves_at_the_offset_sweep_fields(config, kind, fixed):
     shifted = values + 0.3
     held = np.full_like(shifted, fixed)
     mags, angles = (held, shifted) if kind == "angle" else (shifted, held)
-    nu, slope = tuning.frequencies_and_derivative(values, 0.3)
+    (nu,), (slope,) = _spin_curves((tuning,), values, 0.3)
     np.testing.assert_array_equal(nu, transition_batch(ens.nv, ens.orientation, mags, angles))
     np.testing.assert_array_equal(
         slope, transition_minus_derivative(ens.nv, ens.orientation, mags, angles, kind)
@@ -236,7 +237,7 @@ def test_spin_tuning_solves_at_the_offset_sweep_fields(config, kind, fixed):
 def test_spin_tuning_rejects_sweeps_without_a_field_coordinate(config, kind):
     tuning = SpinTuning.from_ensemble(config.ensemble("i"), kind, 7.7)
     with pytest.raises(ValueError, match=f"unsupported sweep kind '{kind}'"):
-        tuning.frequencies_and_derivative(np.array([70.0, 80.0]))
+        _spin_curves((tuning,), np.array([70.0, 80.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ def test_avoided_crossing_coverage_counts_rows_not_sweep_values(tunings):
     # Rows 0 and 1 repeat the sweep value 80.0 with one peak each; only
     # row 2 holds a pair.  Merged by sweep value, rows 0 and 1 would
     # pass for a second row with a pair.
-    nu = tunings[0].frequencies_and_derivative([80.0, 81.0])[0]
+    nu = _spin_curves(tunings[:1], [80.0, 81.0])[0][0]
     probe = np.arange(nu.min() - 20.0, nu.max() + 20.0 + 1e-9, 0.1)
 
     def bumps(*centers):
@@ -503,7 +504,7 @@ def reference_transmission_model(probe, sweep_values, tuning_i, tuning_ii, theta
     den = 1j * (nu_c - nu) + kappa
     terms = []
     for g, gamma, tuning in ((g_i, gamma_i, tuning_i), (g_ii, gamma_ii, tuning_ii)):
-        nu_s, dnu_s = (x[:, None] for x in tuning.frequencies_and_derivative(sweep_values, offset))
+        nu_s, dnu_s = (x[0, :, None] for x in _spin_curves((tuning,), sweep_values, offset))
         pole = 1j * (nu_s - nu) + gamma
         terms.append((g, pole, dnu_s))
         den = den + g**2 / pole
@@ -694,8 +695,8 @@ def test_small_models_return_the_gram_matrix_of_their_jacobian(tunings):
 
 
 def test_branch_modes_per_distinct_row_match_one_solve_per_peak(crossing_grid, tunings):
-    # fit_avoided_crossing matches peaks to modes from one solve per
-    # distinct sweep value; every peak of a row sees the same modes.
+    # The branch model solves once per distinct sweep value; every peak
+    # of a row sees the same modes.
     svals = crossing_grid.sweep_values[extract_branches(crossing_grid, DEFAULT_PROMINENCE, 2)[0]]
     distinct, row_of = np.unique(svals, return_inverse=True)
     assert distinct.size < svals.size
@@ -707,16 +708,43 @@ def test_branch_modes_per_distinct_row_match_one_solve_per_peak(crossing_grid, t
             assert np.array_equal(a, b[row_of])
 
 
-def test_branch_fit_rematches_from_the_last_evaluation(crossing_grid, tunings, monkeypatch):
-    # An LM pass ends on the theta it evaluated last, so the rematch
-    # after it reuses that evaluation's eigenvalues: only the seed theta
-    # is solved outside the model, and solving again gives the same fit.
-    grid = with_noise(crossing_grid, 3)
-    solves, evaluations = [], []
+def fit_branches_once(monkeypatch, grid, tuns, **kwargs):
+    """fit_avoided_crossing(grid, *tuns), checked to make one LM call;
+    returns the result and the start that call was given."""
+    starts = []
+    lm = fitting.levenberg_marquardt
+
+    def spy(model, data, theta0, **lm_kwargs):
+        starts.append(np.array(theta0, dtype=float))
+        return lm(model, data, theta0, **lm_kwargs)
+
+    monkeypatch.setattr(fitting, "levenberg_marquardt", spy)
+    result = fit_avoided_crossing(grid, *tuns, **kwargs)
+    monkeypatch.setattr(fitting, "levenberg_marquardt", lm)
+    assert len(starts) == 1
+    return result, starts[0]
+
+
+def nearest_modes(grid, tuns, theta, prominence=DEFAULT_PROMINENCE):
+    """Each branch peak's nearest eigenvalue at theta, from one solve per
+    peak: (peak positions, sweep values, mode indices, eigenvalues)."""
+    rows, nuhat = extract_branches(grid, prominence, len(tuns) + 1)
+    svals = grid.sweep_values[rows]
+    lam = _branch_modes(svals, np.asarray(theta, dtype=float), tuns)[0]
+    modes = np.argmin(np.abs(lam - nuhat[:, None]), axis=1)
+    return nuhat, svals, modes, lam[np.arange(nuhat.size), modes]
+
+
+def test_branch_fit_solves_the_modes_once_per_model_evaluation(
+    crossing_grid, full_grid, tunings, monkeypatch
+):
+    # The model matches peaks to modes from the solve it makes anyway,
+    # so a branch fit solves nothing outside its model evaluations.
+    inside, solves, evaluations = [False], [], []
     solve, factory = fitting._branch_modes, fitting.avoided_crossing_model
 
     def counted_solve(*args):
-        solves.append(args[1])
+        solves.append(inside[0])
         return solve(*args)
 
     def counted_factory(*args):
@@ -724,19 +752,60 @@ def test_branch_fit_rematches_from_the_last_evaluation(crossing_grid, tunings, m
 
         def counted_model(theta, data=None):
             evaluations.append(theta)
-            return model(theta, data)
+            inside[0] = True
+            try:
+                return model(theta, data)
+            finally:
+                inside[0] = False
 
         return counted_model
 
     monkeypatch.setattr(fitting, "_branch_modes", counted_solve)
     monkeypatch.setattr(fitting, "avoided_crossing_model", counted_factory)
-    reused = fit_avoided_crossing(grid, tunings[0])
-    assert reused.converged
-    assert len(solves) == len(evaluations) + 1
-    monkeypatch.setattr(
-        fitting, "avoided_crossing_model", lambda values, modes, tuns, _last: factory(values, modes, tuns)
-    )
-    assert repr(fit_avoided_crossing(grid, tunings[0])) == repr(reused)
+    for grid, tuns in ((crossing_grid, tunings[:1]), (full_grid, tunings)):
+        solves.clear()
+        evaluations.clear()
+        assert fit_avoided_crossing(with_noise(grid, 3), *tuns).converged
+        assert len(solves) == len(evaluations) > 0
+        assert all(solves)
+
+
+def test_branch_model_without_modes_is_the_model_of_the_nearest_modes(
+    full_grid, tunings, monkeypatch
+):
+    # Away from the fit's start, two peaks of the clean two-ensemble
+    # grid go to other modes; the modes=None Gram form there is, bit
+    # for bit, the form given those nearest modes.
+    _, seed = fit_branches_once(monkeypatch, full_grid, tunings)
+    theta = np.array([7.5, 5.6, CENTER, 5.0])
+    nuhat, svals, modes, _ = nearest_modes(full_grid, tunings, theta)
+    assert not np.array_equal(modes, nearest_modes(full_grid, tunings, seed)[2])
+    free = avoided_crossing_model(svals, None, tunings)(theta, nuhat)
+    given = avoided_crossing_model(svals, modes, tunings)(theta, nuhat)
+    for a, b in zip(free, given):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="needs data"):
+        avoided_crossing_model(svals, None, tunings)(theta)
+
+
+def test_branch_fit_ends_with_every_peak_on_its_nearest_mode(config, cavity, tunings, monkeypatch):
+    # With 3% noise on this grid, peaks nearest one mode at the start are
+    # nearest another at the fitted theta; fitting the start's modes
+    # throughout ends on peaks matched to a farther mode.  One LM call
+    # converges, and its residual is every peak's against its nearest
+    # eigenvalue at the returned theta.
+    magnitude = config.get("field.magnitude_mt")
+    fields = [FieldSetting(magnitude, a) for a in range_values("0:90:1")]
+    clean = sweep(cavity, [config.ensemble("i"), config.ensemble("ii")], fields,
+                  range_values("2720:2780:0.25"), "angle")
+    grid = with_noise(clean, 0, level=0.03)
+    for tuns in (tunings, tunings[::-1]):
+        result, seed = fit_branches_once(monkeypatch, grid, tuns, prominence=0.02)
+        assert result.converged
+        theta = list(result.parameters.values())
+        nuhat, _, modes, fitted = nearest_modes(grid, tuns, theta, 0.02)
+        assert not np.array_equal(modes, nearest_modes(grid, tuns, seed, 0.02)[2])
+        assert result.residual_norm == pytest.approx(float(np.linalg.norm(fitted - nuhat)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,33 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(getattr(fitting, factory, None)), factory
 
 
+def test_benchmark_workload_calls_into_the_package_resolve():
+    # perfbench/workloads.py imports six cavitybus modules under aliases;
+    # every attribute chain it reads on one of them (such as
+    # fitting.SpinTuning.from_ensemble) must exist.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("cavitybus.")
+    }
+    assert len(aliases) == 6
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in aliases:
+            chains.add((node.id, *reversed(parts)))
+    assert {("fitting", "SpinTuning", "from_ensemble"), ("config_mod", "range_values")} <= chains
+    for alias, *attrs in sorted(chains):
+        target = importlib.import_module(aliases[alias])
+        for attr in attrs:
+            assert hasattr(target, attr), ".".join([alias, *attrs])
+            target = getattr(target, attr)
+
+
 def test_benchmark_tracer_reads_every_model_call_of_both_grid_fits():
     # The tracer unpacks each model call's result as two arrays and adds
     # their sizes, so both call forms must return (values, array).  The

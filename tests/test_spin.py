@@ -13,8 +13,6 @@ from cavitybus.spin import (
     NVParameters,
     _decompose,
     _solve,
-    nv_axis_vectors,
-    spin_hamiltonian,
     sweep_fields,
     thermal_polarization,
     transition_batch,
@@ -22,6 +20,7 @@ from cavitybus.spin import (
     transition_minus,
     transition_minus_derivative,
 )
+from spin_oracle import nv_axis_vectors, spin_hamiltonian
 
 NV = NVParameters(d_splitting=2870.0, e_strain=13.0, gyromagnetic=28.03)
 ORI = CrystalOrientation(azimuth=0.0, axis_class=AxisClass.K111)
