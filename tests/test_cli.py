@@ -73,6 +73,33 @@ def test_verbose_flag_holds_for_each_call_in_one_interpreter(tmp_path):
     assert "INFO cavitybus.cli: wrote " in verbose
 
 
+def test_calls_in_one_interpreter_match_fresh_interpreters(tmp_path, monkeypatch):
+    # The argument parser is built once per process: a usage error, and
+    # an angle sweep before a magnitude sweep, must leave nothing behind
+    # that changes a later call's exit code or output.
+    calls = [
+        ["transitions", "--angles", "0:10:5"],
+        ["transitions", "--angles", "0:10:5", "--out", "angle.csv"],
+        ["transitions", "--b-mags", "7:8:0.5", "--angle", "79", "--out", "magnitude.csv"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    codes = [main(argv) for argv in calls]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cavitybus.__file__).resolve().parents[1])
+    fresh_codes = [
+        subprocess.run(
+            [sys.executable, "-m", "cavitybus.cli", *argv], cwd=fresh, env=env, capture_output=True
+        ).returncode
+        for argv in calls
+    ]
+    assert codes == fresh_codes == [64, 0, 0]
+    for name in ("angle.csv", "magnitude.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # tables and grids
 

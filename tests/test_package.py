@@ -24,13 +24,16 @@ def test_pyproject_version_matches_package():
     assert project["version"] == cavitybus.__version__
 
 
-def _scipy_modules_after(probe):
-    """Names of the scipy modules loaded once `probe` has run in a fresh
-    interpreter that imports the package from this checkout."""
+def _modules_after(probe, package):
+    """Names of the `package` modules loaded once `probe` has run in a
+    fresh interpreter that imports cavitybus from this checkout."""
     env = dict(os.environ)
     src = str(Path(cavitybus.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    probe += "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    probe += (
+        "\nimport sys"
+        f"\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -39,7 +42,7 @@ def _scipy_modules_after(probe):
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     # The package runs on numpy alone; scipy is a test-only reference.
-    assert _scipy_modules_after("import sys, cavitybus.cli") == []
+    assert _modules_after("import sys, cavitybus.cli", "scipy") == []
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -69,7 +72,47 @@ def test_no_command_loads_scipy(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "assert _count_pump_peaks(default_config(), 23.0, (1, -1)) == 2\n"
     )
-    assert _scipy_modules_after(probe) == []
+    assert _modules_after(probe, "scipy") == []
+
+
+# Start-up: every CLI call is a fresh interpreter, and each module it
+# imports is compiled anew when bytecode writing is off.
+_COMMAND_MODULES = {f"cavitybus.{m}" for m in ("fitting", "dispersive", "calibrate", "acceptance")}
+
+
+def test_cli_start_up_loads_only_what_config_needs():
+    probe = "import cavitybus.cli\nfrom cavitybus.config import default_config\ndefault_config()"
+    assert _modules_after(probe, "cavitybus") == [
+        "cavitybus",
+        "cavitybus.cli",
+        "cavitybus.config",
+        "cavitybus.coupled",
+        "cavitybus.errors",
+        "cavitybus.spin",
+    ]
+
+
+def test_transitions_loads_no_fit_dispersive_or_calibration_module(tmp_path):
+    probe = (
+        "from cavitybus.cli import main\n"
+        f"assert main(['transitions', '--angles', '0:90:5', '--out', {str(tmp_path / 'l.csv')!r}]) == 0"
+    )
+    assert not set(_modules_after(probe, "cavitybus")) & _COMMAND_MODULES
+
+
+def test_fit_lorentzian_loads_no_dispersive_or_calibration_module(tmp_path):
+    from cavitybus.cli import main
+
+    grid, fit = str(tmp_path / "grid.csv"), str(tmp_path / "fit.json")
+    assert main(["sweep-angle", "--angles", "40:50:5", "--probe", "2720:2780:0.5",
+                 "--out", grid]) == 0
+    probe = (
+        "from cavitybus.cli import main\n"
+        f"assert main(['fit', 'lorentzian', '--in', {grid!r}, '--out', {fit!r}]) == 0"
+    )
+    loaded = set(_modules_after(probe, "cavitybus"))
+    assert "cavitybus.fitting" in loaded
+    assert not loaded & _COMMAND_MODULES - {"cavitybus.fitting"}
 
 
 def test_runtime_dependencies_are_numpy_alone():
@@ -177,6 +220,44 @@ def test_benchmark_tracer_targets_resolve():
     fitting = importlib.import_module("cavitybus.fitting")
     for factory in tracer.MODEL_FACTORIES:
         assert callable(getattr(fitting, factory, None)), factory
+
+
+def test_package_names_resolve_on_use_and_stay_live():
+    # A fresh interpreter, where no public name has been read yet: the
+    # model submodules resolve after a bare `import cavitybus`, and a
+    # name first read while the benchmark tracer is installed (loaded
+    # as _benchmark_tracer does) is the unwrapped function again once
+    # the tracer is uninstalled.
+    submodules = ("coupled", "dispersive", "fitting", "spin", "transmission")
+    tracer_path = str(ROOT / "perfbench" / "tracer.py")
+    probe = (
+        "import importlib.util, types, cavitybus\n"
+        f"for name in {list(submodules)!r}:\n"
+        "    assert isinstance(getattr(cavitybus, name), types.ModuleType), name\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {tracer_path!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "tracer = tracer.Tracer()\n"
+        "tracer.install()\n"
+        "try:\n"
+        "    traced = cavitybus.fit_full_transmission\n"
+        "finally:\n"
+        "    tracer.uninstall()\n"
+        "original = cavitybus.fitting.fit_full_transmission\n"
+        "assert traced is not original\n"
+        "assert cavitybus.fit_full_transmission is original\n"
+    )
+    assert {f"cavitybus.{m}" for m in submodules} <= set(_modules_after(probe, "cavitybus"))
+    for name in cavitybus.__all__:
+        if name != "__version__":
+            home = importlib.import_module(getattr(cavitybus, name).__module__)
+            assert getattr(cavitybus, name) is getattr(home, name), name
+    namespace = {}
+    exec("from cavitybus import *", namespace)
+    assert set(cavitybus.__all__) <= set(namespace)
+    assert set(cavitybus.__all__) <= set(dir(cavitybus))
+    with pytest.raises(AttributeError):
+        cavitybus.no_such_name
 
 
 def test_benchmark_workload_calls_into_the_package_resolve():
