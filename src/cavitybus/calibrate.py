@@ -230,58 +230,47 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
     # A root on a node (or on 0 = 180) ends both intervals beside it.
     roots = np.sort(roots % 180.0)
     roots = roots[np.diff(roots, prepend=-np.inf) > 0]
-    mags = _magnitudes(config, "i", roots, angle_i, target)
-
-    candidates = []
-    for az_root, mag in zip(roots, mags):
-        deg_angle, deg_freq = locate_degeneracy(
-            config, az_root, relative, mag, (angle_i, angle_ii)
-        )
-        candidates.append(
-            {
-                "azimuth_i": float(az_root),
-                "magnitude": float(mag),
-                "degeneracy_angle": float(deg_angle),
-                "degeneracy_transition": float(deg_freq),
-            }
-        )
-    if not candidates:
+    if not roots.size:
         raise NumericalError(
             "calibration scan found no (azimuth, magnitude) pair satisfying "
             "both resonance constraints"
         )
+    mags = _magnitudes(config, "i", roots, angle_i, target)
+    angles, freqs = locate_degeneracy(config, roots, relative, mags, (angle_i, angle_ii))
 
     # Deterministic pick: degeneracy closest to the cavity frequency.
-    best = min(
-        candidates, key=lambda c: abs(c["degeneracy_transition"] - target)
-    )
+    best = np.argmin(np.abs(freqs - target))
+    azimuth_i = float(roots[best])
     log.info(
         "calibration: %d candidate(s); picked azimuth_i=%.4f deg, B=%.6f mT",
-        len(candidates),
-        best["azimuth_i"],
-        best["magnitude"],
+        roots.size,
+        azimuth_i,
+        mags[best],
     )
-    disp_mag = dispersive_magnitude(config, best["azimuth_i"], relative)
+    names = ("azimuth_i", "degeneracy_angle", "degeneracy_transition", "magnitude")
+    rows = zip(roots.tolist(), angles.tolist(), freqs.tolist(), mags.tolist())
     return CalibrationResult(
-        azimuth_i=best["azimuth_i"],
-        azimuth_ii=best["azimuth_i"] + relative,
-        magnitude=best["magnitude"],
-        dispersive_magnitude=disp_mag,
-        degeneracy_angle=best["degeneracy_angle"],
-        degeneracy_transition=best["degeneracy_transition"],
-        candidates=tuple(tuple(sorted(c.items())) for c in candidates),
+        azimuth_i=azimuth_i,
+        azimuth_ii=azimuth_i + relative,
+        magnitude=float(mags[best]),
+        dispersive_magnitude=dispersive_magnitude(config, azimuth_i, relative),
+        degeneracy_angle=float(angles[best]),
+        degeneracy_transition=float(freqs[best]),
+        candidates=tuple(tuple(zip(names, row)) for row in rows),
     )
 
 
 def locate_degeneracy(
     config: ExperimentConfig,
-    azimuth_i: float,
+    azimuth_i,
     relative: float,
-    magnitude: float,
+    magnitude,
     bracket: tuple,
 ) -> tuple:
     """Angle between the two resonance angles where the two ensembles'
-    transitions meet, plus the common transition frequency there."""
+    transitions meet, plus the common transition frequency there: two
+    arrays of the broadcast shape of `azimuth_i` and `magnitude` (0-d
+    for scalars), from one root search over every element."""
     lo, hi = sorted(bracket)
     lo, hi = lo + 0.5, hi - 0.5
 
@@ -289,14 +278,14 @@ def locate_degeneracy(
         lower_i = _transition_nodes(config, "i", azimuth_i, magnitude, angle)
         return lower_i - _transition_nodes(config, "ii", azimuth_i + relative, magnitude, angle)
 
+    lo_ends = np.full(np.broadcast(azimuth_i, magnitude).shape, lo)
     try:
-        angle = _find_root(difference, lo, hi, xtol=1e-8)
+        angle = _find_root(difference, lo_ends, hi, xtol=1e-8)
     except BracketError:
         raise BracketError(
             f"no ensemble-ensemble degeneracy between {lo:g} and {hi:g} deg"
         ) from None
-    freq = _transition_nodes(config, "i", azimuth_i, magnitude, angle)
-    return float(angle), float(freq)
+    return angle, _transition_nodes(config, "i", azimuth_i, magnitude, angle)
 
 
 def dispersive_magnitude(

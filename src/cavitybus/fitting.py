@@ -362,7 +362,8 @@ def _spin_curves(tunings, sweep_values, offset: float = 0.0) -> tuple:
 # ---------------------------------------------------------------------------
 # avoided-crossing branch fit
 
-def _require_cells(grid: SpectrumGrid):
+def _require_cells(grid: SpectrumGrid, *tunings):
+    """Refuse a grid with nothing to fit, or tunings of another sweep."""
     if grid.amplitudes.size == 0:
         raise DegenerateDataError(
             f"empty grid ({grid.sweep_values.size} rows, "
@@ -374,6 +375,12 @@ def _require_cells(grid: SpectrumGrid):
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise DegenerateDataError(f"non-finite grid cell in row {row}, column {col}")
+    for tuning in tunings:
+        if tuning is not None and tuning.sweep_kind != grid.sweep_kind:
+            raise ValidationError(
+                f"a {tuning.sweep_kind!r} spin tuning cannot fit a grid with "
+                f"sweep_kind={grid.sweep_kind!r}"
+            )
 
 
 def extract_branches(grid: SpectrumGrid, prominence: float, max_peaks):
@@ -452,7 +459,7 @@ def fit_avoided_crossing(
     model with modes=None, so each peak goes to its nearest eigenvalue
     at every evaluation, as the parameters move.
     """
-    _require_cells(grid)
+    _require_cells(grid, tuning, other)
     given = [t for t in (tuning, other) if t is not None]
     tunings = [t for t, inside in zip(given, _enters_window(grid, given)) if inside]
     if tuning not in tunings:
@@ -608,7 +615,7 @@ def fit_full_transmission(
     input-output forward model.  The model reads the grid's amplitudes
     in place, which for a grid from `read_grid` is a view of the parsed
     table, so the fit makes no copy of them."""
-    _require_cells(grid)
+    _require_cells(grid, tuning_i, tuning_ii)
     if init is None:
         init = initial_guess_full(grid, tuning_i, tuning_ii, prominence, max_iter)
     return levenberg_marquardt(

@@ -11,9 +11,9 @@ significant digits, so read(write(grid)) reproduces |S21| to 1e-8
 relative, as float64.  A table file has the same comment lines, a
 `# columns=<names>` header and one line per row.  All writes go
 through a temp file in the target directory plus rename, and the file
-gets the mode that `open` would give a new one.  A grid is streamed
-into its temp file one formatted block of rows at a time, so no
-grid-sized text is ever held.
+gets the mode that `open` would give a new one.  A grid or table is
+streamed into its temp file one formatted block of rows at a time, so
+no file-sized text or array is ever held.
 A JSON document (a fit result, the mode report) comes from `json_document`,
 whose `meta` object carries the version and config hash.
 
@@ -197,11 +197,6 @@ def _csv_chunks(header: str, blocks, config_hash: str | None, extra: dict | None
     yield b"\n"
 
 
-def _csv_text(header: str, blocks, config_hash: str | None, extra: dict | None) -> str:
-    """The text of a grid or table file, the join of `_csv_chunks`."""
-    return b"".join(_csv_chunks(header, blocks, config_hash, extra)).decode("utf-8")
-
-
 def _grid_layout(grid: SpectrumGrid) -> tuple:
     """The header comment and the 2-D blocks of a grid file: the probe
     line, then the rows a block at a time, each led by its sweep value."""
@@ -219,7 +214,7 @@ def grid_to_text(
     grid: SpectrumGrid, config_hash: str | None = None, extra: dict | None = None
 ) -> str:
     """The text that `write_grid` writes."""
-    return _csv_text(*_grid_layout(grid), config_hash, extra)
+    return b"".join(_csv_chunks(*_grid_layout(grid), config_hash, extra)).decode("utf-8")
 
 
 def write_grid(
@@ -347,14 +342,14 @@ def write_table(
     extra: dict | None = None,
 ) -> None:
     """CSV table from named equal-length columns (insertion order)."""
-    names = list(columns)
-    arrays = [np.asarray(columns[name], dtype=float) for name in names]
+    arrays = [np.asarray(column, dtype=float) for column in columns.values()]
     length = arrays[0].size
     if any(a.size != length for a in arrays):
         raise ValueError("all columns must have equal length")
-    table = np.column_stack(arrays)
-    blocks = (table[block] for block in _row_blocks(*table.shape))
-    atomic_write_text(path, _csv_text("# columns=" + ",".join(names), blocks, config_hash, extra))
+    blocks = (
+        np.column_stack([a[rows] for a in arrays]) for rows in _row_blocks(length, len(arrays))
+    )
+    _write_atomic(path, _csv_chunks("# columns=" + ",".join(columns), blocks, config_hash, extra))
 
 
 def json_document(payload: dict, config_hash: str | None = None) -> str:

@@ -187,9 +187,10 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     # Two stages are counted apart.  The bisection beside the scan's NaN
     # nodes: for the default scan's two such edges, 25 halvings of 0.25
     # deg down to 1e-8, each one solve of both edges at both
-    # magnitude-range ends, then one residual per edge.  And each
-    # candidate's degeneracy root, one point per ensemble per residual,
-    # whose step count turns on whether a residual rounds to exactly 0.
+    # magnitude-range ends, then one residual per edge.  And the
+    # degeneracy roots of all candidates, found in one batched search:
+    # one point per candidate per ensemble per residual, whose step
+    # count turns on whether a residual rounds to exactly 0.
     points, edge_points, root_points = [], [], []
     original = calibrate.transition_batch
     counts = [points]
@@ -239,8 +240,33 @@ def test_calibration_evaluates_no_bracket_end_twice(config, monkeypatch):
     assert sum(points) <= 5516
     assert edge_points[:25] == [4] * 25
     assert sum(edge_points) <= 122
-    assert root_points == [1] * len(root_points)
+    assert root_points == [len(result.candidates)] * len(root_points)
     assert len(root_points) <= 9 * len(result.candidates)
+    assert sum(root_points) <= 9 * len(result.candidates)
+
+
+def test_batched_degeneracy_search_matches_one_search_per_candidate(config):
+    # _find_root freezes each element once it converges, so a
+    # candidate's degeneracy has the same bits alone or in the batch.
+    result = calibrate_geometry(_with_targets(config, 60.0, 10.0, 24.2), scan_step=1.0)
+    azimuths, magnitudes = (
+        np.array([dict(c)[key] for c in result.candidates]) for key in ("azimuth_i", "magnitude")
+    )
+    assert azimuths.size > 1
+    angles, freqs = calibrate.locate_degeneracy(config, azimuths, 24.2, magnitudes, (60.0, 10.0))
+    assert angles.shape == freqs.shape == azimuths.shape
+    for k, (azimuth, magnitude) in enumerate(zip(azimuths, magnitudes)):
+        angle, freq = calibrate.locate_degeneracy(config, azimuth, 24.2, magnitude, (10.0, 60.0))
+        assert angle.shape == freq.shape == ()
+        assert (angle, freq) == (angles[k], freqs[k])
+    assert [dict(c)["degeneracy_angle"] for c in result.candidates] == angles.tolist()
+
+
+def test_dispersive_magnitude_out_of_scan_range_is_a_bracket_error(config):
+    # no field in the scan range puts ensemble II 1 GHz below the cavity
+    cfg = config.with_updates({"calibration.dispersive_margin_mhz": 1000.0})
+    with pytest.raises(BracketError, match="no dispersive magnitude found in the scan range"):
+        calibrate.dispersive_magnitude(cfg, config.get("ensemble_i.azimuth_deg"), 24.2)
 
 
 def _with_targets(config, angle_i, angle_ii, relative):

@@ -662,6 +662,18 @@ def _default_config(tmp_path):
     return ["--config", str(DEFAULT_CFG)]
 
 
+def _spectrum_grid(tmp_path):
+    """Setup: a one-row `spectrum` grid, which sweeps nothing."""
+    path = tmp_path / "grid.csv"
+    argv = ["spectrum", "--angle", "48.1", "--probe", "2730:2770:0.25"]
+    assert main(argv + ["--config", str(DEFAULT_CFG), "--out", str(path)]) == 0
+    return ["--config", str(DEFAULT_CFG), "--in", str(path)]
+
+
+def _missing_grid(tmp_path):
+    return ["--config", str(DEFAULT_CFG), "--in", str(tmp_path / "missing.csv")]
+
+
 SPECTRUM = ["spectrum", "--angle", "51"]
 DISPERSIVE = ["dispersive", "--angle", "30"]
 B_MAG = "--b-mag must be finite and >= 0, got "
@@ -801,6 +813,10 @@ INVALID_INPUTS = {
         ["fit", "full"], _edited_grid("sweep_kind=angle", "sweep_kind=foo"),
         "grid.csv: unknown sweep_kind 'foo'",
     ),
+    "grid-sweeps-nothing": (
+        ["fit", "full"], _spectrum_grid, "cannot fit a grid with sweep_kind='none'"
+    ),
+    "grid-file-missing": (["fit", "full"], _missing_grid, "cannot read grid"),
     "fit-lorentzian-row-past-end": (
         ["fit", "lorentzian", "--row", "37"], _edited_grid(), "row 37 outside grid with 37 rows"
     ),

@@ -151,6 +151,11 @@ def test_drive_weights_selection_rule():
     assert drive_weights(7.5, 5.6, (1, -1), bright) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_drive_weights_need_a_coupling():
+    with pytest.raises(ValueError, match="at least one coupling must be nonzero"):
+        drive_weights(0.0, 0.0, (1, 1), [1.0, 0.0])
+
+
 def test_drive_weights_swap_for_symmetric_drive():
     root2 = 1 / math.sqrt(2)
     sym = np.array([root2, root2])

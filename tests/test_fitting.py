@@ -14,6 +14,7 @@ from cavitybus.fitting import (
     SpinTuning,
     _branch_modes,
     _gram,
+    _lorentzian_init,
     _sigmoid,
     _spin_curves,
     _standard_errors,
@@ -22,6 +23,7 @@ from cavitybus.fitting import (
     fit_avoided_crossing,
     fit_full_transmission,
     fit_lorentzian,
+    fit_polariton_width,
     initial_guess_full,
     jacobian_check,
     levenberg_marquardt,
@@ -113,6 +115,38 @@ def test_nonfinite_data_rejected():
     ys[3] = np.nan
     with pytest.raises(DegenerateDataError):
         fit_lorentzian(xs, ys)
+
+
+def test_negative_start_width_is_rejected():
+    xs = np.linspace(CENTER - 4.0, CENTER + 4.0, 41)
+    ys = lorentzian_model(xs)((1.0, CENTER, 0.32, 0.0))[0]
+    with pytest.raises(ValueError, match="must start positive"):
+        fit_lorentzian(xs, ys, init=[1.0, CENTER, -0.32, 0.0])
+
+
+def test_lorentzian_start_on_a_one_sample_spike_spans_a_tenth_of_the_range():
+    # one sample above half height has no width to measure
+    xs = np.linspace(0.0, 10.0, 11)
+    ys = np.zeros(11)
+    ys[4] = 1.0
+    assert _lorentzian_init(xs, ys).tolist() == [1.0, 4.0, 1.0, 0.0]
+
+
+def test_four_point_lorentzian_fit_reports_no_standard_errors():
+    # as many parameters as residuals leave no degree of freedom
+    xs = CENTER + np.array([-1.5, -0.5, 0.5, 1.5])
+    ys = lorentzian_model(xs)((1.0, CENTER, 0.8, 0.0))[0]
+    result = fit_lorentzian(xs, ys, init=[1.1, CENTER + 0.1, 0.7, 0.0])
+    assert result.converged
+    assert result.standard_errors is None
+
+
+def test_polariton_width_needs_a_peak_and_both_half_power_crossings():
+    probe = CENTER + np.arange(10.0)
+    with pytest.raises(DegenerateDataError, match="no peak above the prominence threshold"):
+        fit_polariton_width(probe, np.ones(10))
+    with pytest.raises(DegenerateDataError, match="no right half-power crossing"):
+        fit_polariton_width(probe[:4], np.array([0.0, 1.0, 0.8, 0.9]))
 
 
 def test_standard_errors_shrink_like_root_n():
@@ -424,6 +458,38 @@ def test_grid_fits_reject_a_descending_probe_axis(full_grid, tunings, fit):
     )
     with pytest.raises(ValidationError, match="probe frequencies are not strictly increasing"):
         fit(reversed_grid, *tunings)
+
+
+@pytest.mark.parametrize("fit", [fit_avoided_crossing, fit_full_transmission])
+def test_grid_fits_refuse_tunings_of_another_sweep_kind(cavity, ens_i, ens_ii, fit, monkeypatch):
+    # Angle tunings on a magnitude sweep once gave a converged full fit
+    # with g_ii = 0 and an offset of -10.6 mT; the fits refuse them
+    # before any spin solve.
+    magnitudes = np.arange(7.0, 8.5 + 1e-9, 0.05)
+    probe = np.arange(2720.0, 2780.0 + 1e-9, 0.25)
+    fields = [FieldSetting(m, 79.0) for m in magnitudes]
+    grid = sweep(cavity, [ens_i, ens_ii], fields, probe, "magnitude")
+    tunings = [SpinTuning.from_ensemble(e, "angle", 8.0) for e in (ens_i, ens_ii)]
+
+    def no_spin_solve(*args):
+        raise AssertionError("spin solve before the sweep-kind check")
+
+    monkeypatch.setattr(fitting, "_spin_curves", no_spin_solve)
+    message = "'angle' spin tuning cannot fit a grid with sweep_kind='magnitude'"
+    with pytest.raises(ValidationError, match=message):
+        fit(grid, *tunings)
+    mixed = [tunings[0], SpinTuning.from_ensemble(ens_ii, "magnitude", 79.0)]
+    with pytest.raises(ValidationError, match="'angle' spin tuning"):
+        fit(grid, *mixed)
+
+
+def test_transmission_model_refuses_tunings_of_two_sweep_kinds(full_grid, tunings):
+    magnitude_tuning = dataclasses.replace(tunings[1], sweep_kind="magnitude", fixed=55.0)
+    model = transmission_model(
+        full_grid.probe_frequencies, full_grid.sweep_values, tunings[0], magnitude_tuning
+    )
+    with pytest.raises(ValueError, match="share a sweep kind"):
+        model(np.array([7.5, 5.6, 0.32, 1.0, 1.0, CENTER, 0.0]))
 
 
 def test_cold_full_fit_on_the_default_grid(config, cavity, ens_i, ens_ii, tunings):
@@ -995,6 +1061,22 @@ def test_levenberg_marquardt_unconverged_flag():
     assert result.parameters["slope"] == pytest.approx(
         float(np.dot(xs, target) / np.dot(xs, xs)), rel=1e-3
     )
+
+
+def test_levenberg_marquardt_stops_when_the_damping_stalls():
+    # A Jacobian of the wrong sign sends every trial step uphill, so the
+    # damping passes its cap within the first iteration.
+    xs = np.linspace(0.0, 1.0, 16)
+
+    def model(theta, data=None):
+        values = theta[0] * xs
+        return values, _gram(values, -xs[:, None], data)
+
+    result = levenberg_marquardt(model, 2.0 * xs, [1.0], names=("slope",))
+    assert result.converged is False
+    assert result.iterations == 1
+    assert len(result.history) == 1
+    assert result.parameters == {"slope": 1.0}
 
 
 def test_positive_parameter_underflowing_to_zero_fails_the_fit():

@@ -153,6 +153,13 @@ def test_missing_header_rejected(tmp_path):
         read_grid(path)
 
 
+def test_missing_probe_line_rejected(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("# cavitybus 0.0.0\n# sweep_kind=angle, rows=1, cols=2\n\n")
+    with pytest.raises(GridFormatError, match="missing probe-frequency line"):
+        read_grid(path)
+
+
 def test_bytes_that_are_not_utf8_rejected(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_bytes(b"# sweep_kind=angle, rows=1, cols=2\n2740,2741\n20,\xff,1\n")
@@ -477,6 +484,31 @@ def test_a_failure_mid_stream_keeps_the_old_file_and_no_temp_file(tmp_path, monk
     assert len(seen[1]) == 2 and re.fullmatch(r"\.cavitybus-.*\.tmp", seen[1][0])
     assert path.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
+
+def test_write_table_streams_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
+    # A pump-probe trace over several blocks of rows: each block is
+    # stacked and formatted while the temp file is open, so neither the
+    # whole table nor its text is ever held.
+    pump = 2600.0 + 0.0002 * np.arange(20000)
+    shift = -1e-3 * np.random.default_rng(5).uniform(size=pump.size)
+    path = tmp_path / "signal.csv"
+    format_rows = gridio._format_rows
+    seen = []
+
+    def recording(table):
+        seen.append((table.shape, sorted(p.name for p in tmp_path.iterdir())))
+        return format_rows(table)
+
+    monkeypatch.setattr(gridio, "_format_rows", recording)
+    write_signal(path, pump, shift)
+    blocks = list(_row_blocks(pump.size, 2))
+    assert len(blocks) > 2
+    assert [shape for shape, _ in seen] == [(b.stop - b.start, 2) for b in blocks]
+    for _, names in seen:
+        assert len(names) == 1 and re.fullmatch(r"\.cavitybus-.*\.tmp", names[0])
+    expected = reference_text("# columns=pump_mhz,shift_mhz", zip(pump, shift))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)

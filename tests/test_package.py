@@ -287,6 +287,60 @@ def test_benchmark_workload_calls_into_the_package_resolve():
             target = getattr(target, attr)
 
 
+def _workload_target(node, aliases):
+    """The package object that the attribute chain `node` of
+    perfbench/workloads.py names, or None unless it starts at one of
+    the `aliases` of a cavitybus module."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not (parts and isinstance(node, ast.Name) and node.id in aliases):
+        return None
+    target = importlib.import_module(aliases[node.id])
+    for attr in reversed(parts):
+        target = getattr(target, attr)
+    return target
+
+
+def test_benchmark_workload_calls_bind_to_their_targets():
+    # Every call perfbench/workloads.py makes into the package, directly
+    # or through _call(name, fn, *args, **kwargs), binds to its target's
+    # signature by its positional count and keyword names, so a new
+    # required parameter or a dropped keyword fails here.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("cavitybus.")
+    }
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args, routed = node.func, node.args, False
+        if isinstance(func, ast.Name) and func.id == "_call":
+            func, args, routed = args[1], args[2:], True
+        target = _workload_target(func, aliases)
+        if target is None:
+            continue
+        label = f"line {node.lineno}: {ast.unparse(func)}"
+        assert not any(isinstance(a, ast.Starred) for a in args), label
+        assert all(k.arg for k in node.keywords), label
+        try:
+            inspect.signature(target).bind(*args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{label}: {exc}")
+        bound.add((ast.unparse(func), routed))
+    assert {
+        ("transmission.sweep", False),
+        ("fitting.fit_full_transmission", False),
+        ("fitting.fit_full_transmission", True),
+        ("fitting.fit_avoided_crossing", True),
+        ("cli.main", False),
+    } <= bound
+
+
 def test_benchmark_tracer_reads_every_model_call_of_both_grid_fits():
     # The tracer unpacks each model call's result as two arrays and adds
     # their sizes, so both call forms must return (values, array).  The

@@ -372,6 +372,11 @@ def test_level_order_check_matches_eigh_past_the_anticrossing(config, which, ang
     np.testing.assert_array_equal(accepted, placed)
 
 
+def test_derivative_names_its_coordinate():
+    with pytest.raises(ValueError, match="wrt must be 'angle' or 'magnitude'"):
+        transition_minus_derivative(NV, ORI, 7.0, 40.0, wrt="azimuth")
+
+
 @pytest.mark.parametrize("wrt", ["angle", "magnitude"])
 def test_stacked_ensembles_give_the_bits_of_single_calls(config, wrt):
     nvs = [config.nv(w) for w in ("i", "ii")]

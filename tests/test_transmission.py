@@ -394,6 +394,11 @@ def test_bare_cavity_sweep_repeats_the_bare_row(cavity):
         assert row.tobytes() == np.abs(s21(probe, cavity, [])).tobytes()
 
 
+def test_sweep_needs_a_field_path(cavity, ens_i):
+    with pytest.raises(ValueError, match="need non-empty probe frequencies and field path"):
+        sweep(cavity, [ens_i], [], probe_grid(), "angle")
+
+
 def test_grid_shape_validation():
     with pytest.raises(ValueError):
         SpectrumGrid(np.arange(3.0), np.arange(2.0), np.zeros((3, 2)), "angle")
