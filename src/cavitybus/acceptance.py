@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibrate import _find_root, calibrate_geometry
+from .calibrate import _find_root, calibrate_geometry, locate_degeneracy
 from .config import ExperimentConfig
 from .coupled import collective_coupling, collective_modes
 from .dispersive import (
@@ -32,7 +32,6 @@ from .dispersive import (
 from .fitting import (
     _FULL_NAMES,
     SpinTuning,
-    _spin_curves,
     fit_avoided_crossing,
     fit_full_transmission,
     fit_polariton_width,
@@ -328,17 +327,13 @@ def shipped_model_jacobian_deviations(config):
     """jacobian_check on every model shipped with an analytic Jacobian,
     evaluated at physical operating points with 1e-6 MHz steps."""
     cavity, _, (tun_i, tun_ii), truth = _fit_system(config)
+    az_i, az_ii = (t.orientation.azimuth for t in (tun_i, tun_ii))
 
     xs = np.linspace(cavity.center - 10.0, cavity.center + 10.0, 81)
     sv = np.linspace(71.0, 87.0, 17)
-
-    def gap(angle):
-        nu_i, nu_ii = _spin_curves((tun_i, tun_ii), angle)[0]
-        return nu_i - nu_ii
-
     # the wide sweep ends on the ensemble-ensemble degeneracy, whose
     # middle mode is dark: no cavity content (v_0 = 0)
-    dark = _find_root(gap, 35.0, 65.0, xtol=1e-12)
+    dark = locate_degeneracy(config, az_i, az_ii - az_i, tun_i.fixed, (35.0, 65.0))[0]
     sv_wide = np.append(np.linspace(10.0, 90.0, 17), dark)
     probe = np.linspace(cavity.center - 20.0, cavity.center + 20.0, 41)
     return {

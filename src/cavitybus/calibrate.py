@@ -68,21 +68,24 @@ class CalibrationResult:
         }
 
 
-def _find_root(f, lo, hi, xtol, _ends=None):
+def _find_root(f, lo, hi, xtol, args=(), _ends=None):
     """Roots of `f` in [lo, hi] by Chandrupatla's method (Adv. Eng.
     Software 28, 145, 1997), elementwise over the broadcast ends.
 
-    `f` maps an array of abscissae to residuals of the same shape;
-    scalars go through as 0-d arrays.  Each element stops once its
+    `f(x, *args)` maps abscissae to residuals of the same shape; `args`
+    are per-element arrays that broadcast with the ends, and `f` gets
+    the entries of the live elements only.  Each element stops once its
     bracket is narrower than xtol + 4*eps*|x| or its residual is exactly
-    zero, and is frozen from then on, so its root is the same whatever
-    else is in the batch.  Raises BracketError where f(lo) and f(hi)
-    share a sign or either is NaN.  A caller that already holds f(lo)
-    and f(hi) passes them as `_ends` to skip their evaluation.
+    zero, and is frozen from then on: it is not evaluated again, and its
+    root is the same whatever else is in the batch.  A 0-d batch is
+    evaluated whole, as scalars.  Raises BracketError where f(lo) and
+    f(hi) share a sign or either is NaN.  A caller that already holds
+    f(lo) and f(hi) passes them as `_ends` to skip their evaluation.
     """
-    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    a, b, *args = np.broadcast_arrays(lo, hi, *args)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     if _ends is None:
-        _ends = f(a), f(b)
+        _ends = f(a, *args), f(b, *args)
     fa, fb = (np.asarray(v, dtype=float) for v in _ends)
     unbracketed = ~(fa * fb <= 0)
     if unbracketed.any():
@@ -99,8 +102,10 @@ def _find_root(f, lo, hi, xtol, _ends=None):
             active &= (np.where(a_best, fa, fb) != 0) & (t_lim <= 0.5)
             if not active.any():
                 return x_best
-            x = np.where(active, a + np.clip(t, t_lim, 1.0 - t_lim) * (b - a), a)
-            fx = f(x)
+            x = a + np.clip(t, t_lim, 1.0 - t_lim) * (b - a)
+            live = np.nonzero(active) if a.ndim else ()
+            fx = fa.copy()  # a frozen element keeps its fa; its x is never read
+            fx[live] = f(x[live], *(v[live] for v in args))
             # x replaces a; the old a stays in the bracket as b if the
             # root lies between them, else it becomes the third point c.
             same = np.sign(fx) == np.sign(fa)
@@ -141,14 +146,13 @@ def _magnitudes(config, which, azimuths, angle, target):
     """Field magnitude at which ensemble `which` meets `target` at field
     `angle`, per crystal azimuth; NaN where no crossing exists in the
     scan range."""
-    lo, hi = _MAGNITUDE_RANGE
     ends, found = _magnitude_ends(config, which, azimuths, angle, target)
     mags = np.full(azimuths.shape, np.nan)
     mags[found] = _find_root(
-        lambda m: _transition_nodes(config, which, azimuths[found], m, angle) - target,
-        np.full(np.count_nonzero(found), lo),
-        hi,
+        lambda m, azimuth: _transition_nodes(config, which, azimuth, m, angle) - target,
+        *_MAGNITUDE_RANGE,
         xtol=1e-10,
+        args=(azimuths[found],),
         _ends=ends[:, found],
     )
     return mags
@@ -228,8 +232,7 @@ def calibrate_geometry(config: ExperimentConfig, scan_step: float = 0.25) -> Cal
         _ends=(np.append(scan[k], f_lo), np.append(scan[k + 1], f_hi)),
     )
     # A root on a node (or on 0 = 180) ends both intervals beside it.
-    roots = np.sort(roots % 180.0)
-    roots = roots[np.diff(roots, prepend=-np.inf) > 0]
+    roots = np.array(sorted(set((roots % 180.0).tolist())))
     if not roots.size:
         raise NumericalError(
             "calibration scan found no (azimuth, magnitude) pair satisfying "
@@ -274,13 +277,12 @@ def locate_degeneracy(
     lo, hi = sorted(bracket)
     lo, hi = lo + 0.5, hi - 0.5
 
-    def difference(angle):
-        lower_i = _transition_nodes(config, "i", azimuth_i, magnitude, angle)
-        return lower_i - _transition_nodes(config, "ii", azimuth_i + relative, magnitude, angle)
+    def difference(angle, azimuth, mag):
+        lower_i = _transition_nodes(config, "i", azimuth, mag, angle)
+        return lower_i - _transition_nodes(config, "ii", azimuth + relative, mag, angle)
 
-    lo_ends = np.full(np.broadcast(azimuth_i, magnitude).shape, lo)
     try:
-        angle = _find_root(difference, lo_ends, hi, xtol=1e-8)
+        angle = _find_root(difference, lo, hi, xtol=1e-8, args=(azimuth_i, magnitude))
     except BracketError:
         raise BracketError(
             f"no ensemble-ensemble degeneracy between {lo:g} and {hi:g} deg"

@@ -171,6 +171,7 @@ def _field_point(args, config, magnitude_key) -> tuple:
 
 def _cmd_transitions(args, config) -> int:
     from .gridio import write_table
+    from .transmission import _row_blocks
 
     by_angle = [f for f, v in (("--angles", args.angles), ("--b-mag", args.b_mag)) if v is not None]
     by_mag = [f for f, v in (("--b-mags", args.b_mags), ("--angle", args.angle)) if v is not None]
@@ -180,15 +181,15 @@ def _cmd_transitions(args, config) -> int:
         raise ValidationError("--b-mags sweeps need --angle")
     kind = "magnitude" if by_mag else "angle"
     values, fixed, extra = _sweep_axis(args, config, kind)
-    mags, angles = sweep_fields(kind, values, fixed)
+    mags, angles = np.broadcast_arrays(*sweep_fields(kind, values, fixed))
 
     ensembles = ("i", "ii")
-    # one solve for both ensembles, along the fields' leading axis
-    levels = _solve(
-        [config.nv(w) for w in ensembles],
-        [config.orientation(w) for w in ensembles],
-        mags[None],
-        angles[None],
+    nvs = [config.nv(w) for w in ensembles]
+    orientations = [config.orientation(w) for w in ensembles]
+    # both ensembles in one solve per block of the rows write_table streams
+    blocks = _row_blocks(values.size, 2 * len(ensembles) + 1)
+    levels = np.concatenate(
+        [_solve(nvs, orientations, mags[None, r], angles[None, r]) for r in blocks], axis=1
     )
     columns = {kind: values}
     for which, level in zip(ensembles, levels):

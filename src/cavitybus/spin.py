@@ -32,6 +32,7 @@ degenerate pair of levels; over the default sweeps it stays below
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -311,13 +312,13 @@ def transition_minus(
 
 
 def transition_batch(
-    params: NVParameters,
-    orientation: CrystalOrientation,
+    params: NVParameters | Sequence[NVParameters],
+    orientation: CrystalOrientation | Sequence[CrystalOrientation],
     magnitudes,
     angles,
 ) -> np.ndarray:
     """Lower transition frequency over broadcastable arrays of field
-    magnitude (mT) and angle (deg)."""
+    magnitude (mT) and angle (deg), of one ensemble or several (as `_solve`)."""
     return _solve(params, orientation, magnitudes, angles)[..., 1]
 
 

@@ -136,9 +136,10 @@ def sweep(
     sweep_kind: str = "none",
 ) -> SpectrumGrid:
     """Evaluate |S21| rows along a path of field settings: one batched
-    transition solve per ensemble, then S21 broadcast over the (field,
-    probe) grid and its modulus taken block by block."""
+    transition solve for all the ensembles, then S21 broadcast over the
+    (field, probe) grid and its modulus taken block by block."""
     field_path = list(field_path)
+    ensembles = list(ensembles)
     probe = np.asarray(probe_frequencies, dtype=float)
     if probe.size == 0 or not field_path:
         raise ValueError("need non-empty probe frequencies and field path")
@@ -152,13 +153,11 @@ def sweep(
     else:
         values = np.arange(len(field_path), dtype=float)
 
-    transitions = [
-        (ens, transition_batch(ens.nv, ens.orientation, magnitudes, angles)[:, None])
-        for ens in ensembles
-    ]
+    nvs, orientations = [e.nv for e in ensembles], [e.orientation for e in ensembles]
+    transitions = transition_batch(nvs, orientations, magnitudes[None], angles[None])[..., None]
     amplitudes = np.empty((len(field_path), probe.size))
     for rows in _row_blocks(len(field_path), probe.size):
-        np.abs(s21(probe, cavity, [(ens, t[rows]) for ens, t in transitions]), out=amplitudes[rows])
+        np.abs(s21(probe, cavity, zip(ensembles, transitions[:, rows])), out=amplitudes[rows])
     return SpectrumGrid(probe, values, amplitudes, sweep_kind)
 
 

@@ -147,6 +147,33 @@ def test_transitions_magnitude_sweep(default_cfg, tmp_path):
     assert np.all(np.diff(rows[:, 1]) < 0)
 
 
+def test_transitions_solves_one_table_block_at_a_time(default_cfg, tmp_path, monkeypatch):
+    # 9,001 rows take more than one block of the rows write_table streams.
+    from cavitybus import cli, transmission
+
+    rows = []
+    solve = cli._solve
+
+    def recording(params, orientation, magnitudes, angles):
+        rows.append(np.broadcast(magnitudes, angles).shape[-1])
+        return solve(params, orientation, magnitudes, angles)
+
+    def run(name):
+        out = tmp_path / name
+        args = ["transitions", "--config", str(default_cfg), "--angles", "0:90:0.01"]
+        assert main(args + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    monkeypatch.setattr(cli, "_solve", recording)
+    blocked = run("blocked.csv")
+    block = max(s.stop - s.start for s in transmission._row_blocks(9001, 5))
+    assert sum(rows) == 9001 and len(rows) > 1 and max(rows) <= block
+    monkeypatch.setattr(transmission, "_row_blocks", lambda n, *_: iter([slice(0, n)]))
+    whole = run("whole.csv")
+    assert rows[-1] == 9001
+    assert blocked == whole
+
+
 def test_sweep_angle_grid_and_determinism(default_cfg, tmp_path):
     args = [
         "sweep-angle",

@@ -385,6 +385,35 @@ def test_broadcast_sweep_is_bit_identical_to_per_row_s21(
     assert grid.amplitudes.tobytes() == rows.tobytes()
 
 
+def test_sweep_solves_all_its_ensembles_in_one_call(
+    monkeypatch, cavity, ens_i, ens_ii, resonant_magnitude
+):
+    from cavitybus import transmission
+
+    calls = []
+    original = transmission.transition_batch
+
+    def counted(*args):
+        values = original(*args)
+        calls.append(values.shape)
+        return values
+
+    monkeypatch.setattr(transmission, "transition_batch", counted)
+    fields = [FieldSetting(resonant_magnitude, a) for a in np.arange(0.0, 90.0, 0.7)]
+    sweep(cavity, [ens_i, ens_ii], fields, probe_grid(half=15.0, step=0.05), "angle")
+    assert calls == [(2, len(fields))]
+
+
+def test_sweep_reads_its_ensembles_once(cavity, ens_i, ens_ii, resonant_magnitude):
+    # A generator gives the grid a list gives, across block edges too.
+    probe = probe_grid(half=15.0, step=0.05)
+    fields = [FieldSetting(resonant_magnitude, a) for a in np.arange(0.0, 90.0, 0.7)]
+    assert len(list(_row_blocks(len(fields), probe.size))) > 2
+    listed = sweep(cavity, [ens_i, ens_ii], fields, probe, "angle")
+    generated = sweep(cavity, (e for e in (ens_i, ens_ii)), fields, probe, "angle")
+    assert generated.amplitudes.tobytes() == listed.amplitudes.tobytes()
+
+
 def test_bare_cavity_sweep_repeats_the_bare_row(cavity):
     probe = probe_grid(half=5.0, step=0.05)
     fields = [FieldSetting(7.0, a) for a in (10.0, 40.0)]
