@@ -1,8 +1,9 @@
 """Acceptance criteria, runnable via the `selftest` subcommand.
 
-Each criterion function returns a CriterionResult with a deterministic
+Each criterion check returns `(passed, detail)` with a deterministic
 detail string (no timestamps or timings), so two selftest runs produce
-byte-identical output.  Criterion 3 encodes a known structural property
+byte-identical output.  `CRITERIA` names the checks, and its order
+numbers them.  Criterion 3 encodes a known structural property
 of the fixed-resonance calibration: the ensemble-ensemble degeneracy
 falls exactly midway between the two fixed resonance angles, which for
 the default 79/23 targets is 51.0 degrees rather than the quoted 48.1;
@@ -70,7 +71,7 @@ def _degenerate_row(config):
     return probe, np.abs(s21(probe, cavity, pairs))
 
 
-def criterion_collective_enhancement(config) -> CriterionResult:
+def criterion_collective_enhancement(config):
     g_i = config.ensemble("i").coupling
     g_ii = config.ensemble("ii").coupling
     g_col = collective_coupling([g_i, g_ii])
@@ -79,17 +80,14 @@ def criterion_collective_enhancement(config) -> CriterionResult:
     split = peak_splitting(*_degenerate_row(config))
     split_dev = abs(split - 2.0 * g_col) / (2.0 * g_col)
     split_ok = split_dev <= 0.01
-    return CriterionResult(
-        1,
-        "collective-enhancement",
-        coupling_ok and split_ok,
+    return coupling_ok and split_ok, (
         f"g_col={g_col:.6f} MHz vs 9.3597+-0.01; "
         f"fitted splitting={split:.4f} MHz vs 2*g_col={2 * g_col:.4f} "
-        f"(dev {100 * split_dev:.3f}% <= 1%)",
+        f"(dev {100 * split_dev:.3f}% <= 1%)"
     )
 
 
-def criterion_dark_state(config) -> CriterionResult:
+def criterion_dark_state(config):
     cavity = config.cavity()
     g_i = config.ensemble("i").coupling
     g_ii = config.ensemble("ii").coupling
@@ -104,32 +102,26 @@ def criterion_dark_state(config) -> CriterionResult:
     amp_ratio = float(mag[ic] / np.max(mag))
     power_ratio = amp_ratio**2
     ratio_ok = power_ratio < 0.20
-    return CriterionResult(
-        2,
-        "dark-state",
-        weight_ok and no_local_max and ratio_ok,
+    return weight_ok and no_local_max and ratio_ok, (
         f"middle-mode photon weight={weight:.3e} < 1e-12; "
         f"center is local minimum={no_local_max}; "
         f"center/peak power ratio={power_ratio:.4f} < 0.20 "
-        f"(amplitude ratio {amp_ratio:.4f})",
+        f"(amplitude ratio {amp_ratio:.4f})"
     )
 
 
-def criterion_geometry(config) -> CriterionResult:
+def criterion_geometry(config):
     result = calibrate_geometry(config)
     deviation = abs(result.degeneracy_angle - 48.1)
     passed = deviation <= 0.5
     angle_i = config.get("calibration.resonance_angle_i_deg")
     angle_ii = config.get("calibration.resonance_angle_ii_deg")
-    return CriterionResult(
-        3,
-        "geometry-degeneracy",
-        passed,
+    return passed, (
         f"calibrated azimuth_i={result.azimuth_i:.4f} deg, "
         f"B={result.magnitude:.6f} mT; located degeneracy angle="
         f"{result.degeneracy_angle:.4f} deg vs 48.1+-0.5; pinning both "
         f"resonances at {angle_i:.1f}/{angle_ii:.1f} deg forces the crossing "
-        f"to their midpoint {(angle_i + angle_ii) / 2:.1f} deg (see README)",
+        f"to their midpoint {(angle_i + angle_ii) / 2:.1f} deg (see README)"
     )
 
 
@@ -144,7 +136,7 @@ def _degenerate_spin_modes(cavity):
     return model, dispersive_spin_modes(replace(model, transition_ii=w_ii))
 
 
-def criterion_dispersive_coupling(config) -> CriterionResult:
+def criterion_dispersive_coupling(config):
     u = ensemble_ensemble_coupling(7.5, 5.6, 19.1, 19.1)
     u_ok = abs(u - 2.20) <= 0.01
 
@@ -152,12 +144,9 @@ def criterion_dispersive_coupling(config) -> CriterionResult:
     split = abs(f_hi - f_lo)
     split_dev = abs(split - 2.0 * abs(model.u_coupling))
     split_ok = split_dev <= 1e-12
-    return CriterionResult(
-        4,
-        "dispersive-coupling",
-        u_ok and split_ok,
+    return u_ok and split_ok, (
         f"U={u:.6f} MHz vs 2.20+-0.01; degenerate spin-block splitting "
-        f"deviates from 2U by {split_dev:.3e} (<= 1e-12)",
+        f"deviates from 2U by {split_dev:.3e} (<= 1e-12)"
     )
 
 
@@ -186,7 +175,7 @@ def _count_pump_peaks(config, angle, signs, threshold=0.10):
     return peak_positions(pump, -shift, threshold).size
 
 
-def criterion_selection_rule(config) -> CriterionResult:
+def criterion_selection_rule(config):
     magnitude = config.get("field.dispersive_magnitude_mt")
     angle_star = _lamb_shifted_degeneracy(config, magnitude)
     n_degenerate = _count_pump_peaks(config, angle_star, (1, -1))
@@ -211,37 +200,31 @@ def criterion_selection_rule(config) -> CriterionResult:
     passed = (
         n_degenerate == 1 and n_split == 2 and n_degenerate_flipped == 1 and swap_ok
     )
-    return CriterionResult(
-        5,
-        "selection-rule",
-        passed,
+    return passed, (
         f"peaks at Lamb-shifted degeneracy ({angle_star:.4f} deg)="
         f"{n_degenerate} (expect 1), at 23 deg={n_split} (expect 2); "
         f"sign flip keeps one peak ({n_degenerate_flipped}) and swaps "
         f"the bright/dark assignment exactly (overlap "
-        f"{assignment_swap:.12f}, weight dev {weight_swap:.3e})",
+        f"{assignment_swap:.12f}, weight dev {weight_swap:.3e})"
     )
 
 
-def criterion_dispersive_validity(config) -> CriterionResult:
+def criterion_dispersive_validity(config):
     cavity = config.cavity()
     detuning = 20.0
     transitions = (cavity.center - detuning, cavity.center - detuning)
     deviations = [dispersive_deviation(cavity, (g, g), transitions) for g in (4.0, 2.0, 1.0, 0.5)]
     ratios = [deviations[k] / deviations[k + 1] for k in range(3)]
     passed = all(r >= 8.0 for r in ratios)
-    return CriterionResult(
-        6,
-        "dispersive-validity-scaling",
-        passed,
+    return passed, (
         "halving ratios "
         + ", ".join(f"{r:.2f}" for r in ratios)
         + " (each >= 8); deviations "
-        + ", ".join(f"{d:.3e}" for d in deviations),
+        + ", ".join(f"{d:.3e}" for d in deviations)
     )
 
 
-def criterion_linewidth(config) -> CriterionResult:
+def criterion_linewidth(config):
     cavity = config.cavity()
     ens_i = config.ensemble("i")
     probe = np.arange(cavity.center - 25.0, cavity.center + 25.0 + 1e-9, 0.01)
@@ -249,24 +232,16 @@ def criterion_linewidth(config) -> CriterionResult:
     result = fit_polariton_width(probe, row)
     width = result.parameters["hwhm"]
     passed = abs(width - 2.45) <= 0.05
-    return CriterionResult(
-        7,
-        "polariton-linewidth",
-        passed,
+    return passed, (
         f"fitted polariton HWHM={width:.4f} MHz vs 2.45+-0.05 "
-        f"(kappa={cavity.total_hwhm:.3f}, gamma_I={ens_i.spin_hwhm:.2f})",
+        f"(kappa={cavity.total_hwhm:.3f}, gamma_I={ens_i.spin_hwhm:.2f})"
     )
 
 
-def criterion_thermal_polarization(config) -> CriterionResult:
+def criterion_thermal_polarization(config):
     p = thermal_polarization(config.nv("i"), 60.0)
     passed = abs(p - 0.832) <= 0.001
-    return CriterionResult(
-        8,
-        "thermal-polarization",
-        passed,
-        f"p0(60 mK)={p:.6f} vs 0.832+-0.001",
-    )
+    return passed, f"p0(60 mK)={p:.6f} vs 0.832+-0.001"
 
 
 def _noisy(grid, seed, level=0.01):
@@ -356,7 +331,7 @@ def shipped_model_jacobian_deviations(config):
     }
 
 
-def criterion_fit_roundtrips(config) -> CriterionResult:
+def criterion_fit_roundtrips(config):
     g_errors, full_errors = fit_roundtrip_errors(config)
     g_p95 = float(np.percentile(g_errors, 95))
     full_p95 = {k: float(np.percentile(v, 95)) for k, v in full_errors.items()}
@@ -365,18 +340,15 @@ def criterion_fit_roundtrips(config) -> CriterionResult:
     # its side of the bound is reported.
     jac_ok = max(jac.values()) < 1e-6
     passed = g_p95 <= 0.02 and all(v <= 0.03 for v in full_p95.values()) and jac_ok
-    return CriterionResult(
-        9,
-        "fit-roundtrips",
-        passed,
+    return passed, (
         f"avoided-crossing g err p95={100 * g_p95:.3f}% (<=2%); full fit "
         f"p95 g_i={100 * full_p95['g_i']:.3f}%, g_ii={100 * full_p95['g_ii']:.3f}%, "
         f"kappa={100 * full_p95['kappa']:.3f}% (<=3%); worst jacobian "
-        f"deviation {'<' if jac_ok else 'not <'} 1e-06",
+        f"deviation {'<' if jac_ok else 'not <'} 1e-06"
     )
 
 
-def criterion_determinism(config) -> CriterionResult:
+def criterion_determinism(config):
     cavity = config.cavity()
     ens_i = config.ensemble("i")
     ens_ii = config.ensemble("ii")
@@ -396,30 +368,27 @@ def criterion_determinism(config) -> CriterionResult:
 
     repeat_ok = text_a == text_b
     rowwise_ok = grid.amplitudes.tobytes() == rows.tobytes()
-    return CriterionResult(
-        10,
-        "determinism",
-        repeat_ok and rowwise_ok,
+    return repeat_ok and rowwise_ok, (
         f"repeated sweep byte-identical={repeat_ok}; broadcast sweep vs per-row "
-        f"s21 byte-identical={rowwise_ok}",
+        f"s21 byte-identical={rowwise_ok}"
     )
 
 
 CRITERIA = (
-    criterion_collective_enhancement,
-    criterion_dark_state,
-    criterion_geometry,
-    criterion_dispersive_coupling,
-    criterion_selection_rule,
-    criterion_dispersive_validity,
-    criterion_linewidth,
-    criterion_thermal_polarization,
-    criterion_fit_roundtrips,
-    criterion_determinism,
+    ("collective-enhancement", criterion_collective_enhancement),
+    ("dark-state", criterion_dark_state),
+    ("geometry-degeneracy", criterion_geometry),
+    ("dispersive-coupling", criterion_dispersive_coupling),
+    ("selection-rule", criterion_selection_rule),
+    ("dispersive-validity-scaling", criterion_dispersive_validity),
+    ("polariton-linewidth", criterion_linewidth),
+    ("thermal-polarization", criterion_thermal_polarization),
+    ("fit-roundtrips", criterion_fit_roundtrips),
+    ("determinism", criterion_determinism),
 )
 
 
 def run_all(config: ExperimentConfig):
     """Evaluate every acceptance criterion; returns CriterionResults in
-    order."""
-    return [criterion(config) for criterion in CRITERIA]
+    the order of `CRITERIA`, numbered from 1."""
+    return [CriterionResult(k, name, *check(config)) for k, (name, check) in enumerate(CRITERIA, 1)]

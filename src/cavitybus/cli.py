@@ -53,37 +53,41 @@ def _build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file (built-in defaults when omitted)")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("transitions", "spin transition tables versus field angle or magnitude")
+    p = add("transitions", "spin transition tables versus field angle or magnitude",
+            _cmd_transitions)
     p.add_argument("--angles", help="angle range start:stop:step (deg)")
     p.add_argument("--b-mag", type=float, help="field magnitude (mT) for angle sweeps")
     p.add_argument("--b-mags", help="magnitude range start:stop:step (mT)")
     p.add_argument("--angle", type=float, help="field angle (deg) for magnitude sweeps")
     p.add_argument("--out", required=True)
 
-    p = add("spectrum", "single transmission row at a fixed field")
+    p = add("spectrum", "single transmission row at a fixed field", _cmd_spectrum)
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--b-mag", type=float)
     p.add_argument("--probe", help="probe range start:stop:step (MHz)")
     p.add_argument("--out", required=True)
 
-    p = add("sweep-angle", "transmission grid versus field angle")
+    p = add("sweep-angle", "transmission grid versus field angle",
+            functools.partial(_cmd_sweep, kind="angle"))
     p.add_argument("--angles", help="angle range start:stop:step (deg)")
     p.add_argument("--b-mag", type=float)
     p.add_argument("--probe", help="probe range start:stop:step (MHz)")
     p.add_argument("--out", required=True)
 
-    p = add("sweep-field", "transmission grid versus field magnitude")
+    p = add("sweep-field", "transmission grid versus field magnitude",
+            functools.partial(_cmd_sweep, kind="magnitude"))
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--b-mags", help="magnitude range start:stop:step (mT)")
     p.add_argument("--probe", help="probe range start:stop:step (MHz)")
     p.add_argument("--out", required=True)
 
-    p = add("dispersive", "pump-probe cavity-shift signal and mode report")
+    p = add("dispersive", "pump-probe cavity-shift signal and mode report", _cmd_dispersive)
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--b-mag", type=float, help="override the dispersive field magnitude")
     p.add_argument("--pump", help="pump range start:stop:step (MHz)")
@@ -91,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write the mode report as JSON here")
 
-    p = add("fit", "parameter extraction from a grid file")
+    p = add("fit", "parameter extraction from a grid file", _cmd_fit)
     p.add_argument("mode", choices=("lorentzian", "avoided-crossing", "full"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -102,17 +106,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--force", action="store_true",
                    help="accept grids written by a different tool version")
 
-    p = add("calibrate", "derive field magnitude and azimuths from the resonance angles")
+    p = add("calibrate", "derive field magnitude and azimuths from the resonance angles",
+            _cmd_calibrate)
     p.add_argument("--out", required=True, help="write the updated config here")
     p.add_argument("--scan-step", type=float, default=0.25)
 
-    add("selftest", "run the acceptance criteria")
+    add("selftest", "run the acceptance criteria", _cmd_selftest)
 
     return parser
 
 
 def _load(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     log.info("no --config given; using built-in defaults")
     return default_config()
@@ -376,18 +381,6 @@ def _cmd_selftest(args, config) -> int:
     return EXIT_OK if not failed else EXIT_NUMERICAL
 
 
-_COMMANDS = {
-    "transitions": _cmd_transitions,
-    "spectrum": _cmd_spectrum,
-    "sweep-angle": functools.partial(_cmd_sweep, kind="angle"),
-    "sweep-field": functools.partial(_cmd_sweep, kind="magnitude"),
-    "dispersive": _cmd_dispersive,
-    "fit": _cmd_fit,
-    "calibrate": _cmd_calibrate,
-    "selftest": _cmd_selftest,
-}
-
-
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -398,7 +391,7 @@ def run(argv) -> int:
         raise UsageError("missing subcommand")
     _check_float_flags(args)
     config = _load(args)
-    return _COMMANDS[args.command](args, config)
+    return args.handler(args, config)
 
 
 def main(argv=None) -> int:

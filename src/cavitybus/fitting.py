@@ -477,7 +477,9 @@ def fit_avoided_crossing(
         )
     spans = nuhat[first + counts - 1] - nuhat[first]
     g0 = 0.5 * float(np.min(spans[split])) / math.sqrt(n)
-    theta = np.array([g0] * n + [float(np.median(nuhat)), 0.0])
+    ordered = np.sort(nuhat)  # np.median's value, bit for bit; np.median imports numpy.ma
+    nu_c0 = 0.5 * (ordered[(ordered.size - 1) // 2] + ordered[ordered.size // 2])
+    theta = np.array([g0] * n + [float(nu_c0), 0.0])
 
     return levenberg_marquardt(
         avoided_crossing_model(grid.sweep_values[rows], None, tunings),

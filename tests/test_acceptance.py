@@ -35,8 +35,12 @@ def cfg():
 
 def timed_criterion(criterion, cfg, budget_s):
     start = time.perf_counter()
-    result = criterion(cfg)
+    passed, detail = criterion(cfg)
     elapsed = time.perf_counter() - start
+    index, name = next(
+        (k, n) for k, (n, check) in enumerate(acceptance.CRITERIA, 1) if check is criterion
+    )
+    result = acceptance.CriterionResult(index, name, passed, detail)
     print(result.line())
     assert elapsed < budget_s, f"runtime {elapsed:.2f}s exceeds {budget_s}s budget"
     return result
@@ -60,7 +64,7 @@ def test_criterion_2_dark_state_has_no_photon_content(cfg):
     # At triple degeneracy the middle mode of the cavity-plus-ensembles
     # matrix (solved less the cavity frequency) has exactly no photon
     # component.
-    detail = acceptance.criterion_dark_state(cfg).detail
+    _, detail = acceptance.criterion_dark_state(cfg)
     assert detail.startswith("middle-mode photon weight=0.000e+00 < 1e-12; ")
 
 
@@ -102,10 +106,10 @@ def test_criterion_3_detail_follows_configured_angles(cfg):
             "calibration.resonance_angle_ii_deg": 25.0,
         }
     )
-    result = acceptance.criterion_geometry(shifted)
-    assert "located degeneracy angle=50.0000 deg" in result.detail
-    assert "resonances at 75.0/25.0 deg" in result.detail
-    assert "midpoint 50.0 deg" in result.detail
+    _, detail = acceptance.criterion_geometry(shifted)
+    assert "located degeneracy angle=50.0000 deg" in detail
+    assert "resonances at 75.0/25.0 deg" in detail
+    assert "midpoint 50.0 deg" in detail
 
 
 def test_criterion_4_dispersive_coupling(cfg):
@@ -144,10 +148,10 @@ def test_criterion_9_detail_prints_the_bound_not_the_deviation(cfg, monkeypatch,
     monkeypatch.setattr(
         acceptance, "shipped_model_jacobian_deviations", lambda config: {"a": 1e-9, "b": worst}
     )
-    result = acceptance.criterion_fit_roundtrips(cfg)
-    assert result.passed == (verdict == "<")
-    assert result.detail.endswith(f"worst jacobian deviation {verdict} 1e-06")
-    assert f"{worst:.3e}"[:4] not in result.detail
+    passed, detail = acceptance.criterion_fit_roundtrips(cfg)
+    assert passed == (verdict == "<")
+    assert detail.endswith(f"worst jacobian deviation {verdict} 1e-06")
+    assert f"{worst:.3e}"[:4] not in detail
 
 
 def test_criterion_10_determinism(cfg):
@@ -157,9 +161,9 @@ def test_criterion_10_determinism(cfg):
 def test_criterion_10_detail_does_not_depend_on_the_version_string(cfg, monkeypatch):
     # The grid text leads with a "# cavitybus <version>" line, so a byte
     # count of it would move with every version string of another length.
-    detail = acceptance.criterion_determinism(cfg).detail
+    _, detail = acceptance.criterion_determinism(cfg)
     monkeypatch.setattr(gridio, "__version__", gridio.__version__ + ".post1-longer")
-    assert acceptance.criterion_determinism(cfg).detail == detail
+    assert acceptance.criterion_determinism(cfg)[1] == detail
 
 
 def test_run_all_evaluates_every_criterion(selftest_results):

@@ -32,7 +32,7 @@ def _modules_after(probe, package):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     probe += (
         "\nimport sys"
-        f"\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+        f"\nprint(' '.join(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -45,10 +45,9 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert _modules_after("import sys, cavitybus.cli", "scipy") == []
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # Every command runs on numpy alone.  selftest is left out for time:
-    # its peak searches go through the fits below and `peak_positions`,
-    # which criterion 5's pump-peak count runs here.
+def _every_command(tmp_path):
+    """A probe that runs each command but selftest through `cli.main`,
+    and criterion 5's pump-peak count."""
     out = tmp_path.as_posix()
     commands = [
         ["calibrate", "--out", f"{out}/cal.cfg"],
@@ -63,7 +62,7 @@ def test_no_command_loads_scipy(tmp_path):
         ["fit", "avoided-crossing", "--in", f"{out}/grid.csv", "--out", f"{out}/branch.json"],
         ["fit", "lorentzian", "--in", f"{out}/grid.csv", "--row", "0", "--out", f"{out}/row.json"],
     ]
-    probe = (
+    return (
         "import sys\n"
         "from cavitybus.acceptance import _count_pump_peaks\n"
         "from cavitybus.cli import main\n"
@@ -72,7 +71,19 @@ def test_no_command_loads_scipy(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "assert _count_pump_peaks(default_config(), 23.0, (1, -1)) == 2\n"
     )
-    assert _modules_after(probe, "scipy") == []
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # Every command runs on numpy alone.  selftest is left out for time:
+    # its peak searches go through the fits and `peak_positions`, which
+    # criterion 5's pump-peak count runs here.
+    assert _modules_after(_every_command(tmp_path), "scipy") == []
+
+
+def test_no_command_but_selftest_loads_numpy_ma(tmp_path):
+    # np.median and np.percentile import numpy.ma (11-17 ms of start-up
+    # in numpy 2.4); of the package, only criterion 9 calls one.
+    assert _modules_after(_every_command(tmp_path), "numpy.ma") == []
 
 
 # Start-up: every CLI call is a fresh interpreter, and each module it
